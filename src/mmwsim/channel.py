@@ -18,6 +18,11 @@ import numpy as np
 # matches the pinned Doppler arithmetic (120 kmph @ 28 GHz -> 3113 Hz)
 C_LIGHT = 2.998e8  # m/s
 
+# OpenBLAS runs a gemm whose m*n*k is at most this on the calling thread.
+# Above it a helper thread joins, then busy-waits through the rest of the
+# TTI, which doubles the CPU a run burns and starves a second worker.
+SERIAL_GEMM_MNK = 65536
+
 
 class ChannelModelError(ValueError):
     """Raised outside a model's validity range."""
@@ -128,10 +133,26 @@ class FadingDesign:
         return state0, step
 
     def mix_taps(self, taps, tap_axis=1):
-        """Replace the size-n_taps axis ``tap_axis`` with an RB axis."""
-        kern = self.kernel.astype(taps.real.dtype)
-        out = np.tensordot(taps, kern, axes=([tap_axis], [0]))
-        return np.moveaxis(out, -1, tap_axis)
+        """Replace the size-n_taps axis ``tap_axis`` with an RB axis.
+
+        The (rows x n_taps) x (n_taps x n_rb) product is issued in row chunks
+        small enough for OpenBLAS to keep on the calling thread. A gemm
+        gives every row of the product the same bits whatever its row count,
+        so the chunked product equals the single one exactly.
+        """
+        kern = self.kernel.astype(taps.dtype)
+        rows = np.moveaxis(taps, tap_axis, -1)
+        lead = rows.shape[:-1]
+        rows = rows.reshape(-1, self.n_taps)
+        n = rows.shape[0]
+        out = np.empty((n, self.n_rb), dtype=kern.dtype)
+        step = max(2, SERIAL_GEMM_MNK // kern.size)
+        for lo in range(0, n, step):
+            # a one-row product runs as a gemv, whose bits differ from a
+            # gemm's: end on two rows, recomputing one row identically
+            lo = max(min(lo, n - 2), 0)
+            np.dot(rows[lo:lo + step], kern, out=out[lo:lo + step])
+        return np.moveaxis(out.reshape(lead + (self.n_rb,)), -1, tap_axis)
 
 
 class SosProcess:
@@ -141,10 +162,13 @@ class SosProcess:
     ``advance()`` rotates every sinusoid by its per-TTI phase step. The
     recurrence never stores the time axis, so memory stays flat no matter
     how long the run is.
+
+    The process takes ownership of ``state0``: it becomes the running state
+    and is rotated in place, so pass a copy to keep the initial phasors.
     """
 
     def __init__(self, state0, step):
-        self.state = state0.copy()
+        self.state = state0
         self.step = step
 
     def current(self):

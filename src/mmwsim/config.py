@@ -288,15 +288,27 @@ def expand_sweep(base, velocities=None, polarizations=None, schedulers=None,
     Axes left as None stay at the base config's single value. Points nest
     in the caller's axis order (scheduler outermost, then polarization,
     velocity and seed); the results table sorts rows on emission, so the
-    expansion order never shows in the CSV.
+    expansion order never shows in the CSV. An empty axis or one that
+    repeats a value is rejected: it would yield an empty sweep or run the
+    same point twice.
     """
-    velocities = [base.ue_velocity] if velocities is None else list(velocities)
+    velocities = ([base.ue_velocity] if velocities is None
+                  else [float(v) for v in velocities])
     polarizations = ([base.ue_polarization] if polarizations is None
                      else [p.upper() for p in polarizations])
     schedulers = ([base.scheduler] if schedulers is None
                   else [s.upper() for s in schedulers])
     seeds = [base.seed] if seeds is None else [int(s) for s in seeds]
 
+    for key, values in (("ue_velocity", velocities),
+                        ("ue_polarization", polarizations),
+                        ("scheduler", schedulers), ("seed", seeds)):
+        if not values:
+            raise ScenarioError(f"{key}: sweep axis is empty")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ScenarioError(
+                f"{key}: sweep axis repeats {', '.join(map(str, repeated))}")
     for v in velocities:
         if v < 0:
             raise ScenarioError("ue_velocity: sweep values must be >= 0")
@@ -308,7 +320,7 @@ def expand_sweep(base, velocities=None, polarizations=None, schedulers=None,
                 for seed in seeds:
                     points.append(base.replace(
                         scheduler=sched, ue_polarization=pol,
-                        ue_pol_slant_deg=None, ue_velocity=float(vel),
+                        ue_pol_slant_deg=None, ue_velocity=vel,
                         seed=seed))
     return points
 

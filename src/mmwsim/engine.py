@@ -21,6 +21,24 @@ Every random draw comes from a stream keyed by (seed, purpose, cell, ue),
 so runs differing only in velocity, polarization or scheduler share their
 drop geometry, shadowing and fading sinusoids: sweep axes are compared
 under common random numbers.
+
+The link layer is streamed over contiguous UE blocks, so per-link arrays
+exist for one block at a time; only per-UE results span the network.
+
+Rewrites of the link layer must keep every KPI bit-identical, not merely
+close. Proportional-fair scheduling turns a last-bit change in one rate
+into a different RB grant, and the throughput averages carry it forward:
+a float64 Cholesky solve in place of ``np.linalg.inv`` in ``rates`` moves
+the small-preset PF/LPOL/120 kmph/seed-1 throughput by 4.5e-3, and the
+same point under RR by 5e-8. The golden records and the benchmark
+reference are tied to these exact floating-point operations, including
+the OpenBLAS kernels that run them. So speed comes from issuing the same
+operations more cheaply: stacking the matrices that share a right-hand
+factor into one gemm (each row of a gemm gets the same bits whatever the
+row count), and keeping every gemm small enough that OpenBLAS runs it on
+the calling thread. ``b @ b^H`` per matrix, ``np.add.reduceat`` and
+``np.linalg.inv`` are kept as they are, because their stacked or
+re-associated forms change bits.
 """
 
 import hashlib
@@ -37,8 +55,9 @@ import numpy as np
 from ._version import __version__
 from .antenna import AntennaConfig, PolarizationSpec, combined_gain, \
     port_coupling_series
-from .channel import FadingDesign, SosProcess, depolarization_coherence, \
-    doppler_frequency, los_probability, pathloss_uma
+from .channel import SERIAL_GEMM_MNK, FadingDesign, SosProcess, \
+    depolarization_coherence, doppler_frequency, los_probability, \
+    pathloss_uma
 from .config import expand_sweep, scenario_to_text
 from .deployment import assign_serving_cell, build_hex_layout, drop_ues, \
     dump_layout_csv, step_mobility
@@ -66,6 +85,10 @@ _SELECT_RB_STRIDE = 10
 # later codebook entries must beat the incumbent by this much (ties keep
 # the lowest rank, then the lowest entry index)
 _SELECT_MARGIN = 1e-12
+# a UE block holds about this many bytes of per-link channel matrices; the
+# per-link channel, precoded channel and covariance arrays of a TTI exist
+# for one block at a time, never for the whole network
+_BLOCK_BYTES = 8 << 20
 
 
 def _rng(*key):
@@ -77,13 +100,14 @@ class _Linkset:
     """Static per-run link bookkeeping.
 
     Links are the (cell, ue) pairs modelled explicitly: for every UE its
-    serving cell plus the strongest interferers by wideband power. They are
-    stored grouped by UE, serving link first, so covariance accumulation is
-    a segmented sum.
+    serving cell plus the strongest interferers by wideband power, ``n_keep``
+    links in all. They are stored grouped by UE, serving link first, so UE
+    u owns links [u * n_keep, (u + 1) * n_keep) and covariance accumulation
+    is a segmented sum.
     """
     cell: np.ndarray          # (n_links,) cell id per link
     ue: np.ndarray            # (n_links,) ue id per link
-    starts: np.ndarray        # (n_ues,) first link index of each ue's group
+    n_keep: int               # links per ue
     serving: np.ndarray       # (n_ues,) serving cell id
     amplitude: np.ndarray     # (n_links,) linear field amplitude
     los: np.ndarray           # (n_links,) bool
@@ -92,9 +116,13 @@ class _Linkset:
     def n_links(self):
         return self.cell.shape[0]
 
-    @property
-    def serving_link(self):
-        return self.starts
+
+@dataclass
+class _UeBlock:
+    """A contiguous run of UEs and the links they own."""
+    ues: slice
+    links: slice
+    cells: list               # (cell id, block-local link indices) per cell
 
 
 def _wideband_gain_db(cfg, layout, ues, ant):
@@ -146,10 +174,9 @@ def _build_linkset(cfg, layout, ues, gain_db, los):
             ue, layout, {c: rx_dbm[c, u] for c in range(n_cells)})
 
     n_keep = min(n_cells, cfg.n_strongest_interferers + 1)
-    cell_ids, ue_ids, starts = [], [], []
+    cell_ids, ue_ids = [], []
     for u in range(n_ues):
         order = np.lexsort((np.arange(n_cells), -rx_dbm[:, u]))[:n_keep]
-        starts.append(len(cell_ids))
         cell_ids.extend(int(c) for c in order)
         ue_ids.extend([u] * len(order))
 
@@ -158,7 +185,7 @@ def _build_linkset(cfg, layout, ues, gain_db, los):
     return _Linkset(
         cell=cell_arr,
         ue=ue_arr,
-        starts=np.asarray(starts, dtype=int),
+        n_keep=n_keep,
         serving=serving,
         amplitude=10.0 ** (gain_db[cell_arr, ue_arr] / 20.0),
         los=los[cell_arr, ue_arr])
@@ -226,6 +253,7 @@ class _ChannelBank:
         self.alpha_dep = depolarization_coherence(
             f_d, cfg.depol_coherence_time)
         self.port_parity = np.arange(self.n_tx) % 2
+        self._refresh()
 
     def coherent_fraction_sq(self):
         """Coherent power fraction at the receiver's slant (1 for LPOL)."""
@@ -233,15 +261,12 @@ class _ChannelBank:
         return math.cos(rho) ** 2 \
             + math.sin(rho) ** 2 * self.alpha_dep ** 2
 
-    def current(self):
-        """Assemble H for the present TTI: (n_links, n_rb, n_rx, n_tx)."""
+    def _refresh(self):
+        """Per-link terms of the present TTI, for every link at once."""
         seq = self.sos.current()
-        taps = seq[:, :self.n_scatter].reshape(
-            -1, self.design.n_taps, self.n_rx, self.n_tx)
-        h = self.w_scat[:, None, None, None] * self.design.mix_taps(taps)
-        spec = (self.w_spec * self.rice_state)[:, None, None] \
+        self.taps = seq[:, :self.n_scatter]
+        self.spec = (self.w_spec * self.rice_state)[:, None, None] \
             * self.a_rx[:, :, None] * self.a_tx[:, None, :]
-        h = h + spec[:, None, :, :]
 
         leak = seq[:, -2]
         leak = leak / np.maximum(np.abs(leak), 1e-30)
@@ -249,16 +274,47 @@ class _ChannelBank:
         wander = wander / np.maximum(np.abs(wander), 1e-30)
         coup = port_coupling_series(
             self.pol, leak, self.alpha_dep * wander)   # (n_links, 2)
-        coup = coup.astype(np.complex64)
-        return h * coup[:, self.port_parity][:, None, None, :]
+        self.port = coup.astype(np.complex64)[:, self.port_parity]
+
+    def current(self, links):
+        """Assemble H for the present TTI on the link slice ``links``:
+        (n, n_rb, n_rx, n_tx), RB axis innermost in memory."""
+        taps = self.taps[links].reshape(
+            -1, self.design.n_taps, self.n_rx, self.n_tx)
+        h = self.w_scat[links, None, None, None] * self.design.mix_taps(taps)
+        h = h + self.spec[links, None, :, :]
+        return h * self.port[links, None, None, :]
 
     def advance(self):
         self.sos.advance()
         self.rice_state = self.rice_state * self.rice_step
+        self._refresh()
+
+
+def _stacked_matmul(a, p):
+    """``a @ p`` where each matrix of ``p`` is shared by a stack of ``a``.
+
+    ``a`` is (..., n_mat, m, n) and ``p`` is (..., n, k), the leading axes
+    broadcast against each other. The n_mat matrices are stacked into one
+    (n_mat * m)-row gemm per matrix of ``p``: OpenBLAS gives each row of a
+    gemm the same bits whatever the row count, so this equals the n_mat
+    separate products exactly. Row vectors (m = 1) are the exception: numpy
+    issues a vector-matrix product as a gemv, whose bits differ from a
+    gemm's, so they keep one product each.
+    """
+    if a.shape[-2] == 1:
+        return a @ p[..., None, :, :]
+    rows = a.reshape(a.shape[:-3] + (-1, a.shape[-1])) @ p
+    return rows.reshape(rows.shape[:-2] + a.shape[-3:-1] + p.shape[-1:])
 
 
 class _LinkAdapter:
-    """Covariance assembly, rate measurement and precoder selection."""
+    """Covariance assembly, rate measurement and precoder selection.
+
+    ``measure`` streams the channel and interference covariance over
+    contiguous UE blocks and keeps only the per-UE results: the serving
+    channel ``h_serv`` and the interference covariance ``r_int``.
+    """
 
     def __init__(self, cfg, links):
         self.links = links
@@ -279,6 +335,25 @@ class _LinkAdapter:
         self.iso = (math.sqrt(self.p_rb / cfg.n_tx)
                     * np.eye(cfg.n_tx, self.max_rank)).astype(np.complex64)
 
+        n_ues, n_keep = links.serving.shape[0], links.n_keep
+        ue_bytes = n_keep * cfg.n_rb * cfg.n_rx * cfg.n_tx \
+            * np.dtype(np.complex64).itemsize
+        step = max(1, _BLOCK_BYTES // ue_bytes)
+        self.blocks = []
+        for lo in range(0, n_ues, step):
+            hi = min(lo + step, n_ues)
+            lk = slice(lo * n_keep, hi * n_keep)
+            cell = links.cell[lk]
+            self.blocks.append(_UeBlock(
+                ues=slice(lo, hi), links=lk,
+                cells=[(c, np.flatnonzero(cell == c))
+                       for c in np.unique(cell)]))
+        # the serving channel keeps the channel bank's RB-innermost layout
+        self.h_serv = np.empty((n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
+                               dtype=np.complex64).transpose(0, 3, 1, 2)
+        self.r_int = np.empty((n_ues, cfg.n_rb, cfg.n_rx, cfg.n_rx),
+                              dtype=np.complex64)
+
     def isotropic_psched(self, n_cells, n_rb):
         """Equal-power identity precoding everywhere (TTI-0 bootstrap)."""
         p = np.zeros((n_cells, n_rb, self.cand.shape[1], self.max_rank),
@@ -286,18 +361,33 @@ class _LinkAdapter:
         p[:, :] = self.iso
         return p
 
-    def interference(self, h, psched):
-        """Per-(ue, rb) interference covariance, own-cell signal excluded.
+    def measure(self, bank, psched):
+        """Fill ``h_serv`` and ``r_int`` for the present TTI, block by block."""
+        n_keep = self.links.n_keep
+        for block in self.blocks:
+            h = bank.current(block.links)
+            self.r_int[block.ues] = self.interference(h, psched, block)
+            self.h_serv[block.ues] = h[::n_keep]
 
-        ``psched`` maps (cell, rb) to the scaled precoder in use. Because a
-        UE's own hypothetical grant replaces whatever its serving cell is
-        transmitting, the serving link's contribution is subtracted from
-        the segmented sum over each UE's link group.
+    def interference(self, h, psched, block):
+        """Per-(ue, rb) interference covariance of one UE block, own-cell
+        signal excluded.
+
+        ``h`` is the block's per-link channel and ``psched`` maps (cell, rb)
+        to the scaled precoder in use. The links of one cell are precoded
+        as one stacked product per RB. Because a UE's own hypothetical
+        grant replaces whatever its serving cell is transmitting, the
+        serving link's contribution is subtracted from the segmented sum
+        over each UE's link group.
         """
-        b = h @ psched[self.links.cell]
+        b = np.empty(h.shape[:-1] + (self.max_rank,), dtype=np.complex64)
+        for c, idx in block.cells:
+            b[idx] = _stacked_matmul(h[idx].swapaxes(0, 1),
+                                     psched[c]).swapaxes(0, 1)
         g = b @ b.conj().swapaxes(-1, -2)
-        total = np.add.reduceat(g, self.links.starts, axis=0)
-        return total - g[self.links.serving_link]
+        starts = np.arange(0, h.shape[0], self.links.n_keep)
+        total = np.add.reduceat(g, starts, axis=0)
+        return total - g[starts]
 
     def _with_noise(self, cov):
         """Scale by the self-noise factor, add thermal noise, go double."""
@@ -306,28 +396,53 @@ class _LinkAdapter:
         out[..., idx, idx] += self.noise
         return out
 
-    def rates(self, h, r_int, p_own):
+    def rate_table(self, p_own):
+        """Per-(ue, rb) bits from the measured ``h_serv`` and ``r_int``."""
+        return np.concatenate([
+            self.rates(self.h_serv[b.ues], self.r_int[b.ues], p_own[b.ues])
+            for b in self.blocks])
+
+    def rates(self, h_serv, r_int, p_own):
         """Per-(ue, rb) truncated-Shannon bits for one RB grant."""
-        h_serv = h[self.links.serving_link]
-        eff = h_serv @ p_own[:, None]
+        eff = _stacked_matmul(h_serv, p_own)
         own = eff @ eff.conj().swapaxes(-1, -2)
         cov = self._with_noise(r_int + own)
         sinr = mmse_sinr_from_covariance(eff, cov)
         return sinr_to_rate(sinr, self.rb_bandwidth, self.tti,
                             self.efficiency, self.se_cap).sum(axis=-1)
 
-    def select(self, h, r_int):
-        """Wideband codebook choice per UE from a decimated RB sample."""
-        h_sel = h[self.links.serving_link][:, self.select_rb]
-        eff = h_sel[:, None] @ self.cand[None, :, None]
+    def select(self, h_serv, r_int):
+        """Wideband codebook choice per UE from a decimated RB sample.
+
+        UEs are taken in chunks whose stacked candidate products stay on
+        the calling thread, which also bounds the temporaries.
+        """
+        h_sel = h_serv[:, self.select_rb]
+        r_sel = r_int[:, self.select_rb]
+        n_ues, n_sel, n_rx, n_tx = h_sel.shape
+        step = max(1, SERIAL_GEMM_MNK
+                   // (n_sel * n_rx * n_tx * self.max_rank))
+        idx = np.empty(n_ues, dtype=np.intp)
+        for lo in range(0, n_ues, step):
+            idx[lo:lo + step] = self._select_chunk(h_sel[lo:lo + step],
+                                                   r_sel[lo:lo + step])
+        return self.cand[idx], idx
+
+    def _select_chunk(self, h_sel, r_sel):
+        n_ues, n_sel, n_rx, n_tx = h_sel.shape
+        rows = h_sel.swapaxes(0, 1).reshape(1, -1, n_rx, n_tx)
+        eff = _stacked_matmul(rows, self.cand).reshape(
+            -1, n_sel, n_ues, n_rx, self.max_rank)
+        # axes (ue, entry, rb, rx, layer) over (entry, rb, ue) memory order,
+        # the layout numpy gave the per-matrix form
+        eff = eff.transpose(2, 0, 1, 3, 4)
         own = eff @ eff.conj().swapaxes(-1, -2)
-        base = self._with_noise(r_int[:, self.select_rb])
+        base = self._with_noise(r_sel)
         sinr = mmse_sinr_from_covariance(eff, base[:, None] +
                                          self.sn_scale * own)
         score = np.log2(1.0 + sinr).sum(axis=(2, 3))
         best = score.max(axis=1, keepdims=True)
-        idx = np.argmax(score >= best - _SELECT_MARGIN, axis=1)
-        return self.cand[idx], idx
+        return np.argmax(score >= best - _SELECT_MARGIN, axis=1)
 
 
 def _scheduler_states(cfg, cell_ues):
@@ -404,11 +519,9 @@ def run_simulation(cfg, trace_dir=None):
             chan_trace.write("tti,ue_id,serving_cell,mean_gain_db\n")
 
         try:
-            h = bank.current()
-            r_int = adapter.interference(
-                h, adapter.isotropic_psched(n_cells, cfg.n_rb))
-            p_own, _ = adapter.select(h, r_int)
-            csi_rates = adapter.rates(h, r_int, p_own)
+            adapter.measure(bank, adapter.isotropic_psched(n_cells, cfg.n_rb))
+            p_own, _ = adapter.select(adapter.h_serv, adapter.r_int)
+            csi_rates = adapter.rate_table(p_own)
         except Exception as exc:
             raise EngineError(
                 f"tti 0 (csi bootstrap): {type(exc).__name__}: {exc}"
@@ -420,7 +533,6 @@ def run_simulation(cfg, trace_dir=None):
             try:
                 if t > 0:
                     bank.advance()
-                    h = bank.current()
 
                 psched = np.zeros(
                     (n_cells, cfg.n_rb, cfg.n_tx, adapter.max_rank),
@@ -435,8 +547,8 @@ def run_simulation(cfg, trace_dir=None):
                             f"tti {t} cell {c}: {exc}") from exc
                     psched[c] = p_own[allocs[c].rb_to_ue]
 
-                r_int = adapter.interference(h, psched)
-                rate_meas = adapter.rates(h, r_int, p_own)
+                adapter.measure(bank, psched)
+                rate_meas = adapter.rate_table(p_own)
 
                 granted = np.zeros(n_ues)
                 for c, alloc in allocs.items():
@@ -451,7 +563,7 @@ def run_simulation(cfg, trace_dir=None):
                         cfg.pf_time_constant_tc)
 
                 if (t + 1) % cfg.csi_period_tti == 0:
-                    p_own, _ = adapter.select(h, r_int)
+                    p_own, _ = adapter.select(adapter.h_serv, adapter.r_int)
                 csi_rates = rate_meas
 
                 for ue in ues:
@@ -468,7 +580,7 @@ def run_simulation(cfg, trace_dir=None):
                         alloc_trace.write(
                             f"{t},{c},{rb},{u},"
                             f"{rate_meas[u, rb]:.6g}\n")
-                h_serv = h[links.serving_link]
+                h_serv = adapter.h_serv
                 for u in counted:
                     mg = 10.0 * math.log10(
                         max(np.mean(np.abs(h_serv[u]) ** 2), 1e-300))
@@ -542,7 +654,8 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
 
     Points are independent runs (each rebuilds its keyed streams), so the
     results are identical whatever ``parallelism`` is; workers only change
-    the wall clock. Failed points are reported, not fatal.
+    the wall clock. Failed points are reported, not fatal: they are
+    returned and also listed under ``failures`` in the table's metadata.
     """
     points = expand_sweep(base, velocities, polarizations, schedulers,
                           seeds)
@@ -557,13 +670,14 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
         (records if status == "ok" else failures).append(payload)
 
     table = ResultsTable(records=records,
-                         metadata=_sweep_metadata(base, points))
+                         metadata=_sweep_metadata(base, points, failures))
     return table, failures
 
 
-def _sweep_metadata(base, points):
+def _sweep_metadata(base, points, failures=()):
     text = scenario_to_text(base)
     return {
+        "failures": list(failures),
         "package_version": __version__,
         "columns": list(RESULT_COLUMNS),
         "n_points": len(points),
@@ -580,7 +694,8 @@ def emit_csv(table, path, metadata_path=None):
     """Write the results table as CSV plus a deterministic JSON sidecar.
 
     The CSV holds only the header and data rows. Run metadata (package
-    version, config hash, sweep axes) goes to ``<path stem>.meta.json``.
+    version, config hash, sweep axes, failed points) goes to
+    ``<path stem>.meta.json``.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")

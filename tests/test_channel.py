@@ -105,7 +105,7 @@ def test_sinusoid_bank_phasors_and_frozen_zero_doppler():
 def test_sos_process_recurrence_matches_direct_evaluation():
     design = FadingDesign(f_d=300.0, n_tti=6, tti=1e-3, n_rb=1)
     state0, step = design.draw_sinusoids(np.random.default_rng(4), 5)
-    proc = SosProcess(state0, step)
+    proc = SosProcess(state0.copy(), step)   # the process owns its state
     for t in range(6):
         direct = (state0 * step ** t).sum(axis=-1)
         assert np.allclose(proc.current(), direct)

@@ -85,6 +85,19 @@ def test_axis_flags_imply_sweep(tmp_path, capsys):
     assert velocities == ["0", "120"]
 
 
+@pytest.mark.parametrize("axis_flags,fragment", [
+    (("--seeds", "5..1"), "seed: sweep axis is empty"),
+    (("--seeds", "1,1"), "seed: sweep axis repeats 1"),
+    (("--sweep-velocities", "0,120,0"), "ue_velocity: sweep axis repeats"),
+])
+def test_empty_or_repeated_sweep_axes_exit_one(axis_flags, fragment,
+                                               tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run_cli(*TINY, *axis_flags, "--out", str(out)) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_failures_exit_two(monkeypatch, tmp_path, capsys):
     def fake_sweep(cfg, velocities=None, polarizations=None, schedulers=None,
                    seeds=None, parallelism=1):

@@ -155,6 +155,23 @@ def test_expand_sweep_rejects_negative_velocity():
         expand_sweep(preset("small"), velocities=[0.0, -5.0])
 
 
+@pytest.mark.parametrize("axis,values,fragment", [
+    ("velocities", [], "ue_velocity: sweep axis is empty"),
+    ("polarizations", [], "ue_polarization: sweep axis is empty"),
+    ("schedulers", [], "scheduler: sweep axis is empty"),
+    ("seeds", [], "seed: sweep axis is empty"),
+    ("velocities", [0, 60.0, 0.0], "ue_velocity: sweep axis repeats 0.0"),
+    ("polarizations", ["lpol", "XPOL", "LPOL"],
+     "ue_polarization: sweep axis repeats LPOL"),
+    ("schedulers", ["rr", "RR"], "scheduler: sweep axis repeats RR"),
+    ("seeds", [1, 2, 2], "seed: sweep axis repeats 2"),
+])
+def test_expand_sweep_rejects_empty_and_repeated_axes(axis, values,
+                                                      fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        expand_sweep(preset("small"), **{axis: values})
+
+
 def test_replace_validates_and_casts():
     cfg = preset("small").replace(seed=4.0, csi_period_tti=2.0)
     assert cfg.seed == 4 and isinstance(cfg.seed, int)

@@ -146,6 +146,30 @@ def test_run_sweep_isolates_failed_points(monkeypatch):
     assert "EngineError" in failures[0] and "boom" in failures[0]
 
 
+def test_sweep_failures_reach_the_metadata_sidecar(monkeypatch, tmp_path):
+    cfg = tiny_config(n_tti=2)
+    kwargs = dict(schedulers=["RR"], polarizations=["LPOL"], seeds=[1])
+    clean, _ = run_sweep(cfg, velocities=[0.0], **kwargs)
+    assert clean.metadata["failures"] == []
+    emit_csv(clean, tmp_path / "clean.csv")
+    real = mmwsim.engine.run_simulation
+
+    def sometimes(cfg_, trace_dir=None):
+        if cfg_.ue_velocity > 100.0:
+            raise EngineError("tti 3: boom")
+        return real(cfg_, trace_dir)
+
+    monkeypatch.setattr(mmwsim.engine, "run_simulation", sometimes)
+    table, failures = run_sweep(cfg, velocities=[0.0, 120.0], **kwargs)
+    emit_csv(table, tmp_path / "r.csv")
+    meta = json.loads((tmp_path / "r.meta.json").read_text(encoding="utf-8"))
+    assert meta["failures"] == failures
+    assert "velocity=120" in meta["failures"][0]
+    # the CSV holds the surviving point exactly as a sweep of it alone does
+    assert (tmp_path / "r.csv").read_bytes() \
+        == (tmp_path / "clean.csv").read_bytes()
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     cfg = tiny_config(n_tti=3)
     kwargs = dict(velocities=[0.0, 120.0], schedulers=["RR"],

@@ -1,0 +1,136 @@
+"""The engine's batched link kernels against the per-matrix forms they replace.
+
+The oracles below are the engine's former expressions: one tensordot for
+tap mixing, one 4x4 product per (link, RB) for precoding, and per-matrix
+effective channels for rates and precoder selection. The batched kernels
+must reproduce them bit for bit (``np.array_equal``), not within a
+tolerance, because proportional-fair scheduling turns last-bit differences
+into different RB grants.
+"""
+
+import numpy as np
+import pytest
+
+import mmwsim.engine as engine
+from mmwsim import preset
+from mmwsim.antenna import AntennaConfig
+from mmwsim.channel import FadingDesign, doppler_frequency
+from mmwsim.deployment import build_hex_layout, drop_ues
+from mmwsim.link import mmse_sinr_from_covariance, sinr_to_rate
+
+
+def mix_taps_oracle(design, taps, tap_axis=1):
+    kern = design.kernel.astype(taps.real.dtype)
+    out = np.tensordot(taps, kern, axes=([tap_axis], [0]))
+    return np.moveaxis(out, -1, tap_axis)
+
+
+def interference_oracle(links, h, psched):
+    starts = np.arange(0, links.n_links, links.n_keep)
+    b = h @ psched[links.cell]
+    g = b @ b.conj().swapaxes(-1, -2)
+    total = np.add.reduceat(g, starts, axis=0)
+    return total - g[starts]
+
+
+def rates_oracle(adapter, h_serv, r_int, p_own):
+    eff = h_serv @ p_own[:, None]
+    own = eff @ eff.conj().swapaxes(-1, -2)
+    cov = adapter._with_noise(r_int + own)
+    sinr = mmse_sinr_from_covariance(eff, cov)
+    return sinr_to_rate(sinr, adapter.rb_bandwidth, adapter.tti,
+                        adapter.efficiency, adapter.se_cap).sum(axis=-1)
+
+
+def select_oracle(adapter, h_serv, r_int):
+    h_sel = h_serv[:, adapter.select_rb]
+    eff = h_sel[:, None] @ adapter.cand[None, :, None]
+    own = eff @ eff.conj().swapaxes(-1, -2)
+    base = adapter._with_noise(r_int[:, adapter.select_rb])
+    sinr = mmse_sinr_from_covariance(eff, base[:, None] +
+                                     adapter.sn_scale * own)
+    score = np.log2(1.0 + sinr).sum(axis=(2, 3))
+    best = score.max(axis=1, keepdims=True)
+    return np.argmax(score >= best - engine._SELECT_MARGIN, axis=1)
+
+
+@pytest.mark.parametrize("n_rb", [1, 7, 50])
+@pytest.mark.parametrize("n_rx,n_tx", [(1, 1), (1, 4), (2, 2), (4, 4)])
+@pytest.mark.parametrize("n_links", [1, 2, 75, 300])
+def test_mix_taps_matches_tensordot(n_rb, n_rx, n_tx, n_links):
+    # 75 links x 16 ports leaves a one-row tail after 109-row chunks
+    design = FadingDesign(f_d=100.0, n_tti=1, tti=1e-3, n_rb=n_rb)
+    rng = np.random.default_rng(n_links)
+    shape = (n_links, design.n_taps, n_rx, n_tx)
+    taps = (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    assert np.array_equal(design.mix_taps(taps),
+                          mix_taps_oracle(design, taps))
+    taps64 = taps.astype(np.complex128)
+    assert np.array_equal(design.mix_taps(taps64),
+                          mix_taps_oracle(design, taps64))
+
+
+def _link_layer(cfg):
+    """The engine's per-run objects for ``cfg``, built as run_simulation does."""
+    layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
+                              cfg.azimuth_offset_deg)
+    ues = drop_ues(layout, cfg.ues_per_sector, cfg,
+                   engine._rng(cfg.seed, engine._DROP_STREAM))
+    gain_db, los = engine._wideband_gain_db(
+        cfg, layout, ues, AntennaConfig.from_scenario(cfg))
+    links = engine._build_linkset(cfg, layout, ues, gain_db, los)
+    bank = engine._ChannelBank(
+        cfg, links, doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency))
+    adapter = engine._LinkAdapter(cfg, links)
+    adapter.sn_scale = 1.0 / bank.coherent_fraction_sq()
+    return links, bank, adapter, len(layout.sectors)
+
+
+@pytest.mark.parametrize("n_rx", [1, 2, 4])
+@pytest.mark.parametrize("n_tx", [1, 2, 4])
+def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
+                                                        monkeypatch):
+    cfg = preset("small").replace(
+        n_tx=n_tx, n_rx=n_rx, ues_per_sector=1, n_strongest_interferers=4,
+        ue_velocity=120.0, ue_polarization="XPOL", seed=3)
+    n_keep = 5
+    ue_bytes = n_keep * cfg.n_rb * n_rx * n_tx * 8
+    # 21 UEs in blocks of 4: five full blocks and an uneven last one
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
+    links, bank, adapter, n_cells = _link_layer(cfg)
+    assert links.n_keep == n_keep
+    assert [b.ues.stop - b.ues.start for b in adapter.blocks] \
+        == [4, 4, 4, 4, 4, 1]
+
+    rng = np.random.default_rng(n_tx * 10 + n_rx)
+    cand = adapter.cand
+    p_own = cand[rng.integers(0, len(cand), links.serving.shape[0])]
+    psched = cand[rng.integers(0, len(cand), (n_cells, cfg.n_rb))]
+    idle = int(links.cell[1])   # an interferer silent as if it had no UEs
+    psched[idle] = 0.0
+
+    for tti in range(2):
+        if tti:
+            bank.advance()
+        adapter.measure(bank, psched)
+        h = bank.current(slice(None))
+        h_serv = h[::n_keep]
+        r_int = interference_oracle(links, h, psched)
+        assert np.array_equal(adapter.h_serv, h_serv)
+        assert np.array_equal(adapter.r_int, r_int)
+        assert np.array_equal(adapter.rate_table(p_own),
+                              rates_oracle(adapter, h_serv, r_int, p_own))
+        _, idx = adapter.select(adapter.h_serv, adapter.r_int)
+        assert np.array_equal(idx, select_oracle(adapter, h_serv, r_int))
+
+
+def test_select_in_chunks_matches_one_pass(monkeypatch):
+    cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
+    _, bank, adapter, n_cells = _link_layer(cfg)
+    adapter.measure(bank, adapter.isotropic_psched(n_cells, cfg.n_rb))
+    _, whole = adapter.select(adapter.h_serv, adapter.r_int)
+    # three UEs per chunk: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
+    monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", 3 * 5 * 4 * 4 * 4)
+    _, chunked = adapter.select(adapter.h_serv, adapter.r_int)
+    assert np.array_equal(chunked, whole)
