@@ -92,6 +92,19 @@ class LargeScaleState:
         return 10.0 ** (g / 20.0)
 
 
+def unit_phasor(x):
+    """exp(1j * x) for real ``x``, as complex128.
+
+    Written as cos and sin into the real and imaginary parts, which gives
+    the same bits as ``np.exp(1j * x)`` without the complex cast of ``x``
+    and the complex exponential.
+    """
+    out = np.empty(np.shape(x), dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
     """Unit-power tap-to-RB kernel with ~0.5 correlation at the coherence
     bandwidth. Shape (n_taps, n_rb); columns have unit 2-norm."""
@@ -127,10 +140,18 @@ class FadingDesign:
         shape = (n_seq, self.n_sinusoids)
         theta = rng.uniform(0.0, 2.0 * math.pi, shape)
         phase = rng.uniform(0.0, 2.0 * math.pi, shape)
-        omega = 2.0 * math.pi * self.f_d * np.cos(theta)
-        state0 = (np.exp(1j * phase) / math.sqrt(self.n_sinusoids)).astype(dtype)
-        step = np.exp(1j * omega * self.tti).astype(dtype)
-        return state0, step
+        state0, step = self.sinusoids(theta, phase)
+        return state0.astype(dtype), step.astype(dtype)
+
+    def sinusoids(self, theta, phase):
+        """Complex128 initial phasors and per-TTI rotations from the
+        Doppler angles ``theta`` and phases ``phase`` (any equal shapes)."""
+        state0 = unit_phasor(phase)
+        state0 /= math.sqrt(self.n_sinusoids)
+        omega = np.cos(theta)
+        omega *= 2.0 * math.pi * self.f_d
+        omega *= self.tti
+        return state0, unit_phasor(omega)
 
     def mix_taps(self, taps, tap_axis=1):
         """Replace the size-n_taps axis ``tap_axis`` with an RB axis.

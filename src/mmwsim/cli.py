@@ -5,7 +5,8 @@
 and writes the results table as CSV (plus a JSON metadata sidecar).
 
 Exit codes: 0 success, 1 configuration/usage error, 2 sweep finished with
-failed points. Set MMWSIM_LOG=info (or debug) for progress logging.
+failed points or was stopped by a crashed worker process. Set
+MMWSIM_LOG=info (or debug) for progress logging.
 """
 
 import argparse
@@ -158,6 +159,9 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
+    except EngineError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
 
     out = args.out or "results.csv"
     emit_csv(table, out)

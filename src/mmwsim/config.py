@@ -3,6 +3,12 @@
 A scenario file is flat ``key = value`` text, one pair per line, with ``#``
 comments. Keys match the :class:`ScenarioConfig` field names exactly; unknown
 keys are a hard error so typos cannot silently fall back to defaults.
+
+Three fields are derived from others unless given a value: ``n_rb`` from
+the bandwidth, ``pf_initial_throughput_bits`` from the RB rate cap and
+``ue_pol_slant_deg`` from the polarization. A given value is pinned and
+kept; a derived one follows its sources through ``replace``, ``--set`` and
+saved files, which record it only as a comment.
 """
 
 import dataclasses
@@ -97,10 +103,15 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        # derived fields given a value here are pinned; the others are
+        # (re-)derived by every validate()
+        self._pinned = frozenset(
+            name for name in _DERIVED if getattr(self, name) is not None)
         self.validate()
 
     def validate(self):
-        """Normalize derived fields and reject inconsistent values."""
+        """Derive the unpinned derived fields and reject inconsistent
+        values."""
         if isinstance(self.ue_polarization, str):
             self.ue_polarization = self.ue_polarization.upper()
         if isinstance(self.scheduler, str):
@@ -130,7 +141,7 @@ class ScenarioConfig:
                  "must be LPOL or XPOL")
 
         expected_slant = _POL_SLANT[self.ue_polarization]
-        if self.ue_pol_slant_deg is None:
+        if "ue_pol_slant_deg" not in self._pinned:
             self.ue_pol_slant_deg = expected_slant
         _require(self.ue_pol_slant_deg == expected_slant, "ue_pol_slant_deg",
                  f"must be {expected_slant:g} for {self.ue_polarization}")
@@ -141,7 +152,7 @@ class ScenarioConfig:
                  "is fixed at 1e-3 s")
         _require(self.rb_bandwidth > 0, "rb_bandwidth", "must be > 0")
 
-        if self.n_rb is None:
+        if "n_rb" not in self._pinned:
             # LTE-style 90% occupancy: 10 MHz -> 50 RBs of 180 kHz
             self.n_rb = int(math.floor(0.9 * self.bandwidth / self.rb_bandwidth))
         _require(self.n_rb >= 1, "n_rb", "must be >= 1")
@@ -151,7 +162,7 @@ class ScenarioConfig:
         _require(self.scheduler in SCHEDULERS, "scheduler", "must be RR or PF")
         _require(self.pf_time_constant_tc >= 1, "pf_time_constant_tc",
                  "must be >= 1")
-        if self.pf_initial_throughput_bits is None:
+        if "pf_initial_throughput_bits" not in self._pinned:
             self.pf_initial_throughput_bits = (
                 self.tti_duration * self.rb_bandwidth
                 * self.spectral_efficiency_cap)
@@ -181,9 +192,16 @@ class ScenarioConfig:
         return self
 
     def replace(self, **changes):
-        """Copy with fields changed; re-derives dependent defaults."""
-        if "ue_polarization" in changes and "ue_pol_slant_deg" not in changes:
-            changes["ue_pol_slant_deg"] = None
+        """Copy with fields changed.
+
+        Derived fields that are not pinned are derived again from the new
+        values. A new ``ue_polarization`` also unpins ``ue_pol_slant_deg``,
+        which must match it. Passing None for a derived field unpins it.
+        """
+        for name in _DERIVED - self._pinned:
+            changes.setdefault(name, None)
+        if "ue_polarization" in changes:
+            changes.setdefault("ue_pol_slant_deg", None)
         return dataclasses.replace(self, **changes)
 
 
@@ -248,7 +266,12 @@ def load_scenario(path):
 
 
 def scenario_to_text(cfg):
-    """Serialize every field so a round-trip reproduces the config exactly."""
+    """Serialize every field so a round-trip reproduces the config exactly.
+
+    A derived field that is not pinned is written as a comment, so that
+    loading the text derives it again from the values it was saved with,
+    or from edited ones.
+    """
     lines = ["# mmwsim scenario"]
     for name in _FIELDS:
         value = getattr(cfg, name)
@@ -258,7 +281,10 @@ def scenario_to_text(cfg):
             text = repr(value)
         else:
             text = str(value)
-        lines.append(f"{name} = {text}")
+        if name in _DERIVED - cfg._pinned:
+            lines.append(f"# {name} = {text}  (derived)")
+        else:
+            lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"
 
 

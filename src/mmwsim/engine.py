@@ -20,7 +20,12 @@ velocity even before CSI staleness bites.
 Every random draw comes from a stream keyed by (seed, purpose, cell, ue),
 so runs differing only in velocity, polarization or scheduler share their
 drop geometry, shadowing and fading sinusoids: sweep axes are compared
-under common random numbers.
+under common random numbers. The shadowing and fading streams of a run
+are seeded in one pass (:mod:`mmwsim.streams`) to exactly the
+``SeedSequence`` -> ``PCG64`` state numpy would give each key, and one
+generator is re-seeded for every key, so each stream is consumed before
+the next is drawn. The fading draws then become sinusoid phasors a chunk
+of links at a time.
 
 The link layer is streamed over contiguous UE blocks, so per-link arrays
 exist for one block at a time; only per-UE results span the network.
@@ -45,10 +50,10 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from .antenna import AntennaConfig, PolarizationSpec, combined_gain, \
     port_coupling_series
 from .channel import SERIAL_GEMM_MNK, FadingDesign, SosProcess, \
     depolarization_coherence, doppler_frequency, los_probability, \
-    pathloss_uma
+    pathloss_uma, unit_phasor
 from .config import expand_sweep, scenario_to_text
 from .deployment import assign_serving_cell, build_hex_layout, drop_ues, \
     dump_layout_csv, step_mobility
@@ -67,6 +72,7 @@ from .link import build_codebook, mmse_sinr_from_covariance, noise_power_w, \
     sinr_to_rate, stack_codebook
 from .scheduler import RbGrid, SchedulerError, SchedulerState, schedule_pf, \
     schedule_rr, update_average_throughput
+from .streams import keyed_streams
 
 log = logging.getLogger("mmwsim")
 
@@ -89,6 +95,9 @@ _SELECT_MARGIN = 1e-12
 # per-link channel, precoded channel and covariance arrays of a TTI exist
 # for one block at a time, never for the whole network
 _BLOCK_BYTES = 8 << 20
+# the channel bank turns stream draws into phasors this many links at a
+# time: about a megabyte of angles per pass at paper scale
+_PHASOR_CHUNK = 32
 
 
 def _rng(*key):
@@ -146,16 +155,18 @@ def _wideband_gain_db(cfg, layout, ues, ant):
     elev = np.degrees(np.arctan2(cfg.bs_height - cfg.ue_height, d2d))
     gain = combined_gain(ant, az_rel, elev)
 
-    p_los = los_probability(d2d)
-    los = np.zeros((n_cells, n_ues), dtype=bool)
-    shadow = np.zeros((n_cells, n_ues))
-    for c in range(n_cells):
-        for u in range(n_ues):
-            stream = _rng(cfg.seed, _LARGE_SCALE_STREAM, c, u)
-            los[c, u] = stream.uniform() < p_los[c, u]
-            sigma = (cfg.shadowing_sigma_los_db if los[c, u]
-                     else cfg.shadowing_sigma_nlos_db)
-            shadow[c, u] = stream.normal(0.0, sigma)
+    # each (cell, ue) stream draws uniform() (which is random()) for LOS,
+    # then normal(0, sigma) (which is 0.0 + sigma * standard_normal()) for
+    # shadowing
+    cell, ue = np.divmod(np.arange(n_cells * n_ues), n_ues)
+    streams = keyed_streams(cfg.seed, _LARGE_SCALE_STREAM, cell, ue)
+    draws = np.fromiter(
+        ((stream.random(), stream.standard_normal()) for stream in streams),
+        dtype=(float, 2), count=n_cells * n_ues).reshape(n_cells, n_ues, 2)
+    los = draws[..., 0] < los_probability(d2d)
+    sigma = np.where(los, cfg.shadowing_sigma_los_db,
+                     cfg.shadowing_sigma_nlos_db)
+    shadow = 0.0 + sigma * draws[..., 1]
 
     pl = pathloss_uma(d2d, cfg.carrier_frequency, cfg.bs_height,
                       cfg.ue_height, los)
@@ -210,26 +221,41 @@ class _ChannelBank:
         self.n_scatter = n_scatter
         n_links = links.n_links
 
-        state0 = np.empty((n_links, n_scatter + 2, self.design.n_sinusoids),
-                          dtype=np.complex64)
+        seq_shape = (n_scatter + 2, self.design.n_sinusoids)
+        state0 = np.empty((n_links,) + seq_shape, dtype=np.complex64)
         step = np.empty_like(state0)
         a_rx = np.empty((n_links, self.n_rx), dtype=np.complex64)
         a_tx = np.empty((n_links, self.n_tx), dtype=np.complex64)
         rice_state = np.empty(n_links, dtype=np.complex64)
         rice_step = np.empty(n_links, dtype=np.complex64)
-        for l in range(n_links):
-            stream = _rng(cfg.seed, _FADING_STREAM,
-                          int(links.cell[l]), int(links.ue[l]))
-            state0[l], step[l] = self.design.draw_sinusoids(
-                stream, n_scatter + 2, dtype=np.complex64)
-            # specular draws happen for every link so the stream layout
-            # does not depend on the LOS outcome
-            a_rx[l] = np.exp(1j * stream.uniform(0, 2 * math.pi, self.n_rx))
-            a_tx[l] = np.exp(1j * stream.uniform(0, 2 * math.pi, self.n_tx))
-            rice_state[l] = np.exp(1j * stream.uniform(0, 2 * math.pi))
-            rice_step[l] = np.exp(
-                1j * 2 * math.pi * f_d
-                * math.cos(stream.uniform(0, 2 * math.pi))
+
+        # Each link's stream holds, in order: the Doppler angles of every
+        # sinusoid, then their phases, the rx and tx array phases, the
+        # specular phase and the specular Doppler angle. The specular
+        # draws happen for every link so the stream layout does not depend
+        # on the LOS outcome. uniform(0, 2 pi) is 0.0 + 2 pi * random(), so
+        # one random() call per link, scaled by 2 pi, gives every angle.
+        n_ang = state0[0].size
+        edges = np.cumsum([n_ang, n_ang, self.n_rx, self.n_tx, 1])
+        angles = np.empty((_PHASOR_CHUNK, edges[-1] + 1))
+        streams = keyed_streams(cfg.seed, _FADING_STREAM, links.cell,
+                                links.ue)
+        for lo in range(0, n_links, _PHASOR_CHUNK):
+            chunk = slice(lo, min(lo + _PHASOR_CHUNK, n_links))
+            ang = angles[:chunk.stop - lo]
+            for row in ang:
+                next(streams).random(out=row)
+            ang *= 2 * math.pi
+            theta, phase, rx, tx, rice, rice_doppler = np.split(
+                ang, edges, axis=1)
+            state0[chunk], step[chunk] = self.design.sinusoids(
+                theta.reshape((-1,) + seq_shape),
+                phase.reshape((-1,) + seq_shape))
+            a_rx[chunk] = unit_phasor(rx)
+            a_tx[chunk] = unit_phasor(tx)
+            rice_state[chunk] = unit_phasor(rice[:, 0])
+            rice_step[chunk] = unit_phasor(
+                2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
                 * cfg.tti_duration)
 
         self.sos = SosProcess(state0, step)
@@ -656,12 +682,25 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
     results are identical whatever ``parallelism`` is; workers only change
     the wall clock. Failed points are reported, not fatal: they are
     returned and also listed under ``failures`` in the table's metadata.
+    A worker process that dies mid-point breaks the pool, and the sweep
+    stops with an ``EngineError``.
     """
     points = expand_sweep(base, velocities, polarizations, schedulers,
                           seeds)
     if parallelism > 1 and len(points) > 1:
-        with Pool(processes=min(parallelism, len(points))) as pool:
-            outcomes = pool.map(_run_point, points, chunksize=1)
+        # imported here: only a parallel sweep needs the process pool, and
+        # importing it adds about twenty modules to every import of mmwsim
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        with ProcessPoolExecutor(
+                max_workers=min(parallelism, len(points)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            try:
+                outcomes = list(pool.map(_run_point, points))
+            except BrokenProcessPool as exc:
+                raise EngineError(
+                    f"sweep aborted, worker pool broken: "
+                    f"{type(exc).__name__}: {exc}") from exc
     else:
         outcomes = [_run_point(p) for p in points]
 

@@ -1,9 +1,11 @@
 """Scenario configuration: defaults, validation, file I/O, sweep expansion."""
 
 import math
+import re
 
 import pytest
 
+from mmwsim.cli import _apply_overrides
 from mmwsim import (DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES,
                     ScenarioConfig, ScenarioError, expand_sweep,
                     load_scenario, parse_scenario, preset, save_scenario,
@@ -183,3 +185,61 @@ def test_replace_validates_and_casts():
 def test_infinite_xpd_parses_from_text():
     cfg = parse_scenario("xpd_mean = inf\n")
     assert math.isinf(cfg.xpd_mean)
+
+
+# (derived field, change to one of its sources, value derived after it)
+DERIVED_CASES = [
+    ("n_rb", {"bandwidth": 20e6}, 100),
+    ("pf_initial_throughput_bits", {"spectral_efficiency_cap": 5.0},
+     pytest.approx(1e-3 * 180e3 * 5.0)),
+    ("ue_pol_slant_deg", {"ue_polarization": "XPOL"}, 90.0),
+]
+
+
+@pytest.mark.parametrize("field,change,expected", DERIVED_CASES)
+def test_replace_rederives_derived_fields(field, change, expected):
+    assert getattr(preset("small").replace(**change), field) == expected
+
+
+@pytest.mark.parametrize("field,change,expected", DERIVED_CASES)
+def test_set_override_rederives_derived_fields(field, change, expected):
+    items = [f"{key}={value}" for key, value in change.items()]
+    assert getattr(_apply_overrides(preset("small"), items), field) \
+        == expected
+
+
+@pytest.mark.parametrize("field,change,expected", DERIVED_CASES)
+def test_saved_file_does_not_freeze_derived_fields(tmp_path, field, change,
+                                                   expected):
+    path = tmp_path / "scenario.cfg"
+    save_scenario(preset("small"), path)
+    loaded = load_scenario(path)
+    assert loaded == preset("small")
+    assert getattr(loaded.replace(**change), field) == expected
+
+    # editing a source key in the file re-derives the field on load
+    text = path.read_text(encoding="utf-8")
+    for key, value in change.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
+                      flags=re.MULTILINE)
+    assert getattr(parse_scenario(text), field) == expected
+
+
+@pytest.mark.parametrize("field,value,change", [
+    ("n_rb", 13, {"bandwidth": 20e6}),
+    ("pf_initial_throughput_bits", 500.0, {"spectral_efficiency_cap": 5.0}),
+])
+def test_given_derived_values_stay_pinned(tmp_path, field, value, change):
+    cfg = preset("small").replace(**{field: value})
+    assert getattr(cfg.replace(**change), field) == value
+    path = tmp_path / "scenario.cfg"
+    save_scenario(cfg, path)
+    assert getattr(load_scenario(path).replace(**change), field) == value
+    # None unpins
+    assert getattr(cfg.replace(**change, **{field: None}), field) \
+        == getattr(preset("small").replace(**change), field)
+
+
+def test_pinned_slant_follows_a_new_polarization():
+    cfg = ScenarioConfig(ue_polarization="XPOL", ue_pol_slant_deg=90.0)
+    assert cfg.replace(ue_polarization="LPOL").ue_pol_slant_deg == 0.0

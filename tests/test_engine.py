@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import signal
 from collections import defaultdict
 
 import numpy as np
@@ -177,10 +179,41 @@ def test_parallel_sweep_matches_serial(tmp_path):
     serial, f1 = run_sweep(cfg, parallelism=1, **kwargs)
     parallel, f2 = run_sweep(cfg, parallelism=2, **kwargs)
     assert f1 == f2 == []
+    assert parallel.records == serial.records   # same records, point order
     emit_csv(serial, tmp_path / "serial.csv")
     emit_csv(parallel, tmp_path / "parallel.csv")
     assert (tmp_path / "serial.csv").read_bytes() \
         == (tmp_path / "parallel.csv").read_bytes()
+
+
+@pytest.fixture
+def alarm():
+    """``alarm(seconds)`` fails the test, instead of hanging it, once
+    ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_crashed_worker_stops_the_sweep(monkeypatch, alarm):
+    cfg = tiny_config(n_tti=2)
+    real = mmwsim.engine.run_simulation
+
+    def crash_on_seed_2(cfg_, trace_dir=None):
+        if cfg_.seed == 2:
+            os._exit(3)   # the worker dies without reporting back
+        return real(cfg_, trace_dir)
+
+    # forked workers inherit the patched engine
+    monkeypatch.setattr(mmwsim.engine, "run_simulation", crash_on_seed_2)
+    alarm(60)
+    with pytest.raises(EngineError, match="BrokenProcessPool"):
+        run_sweep(cfg, velocities=[0.0], schedulers=["RR"],
+                  polarizations=["LPOL"], seeds=[1, 2], parallelism=2)
 
 
 def _record(sched, pol, vel, seed, tp=1e6):
