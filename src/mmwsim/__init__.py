@@ -29,16 +29,14 @@ from .config import (DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES,
 from .deployment import (DeploymentError, SiteLayout, UeState,
                          build_hex_layout, drop_ues)
 from .antenna import AntennaConfig, PolarizationSpec
-from .channel import (ChannelModelError, doppler_frequency, generate_fading,
-                      los_probability, pathloss_uma)
-from .link import (LinkAbstractionError, build_codebook, compute_sinr,
-                   noise_power_w, select_precoder, sinr_to_rate)
+from .channel import (ChannelModelError, doppler_frequency, los_probability,
+                      pathloss_uma)
+from .link import (LinkAbstractionError, build_codebook, noise_power_w,
+                   sinr_to_rate)
 from .scheduler import (Allocation, RbGrid, SchedulerError, SchedulerState,
-                        priority, schedule_pf, schedule_rr,
-                        update_average_throughput)
+                        schedule_pf, schedule_rr, update_average_throughput)
 from .kpi import (AllZeroThroughputError, KpiError, KpiRecord,
-                  ThroughputLedger, average_ue_throughput, jain_fairness,
-                  spectral_efficiency)
+                  average_ue_throughput, jain_fairness, spectral_efficiency)
 from .engine import (RESULT_COLUMNS, EngineError, ResultsTable, emit_csv,
                      run_simulation, run_sweep)
 
@@ -56,17 +54,16 @@ __all__ = [
     "AntennaConfig", "PolarizationSpec",
     # channel
     "ChannelModelError", "doppler_frequency", "los_probability",
-    "pathloss_uma", "generate_fading",
+    "pathloss_uma",
     # link abstraction
     "LinkAbstractionError", "noise_power_w", "build_codebook",
-    "select_precoder", "compute_sinr", "sinr_to_rate",
+    "sinr_to_rate",
     # scheduling
-    "SchedulerError", "RbGrid", "SchedulerState", "Allocation", "priority",
+    "SchedulerError", "RbGrid", "SchedulerState", "Allocation",
     "schedule_rr", "schedule_pf", "update_average_throughput",
     # KPIs
-    "KpiError", "AllZeroThroughputError", "ThroughputLedger",
-    "average_ue_throughput", "spectral_efficiency", "jain_fairness",
-    "KpiRecord",
+    "KpiError", "AllZeroThroughputError", "average_ue_throughput",
+    "spectral_efficiency", "jain_fairness", "KpiRecord",
     # engine
     "EngineError", "run_simulation", "run_sweep", "ResultsTable",
     "emit_csv", "RESULT_COLUMNS",

@@ -27,9 +27,7 @@ class AntennaConfig:
     sla_v_db: float = 30.0
     electrical_downtilt_deg: float = 90.0   # 90 = broadside
     mechanical_downtilt_deg: float = 0.0
-    mechanical_slant_deg: float = 0.0       # rotates the polarization frame
     vertical_panels: int = 2
-    horizontal_panels: int = 1
     elements_per_panel: int = 2
 
     @property
@@ -51,9 +49,7 @@ class AntennaConfig:
             sla_v_db=cfg.sla_v_db,
             electrical_downtilt_deg=cfg.electrical_downtilt_deg,
             mechanical_downtilt_deg=cfg.mechanical_downtilt_deg,
-            mechanical_slant_deg=cfg.mechanical_slant_deg,
             vertical_panels=cfg.vertical_panels,
-            horizontal_panels=cfg.horizontal_panels,
             elements_per_panel=cfg.elements_per_panel)
 
 
@@ -123,40 +119,13 @@ class PolarizationSpec:
         return 10.0 ** (-self.xpd_db / 10.0)
 
 
-def coupling_matrix(spec, leakage_phasors):
-    """2x2 coupling for given unit-magnitude leakage phasors (one per port).
-
-    Rows are the receiver axis and its orthogonal complement
-    (rx_slant, rx_slant + 90); columns are the tx ports. Entry:
-
-        C[i, j] = (cos(d_ij) + sqrt(g) * l_j * sin(d_ij)) / sqrt(1 + g)
-
-    with d_ij the slant difference and g the XPD leakage power, so each
-    column keeps unit total power for any phase draw.
-    """
-    g = spec.leakage_power()
-    rx_axes = np.array([spec.rx_slant_deg, spec.rx_slant_deg + 90.0])
-    tx = np.array(spec.tx_slants_deg, dtype=float)
-    delta = np.radians(rx_axes[:, None] - tx[None, :])
-    phasors = np.asarray(leakage_phasors, dtype=complex)
-    cpl = np.cos(delta) + np.sqrt(g) * phasors[None, :] * np.sin(delta)
-    return cpl / math.sqrt(1.0 + g)
-
-
-def polarization_coupling(spec, rng):
-    """Draw one static 2x2 coupling matrix; leakage phases uniform."""
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(spec.tx_slants_deg))
-    return coupling_matrix(spec, np.exp(1j * phases))
-
-
 def port_coupling_series(spec, leakage, depol):
     """Per-TTI coupling scalars on the receiver's own axis, one per tx port.
 
-    This is the dynamic form used in channel assembly. ``leakage`` is a
-    unit-magnitude Doppler-correlated phasor series (n_tti,), shared by both
-    ports; ``depol`` multiplies whatever arrives in the unintended plane
-    (coherence loss times wandering phase), which is the receiver's whole
-    signal for XPOL and nothing for LPOL.
+    ``leakage`` is a unit-magnitude Doppler-correlated phasor series (n,),
+    shared by both ports; ``depol`` multiplies whatever arrives in the
+    unintended plane (coherence loss times wandering phase), which is the
+    receiver's whole signal for XPOL and nothing for LPOL.
     """
     g = spec.leakage_power()
     rho = math.radians(spec.rx_slant_deg)

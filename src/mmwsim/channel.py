@@ -77,21 +77,6 @@ def pathloss_uma(d2d, fc, h_bs, h_ut, los):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class LargeScaleState:
-    """Per-link slow state: drawn once per run, fixed across TTIs."""
-    pathloss_db: float
-    shadowing_db: float
-    antenna_gain_db: float
-    los: bool
-
-    @property
-    def amplitude(self):
-        """Linear field amplitude applied to the fading matrix."""
-        g = self.antenna_gain_db - self.pathloss_db - self.shadowing_db
-        return 10.0 ** (g / 20.0)
-
-
 def unit_phasor(x):
     """exp(1j * x) for real ``x``, as complex128.
 
@@ -121,7 +106,6 @@ def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
 class FadingDesign:
     """Run-wide fading parameters shared by every link (same f_d, grid)."""
     f_d: float
-    n_tti: int
     tti: float
     n_rb: int
     coherence_bandwidth_rb: int = 5
@@ -130,18 +114,6 @@ class FadingDesign:
     def __post_init__(self):
         self.kernel = freq_mixing_kernel(self.n_rb, self.coherence_bandwidth_rb)
         self.n_taps = self.kernel.shape[0]
-
-    def draw_sinusoids(self, rng, n_seq, dtype=complex):
-        """Initial phasors and per-TTI rotations for n_seq sequences.
-
-        Frequencies f_d*cos(theta) and phases are iid per sinusoid, which
-        makes the ensemble autocorrelation exactly J0(2 pi f_d tau).
-        """
-        shape = (n_seq, self.n_sinusoids)
-        theta = rng.uniform(0.0, 2.0 * math.pi, shape)
-        phase = rng.uniform(0.0, 2.0 * math.pi, shape)
-        state0, step = self.sinusoids(theta, phase)
-        return state0.astype(dtype), step.astype(dtype)
 
     def sinusoids(self, theta, phase):
         """Complex128 initial phasors and per-TTI rotations from the
@@ -199,55 +171,6 @@ class SosProcess:
         self.state *= self.step
 
 
-@dataclass
-class FadingProcess:
-    """Per-(rx, tx, RB) complex gain sequence over the run's TTIs."""
-    gains: np.ndarray          # (n_tti, n_rb, n_rx, n_tx)
-    f_d: float
-    tti: float
-    rician_k_db: float = None
-
-
-def generate_fading(f_d, n_tti, tti, n_rb, rician_k_db=None, rng=None,
-                    n_rx=1, n_tx=1, coherence_bandwidth_rb=5):
-    """Generate one link's fading tensor.
-
-    Unit mean power per entry; temporal autocorrelation J0(2*pi*f_d*tau);
-    f_d = 0 gives constant coefficients. With ``rician_k_db`` a rank-one
-    specular term (flat across RBs, rotating at a random fraction of f_d)
-    carries K/(K+1) of the power.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    design = FadingDesign(f_d, n_tti, tti, n_rb, coherence_bandwidth_rb)
-    n_seq = design.n_taps * n_rx * n_tx
-    state0, step = design.draw_sinusoids(rng, n_seq)
-    proc = SosProcess(state0, step)
-
-    taps = np.empty((n_tti, n_seq), dtype=complex)
-    for t in range(n_tti):
-        taps[t] = proc.current()
-        proc.advance()
-    gains = design.mix_taps(taps.reshape(n_tti, design.n_taps, -1))
-    gains = gains.reshape(n_tti, n_rb, n_rx, n_tx)
-
-    if rician_k_db is not None:
-        k = 10.0 ** (rician_k_db / 10.0)
-        # random array phases stand in for the LOS steering vectors
-        a_rx = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_rx))
-        a_tx = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_tx))
-        phi0 = rng.uniform(0.0, 2.0 * math.pi)
-        f_spec = f_d * math.cos(rng.uniform(0.0, 2.0 * math.pi))
-        rot = np.exp(1j * (phi0 + 2.0 * math.pi * f_spec * tti
-                           * np.arange(n_tti)))
-        spec = np.einsum("t,r,p->trp", rot, a_rx, a_tx)
-        gains = (math.sqrt(1.0 / (k + 1.0)) * gains
-                 + math.sqrt(k / (k + 1.0)) * spec[:, None, :, :])
-
-    return FadingProcess(gains=gains, f_d=f_d, tti=tti,
-                         rician_k_db=rician_k_db)
-
-
 def depolarization_coherence(f_d, depol_coherence_time):
     """Amplitude retained by the cross-polarized (unintended-plane) field.
 
@@ -259,21 +182,3 @@ def depolarization_coherence(f_d, depol_coherence_time):
     x = 2.0 * math.pi * f_d * depol_coherence_time
     return math.exp(-0.5 * x * x)
 
-
-def assemble_channel(ls, fading, coupling, tti, rb):
-    """Compose one TTI/RB MIMO matrix: amplitude x fading x polarization.
-
-    ``coupling`` is either a per-tx-port scalar vector or a 2x2 matrix from
-    :func:`mmwsim.antenna.polarization_coupling`, whose receiver-axis row is
-    tiled over the +/- slant port pairs.
-    """
-    block = fading.gains[tti, rb]
-    n_tx = block.shape[1]
-    coupling = np.asarray(coupling)
-    if coupling.shape == (2, 2):
-        ports = coupling[0, np.arange(n_tx) % 2]
-    else:
-        ports = coupling.reshape(-1)
-        if ports.shape[0] != n_tx:
-            raise ChannelModelError("coupling does not match tx port count")
-    return ls.amplitude * block * ports[None, :]

@@ -107,8 +107,13 @@ def _print_record(record, out=None):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:   # --help
+            raise
+        # argparse exits 2 on a usage error; 2 means failed sweep points here
+        return 1
     logging.basicConfig(
         level=os.environ.get("MMWSIM_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")

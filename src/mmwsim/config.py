@@ -4,11 +4,15 @@ A scenario file is flat ``key = value`` text, one pair per line, with ``#``
 comments. Keys match the :class:`ScenarioConfig` field names exactly; unknown
 keys are a hard error so typos cannot silently fall back to defaults.
 
-Three fields are derived from others unless given a value: ``n_rb`` from
-the bandwidth, ``pf_initial_throughput_bits`` from the RB rate cap and
-``ue_pol_slant_deg`` from the polarization. A given value is pinned and
-kept; a derived one follows its sources through ``replace``, ``--set`` and
-saved files, which record it only as a comment.
+Two fields are derived from others unless given a value: ``n_rb`` from
+the bandwidth and ``pf_initial_throughput_bits`` from the RB rate cap. A
+given value is pinned and kept; a derived one follows its sources through
+``replace``, ``--set`` and saved files, which record it only as a comment.
+The receiver slant is no key at all: it is read off the polarization
+(``ue_pol_slant_deg``).
+
+Every float must be finite, except ``xpd_mean = inf`` (no cross-polar
+leakage).
 """
 
 import dataclasses
@@ -22,6 +26,8 @@ class ScenarioError(ValueError):
 
 POLARIZATIONS = ("LPOL", "XPOL")
 SCHEDULERS = ("RR", "PF")
+
+TTI_DURATION = 1e-3   # s; every rate and Doppler step assumes 1 ms TTIs
 
 # rx slant implied by the polarization label: aligned with / perpendicular to
 # the intended plane
@@ -45,14 +51,12 @@ class ScenarioConfig:
     # MIMO / transmission
     n_tx: int = 4
     n_rx: int = 4
-    transmission_mode: str = "CLSM"
     csi_period_tti: int = 5              # precoder refeedback period; per-RB
                                          # rate reports refresh every TTI
 
     # Polarization
     bs_pol_slant_deg: float = 45.0       # dual-pol ports at +/- this slant
     ue_polarization: str = "LPOL"        # LPOL | XPOL
-    ue_pol_slant_deg: float = None       # derived from ue_polarization if unset
     xpd_mean: float = 8.0                # dB, cross-polar discrimination
 
     # BS antenna
@@ -61,7 +65,6 @@ class ScenarioConfig:
     mechanical_slant_deg: float = 0.0
     azimuth_offset_deg: float = 60.0         # global boresight rotation
     vertical_panels: int = 2
-    horizontal_panels: int = 1
     elements_per_panel: int = 2
     max_element_gain_dbi: float = 8.0
     azimuth_3db_beamwidth_deg: float = 65.0
@@ -70,12 +73,11 @@ class ScenarioConfig:
     sla_v_db: float = 30.0
 
     # Mobility
-    ue_velocity: float = 0.0             # kmph; enters Doppler (and position
-    position_update: bool = False        # ... only when this flag is on)
+    ue_velocity: float = 0.0             # kmph; enters Doppler only, UEs
+                                         # keep their drop positions
 
     # Time/frequency grid
     n_tti: int = 50
-    tti_duration: float = 1e-3           # s, fixed
     rb_bandwidth: float = 180e3          # Hz
     n_rb: int = None                     # derived from bandwidth if unset
 
@@ -116,8 +118,12 @@ class ScenarioConfig:
             self.ue_polarization = self.ue_polarization.upper()
         if isinstance(self.scheduler, str):
             self.scheduler = self.scheduler.upper()
-        if isinstance(self.transmission_mode, str):
-            self.transmission_mode = self.transmission_mode.upper()
+        for name in _FIELDS:
+            value = getattr(self, name)
+            # xpd_mean = inf is the documented no-leakage case
+            if isinstance(value, float) and not math.isfinite(value) \
+                    and not (name == "xpd_mean" and value == math.inf):
+                raise ScenarioError(f"{name}: must be finite")
 
         _require(self.carrier_frequency > 0, "carrier_frequency", "must be > 0")
         _require(self.bandwidth > 0, "bandwidth", "must be > 0")
@@ -131,8 +137,6 @@ class ScenarioConfig:
         _require(self.bs_tx_power > 0, "bs_tx_power", "must be > 0")
         _require(self.n_tx in (1, 2, 4), "n_tx", "must be 1, 2 or 4")
         _require(self.n_rx >= 1, "n_rx", "must be >= 1")
-        _require(self.transmission_mode == "CLSM", "transmission_mode",
-                 "only CLSM is supported")
         _require(int(self.csi_period_tti) == self.csi_period_tti
                  and self.csi_period_tti >= 1, "csi_period_tti",
                  "must be an integer >= 1")
@@ -140,16 +144,8 @@ class ScenarioConfig:
         _require(self.ue_polarization in POLARIZATIONS, "ue_polarization",
                  "must be LPOL or XPOL")
 
-        expected_slant = _POL_SLANT[self.ue_polarization]
-        if "ue_pol_slant_deg" not in self._pinned:
-            self.ue_pol_slant_deg = expected_slant
-        _require(self.ue_pol_slant_deg == expected_slant, "ue_pol_slant_deg",
-                 f"must be {expected_slant:g} for {self.ue_polarization}")
-
         _require(self.ue_velocity >= 0, "ue_velocity", "must be >= 0")
         _require(self.n_tti >= 1, "n_tti", "must be >= 1")
-        _require(self.tti_duration == 1e-3, "tti_duration",
-                 "is fixed at 1e-3 s")
         _require(self.rb_bandwidth > 0, "rb_bandwidth", "must be > 0")
 
         if "n_rb" not in self._pinned:
@@ -164,11 +160,15 @@ class ScenarioConfig:
                  "must be >= 1")
         if "pf_initial_throughput_bits" not in self._pinned:
             self.pf_initial_throughput_bits = (
-                self.tti_duration * self.rb_bandwidth
+                TTI_DURATION * self.rb_bandwidth
                 * self.spectral_efficiency_cap)
         _require(self.pf_initial_throughput_bits > 0,
                  "pf_initial_throughput_bits", "must be > 0")
 
+        _require(self.azimuth_3db_beamwidth_deg > 0,
+                 "azimuth_3db_beamwidth_deg", "must be > 0")
+        _require(self.elevation_3db_beamwidth_deg > 0,
+                 "elevation_3db_beamwidth_deg", "must be > 0")
         _require(self.noise_figure >= 0, "noise_figure", "must be >= 0")
         _require(self.shadowing_sigma_los_db >= 0, "shadowing_sigma_los_db",
                  "must be >= 0")
@@ -191,17 +191,19 @@ class ScenarioConfig:
         self.seed = int(self.seed)
         return self
 
+    @property
+    def ue_pol_slant_deg(self):
+        """Receiver slant implied by the polarization, degrees."""
+        return _POL_SLANT[self.ue_polarization]
+
     def replace(self, **changes):
         """Copy with fields changed.
 
         Derived fields that are not pinned are derived again from the new
-        values. A new ``ue_polarization`` also unpins ``ue_pol_slant_deg``,
-        which must match it. Passing None for a derived field unpins it.
+        values. Passing None for a derived field unpins it.
         """
         for name in _DERIVED - self._pinned:
             changes.setdefault(name, None)
-        if "ue_polarization" in changes:
-            changes.setdefault("ue_pol_slant_deg", None)
         return dataclasses.replace(self, **changes)
 
 
@@ -213,7 +215,7 @@ def _require(cond, key, msg):
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 
 # fields whose dataclass default is a derived None sentinel
-_DERIVED = {"ue_pol_slant_deg", "n_rb", "pf_initial_throughput_bits"}
+_DERIVED = {"n_rb", "pf_initial_throughput_bits"}
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
@@ -346,8 +348,7 @@ def expand_sweep(base, velocities=None, polarizations=None, schedulers=None,
                 for seed in seeds:
                     points.append(base.replace(
                         scheduler=sched, ue_polarization=pol,
-                        ue_pol_slant_deg=None, ue_velocity=vel,
-                        seed=seed))
+                        ue_velocity=vel, seed=seed))
     return points
 
 

@@ -1,4 +1,4 @@
-"""Hexagonal site layout, tri-sector cells, UE placement and attachment.
+"""Hexagonal site layout, tri-sector cells and UE placement.
 
 The grid is the classic hex-ring deployment: a center site plus ``r`` rings,
 ring r holding 6r sites, so 2 rings give 19 sites / 57 cells. Each site runs
@@ -43,9 +43,6 @@ class SiteLayout:
     sectors: list
     inter_site_distance: float
 
-    def site_positions(self):
-        return np.array([[s.x, s.y] for s in self.sites])
-
     def sector_site(self, cell_id):
         return self.sites[self.sectors[cell_id].site_id]
 
@@ -57,9 +54,7 @@ class UeState:
     y: float
     height: float
     velocity_kmph: float
-    heading_deg: float
     drop_cell: int            # sector whose region contained the drop point
-    serving_cell: int = None  # assigned later from wideband power
     rx_polarization: str = "LPOL"
 
 
@@ -138,7 +133,7 @@ def drop_ues(layout, ues_per_sector, cfg, rng):
 
     Points are rejection-sampled from the hexagon's circumscribed disk until
     they land in the wedge, at least ``min_ue_site_distance`` from the site.
-    Headings are uniform. UE ids run sector-major: cell 0 gets 0..k-1, etc.
+    UE ids run sector-major: cell 0 gets 0..k-1, etc.
     """
     min_d = cfg.min_ue_site_distance
     radius = layout.inter_site_distance / math.sqrt(3.0)
@@ -160,44 +155,16 @@ def drop_ues(layout, ues_per_sector, cfg, rng):
                 continue
             if not sector_contains(layout, sec.cell_id, x, y):
                 continue
-            heading = rng.uniform(0.0, 360.0)
+            # a heading draw nothing uses: dropping it would shift every
+            # later UE's position and so change every pinned KPI
+            rng.uniform(0.0, 360.0)
             ues.append(UeState(
                 ue_id=ue_id, x=x, y=y, height=cfg.ue_height,
-                velocity_kmph=cfg.ue_velocity, heading_deg=heading,
-                drop_cell=sec.cell_id, rx_polarization=cfg.ue_polarization))
+                velocity_kmph=cfg.ue_velocity, drop_cell=sec.cell_id,
+                rx_polarization=cfg.ue_polarization))
             ue_id += 1
             placed += 1
     return ues
-
-
-def assign_serving_cell(ue, layout, wideband_rx_power_dbm):
-    """Attach to the strongest cell by wideband power; ties take lowest id.
-
-    ``wideband_rx_power_dbm`` maps cell_id -> dBm (pathloss + antenna gain +
-    shadowing, no fast fading). The assignment is fixed for the whole run.
-    """
-    if len(wideband_rx_power_dbm) == 0:
-        raise DeploymentError(f"ue {ue.ue_id}: no candidate cells")
-    best = min(
-        wideband_rx_power_dbm.items(),
-        key=lambda item: (-item[1], item[0]))
-    ue.serving_cell = best[0]
-    return best[0]
-
-
-def step_mobility(ue, dt, position_update=False):
-    """Advance one TTI. Default is Doppler-only: position stays frozen.
-
-    With ``position_update`` the UE moves dt * v along its heading
-    (120 kmph, 1 ms -> 0.0333 m), which is negligible over 50 TTIs but kept
-    for longer experiments.
-    """
-    if position_update:
-        speed = ue.velocity_kmph / 3.6  # m/s
-        rad = math.radians(ue.heading_deg)
-        ue.x += speed * dt * math.cos(rad)
-        ue.y += speed * dt * math.sin(rad)
-    return ue
 
 
 def dump_layout_csv(layout, sites_path, cells_path):

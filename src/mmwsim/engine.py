@@ -5,6 +5,10 @@ One run wires the other modules into the per-TTI loop:
     channel -> link adaptation -> scheduling -> throughput accounting
             -> average-throughput update -> CSI for the next TTI
 
+Each UE attaches once, to the cell with the strongest wideband power (ties
+to the lowest cell id), and keeps its drop position: velocity enters the
+run only through the Doppler shift.
+
 Link adaptation at TTI t uses CSI measured at t-1: per-RB rate reports
 refresh every TTI, precoders every ``csi_period_tti``. That feedback lag is
 how mobility erodes throughput: the faster the channel decorrelates, the
@@ -63,11 +67,10 @@ from .antenna import AntennaConfig, PolarizationSpec, combined_gain, \
 from .channel import SERIAL_GEMM_MNK, FadingDesign, SosProcess, \
     depolarization_coherence, doppler_frequency, los_probability, \
     pathloss_uma, unit_phasor
-from .config import expand_sweep, scenario_to_text
-from .deployment import assign_serving_cell, build_hex_layout, drop_ues, \
-    dump_layout_csv, step_mobility
-from .kpi import KpiRecord, ThroughputLedger, average_ue_throughput, \
-    jain_fairness, spectral_efficiency
+from .config import TTI_DURATION, expand_sweep, scenario_to_text
+from .deployment import build_hex_layout, drop_ues, dump_layout_csv
+from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
+    spectral_efficiency
 from .link import build_codebook, mmse_sinr_from_covariance, noise_power_w, \
     sinr_to_rate, stack_codebook
 from .scheduler import RbGrid, SchedulerError, SchedulerState, schedule_pf, \
@@ -173,31 +176,27 @@ def _wideband_gain_db(cfg, layout, ues, ant):
     return gain - pl - shadow, los
 
 
-def _build_linkset(cfg, layout, ues, gain_db, los):
-    """Attach every UE and keep its strongest interferers explicit."""
+def _build_linkset(cfg, gain_db, los):
+    """Attach every UE and keep its strongest interferers explicit.
+
+    Each UE's cells are ranked by wideband received power, ties to the
+    lowest cell id; the first is its serving cell, the next ones its
+    explicit interferers.
+    """
     n_cells, n_ues = gain_db.shape
     p_tx_dbm = 10.0 * math.log10(cfg.bs_tx_power * 1e3)
     rx_dbm = p_tx_dbm + gain_db
-
-    serving = np.empty(n_ues, dtype=int)
-    for u, ue in enumerate(ues):
-        serving[u] = assign_serving_cell(
-            ue, layout, {c: rx_dbm[c, u] for c in range(n_cells)})
-
+    cells = np.broadcast_to(np.arange(n_cells)[:, None], rx_dbm.shape)
     n_keep = min(n_cells, cfg.n_strongest_interferers + 1)
-    cell_ids, ue_ids = [], []
-    for u in range(n_ues):
-        order = np.lexsort((np.arange(n_cells), -rx_dbm[:, u]))[:n_keep]
-        cell_ids.extend(int(c) for c in order)
-        ue_ids.extend([u] * len(order))
+    order = np.lexsort((cells, -rx_dbm), axis=0)[:n_keep]
 
-    cell_arr = np.asarray(cell_ids, dtype=int)
-    ue_arr = np.asarray(ue_ids, dtype=int)
+    cell_arr = order.T.ravel()
+    ue_arr = np.repeat(np.arange(n_ues), n_keep)
     return _Linkset(
         cell=cell_arr,
         ue=ue_arr,
         n_keep=n_keep,
-        serving=serving,
+        serving=order[0],
         amplitude=10.0 ** (gain_db[cell_arr, ue_arr] / 20.0),
         los=los[cell_arr, ue_arr])
 
@@ -215,8 +214,7 @@ class _ChannelBank:
     def __init__(self, cfg, links, f_d):
         self.n_rx, self.n_tx = cfg.n_rx, cfg.n_tx
         self.design = FadingDesign(
-            f_d, cfg.n_tti, cfg.tti_duration, cfg.n_rb,
-            cfg.coherence_bandwidth_rb)
+            f_d, TTI_DURATION, cfg.n_rb, cfg.coherence_bandwidth_rb)
         n_scatter = self.design.n_taps * self.n_rx * self.n_tx
         self.n_scatter = n_scatter
         n_links = links.n_links
@@ -256,7 +254,7 @@ class _ChannelBank:
             rice_state[chunk] = unit_phasor(rice[:, 0])
             rice_step[chunk] = unit_phasor(
                 2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
-                * cfg.tti_duration)
+                * TTI_DURATION)
 
         self.sos = SosProcess(state0, step)
         self.rice_state, self.rice_step = rice_state, rice_step
@@ -347,7 +345,7 @@ class _LinkAdapter:
         self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
         self.p_rb = cfg.bs_tx_power / cfg.n_rb
         self.rb_bandwidth = cfg.rb_bandwidth
-        self.tti = cfg.tti_duration
+        self.tti = TTI_DURATION
         self.efficiency = cfg.shannon_efficiency
         self.se_cap = cfg.spectral_efficiency_cap
         self.sn_scale = 1.0   # set per run from the coherent fraction
@@ -501,7 +499,7 @@ def run_simulation(cfg, trace_dir=None):
     ant = AntennaConfig.from_scenario(cfg)
 
     gain_db, los = _wideband_gain_db(cfg, layout, ues, ant)
-    links = _build_linkset(cfg, layout, ues, gain_db, los)
+    links = _build_linkset(cfg, gain_db, los)
 
     if cfg.collect_all_sectors:
         counted = list(range(n_ues))
@@ -534,7 +532,8 @@ def run_simulation(cfg, trace_dir=None):
             os.makedirs(trace_dir, exist_ok=True)
             dump_layout_csv(layout, os.path.join(trace_dir, "sites.csv"),
                             os.path.join(trace_dir, "cells.csv"))
-            _dump_ue_csv(ues, os.path.join(trace_dir, "ues.csv"))
+            _dump_ue_csv(ues, links.serving,
+                         os.path.join(trace_dir, "ues.csv"))
             alloc_trace = stack.enter_context(
                 open(os.path.join(trace_dir, "allocation.csv"), "w",
                      encoding="utf-8"))
@@ -591,9 +590,6 @@ def run_simulation(cfg, trace_dir=None):
                 if (t + 1) % cfg.csi_period_tti == 0:
                     p_own, _ = adapter.select(adapter.h_serv, adapter.r_int)
                 csi_rates = rate_meas
-
-                for ue in ues:
-                    step_mobility(ue, cfg.tti_duration, cfg.position_update)
             except EngineError:
                 raise
             except Exception as exc:
@@ -613,11 +609,7 @@ def run_simulation(cfg, trace_dir=None):
                     chan_trace.write(
                         f"{t},{u},{links.serving[u]},{mg:.6g}\n")
 
-    ledger = ThroughputLedger()
-    for u in range(n_ues):
-        ledger.add(u, float(total_bits[u]))
-    duration = cfg.n_tti * cfg.tti_duration
-    tp = ledger.throughputs(duration, counted)
+    tp = total_bits[counted] / (cfg.n_tti * TTI_DURATION)
 
     return KpiRecord(
         scheduler=cfg.scheduler,
@@ -631,11 +623,11 @@ def run_simulation(cfg, trace_dir=None):
         bandwidth_hz=cfg.bandwidth)
 
 
-def _dump_ue_csv(ues, path):
+def _dump_ue_csv(ues, serving, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ue_id,x,y,serving_cell,drop_cell,velocity_kmph\n")
         for u in ues:
-            fh.write(f"{u.ue_id},{u.x:.6g},{u.y:.6g},{u.serving_cell},"
+            fh.write(f"{u.ue_id},{u.x:.6g},{u.y:.6g},{serving[u.ue_id]},"
                      f"{u.drop_cell},{u.velocity_kmph:g}\n")
 
 

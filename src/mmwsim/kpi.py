@@ -1,11 +1,11 @@
-"""Run accounting and the three study metrics.
+"""The three study metrics over per-UE throughputs.
 
 Average UE throughput  T_avg = sum_k T_k / n          (bit/s)
 Spectral efficiency    S     = sum_k T_k / B          (bit/s/Hz)
 Jain fairness          J     = (sum T_k)^2 / (n sum T_k^2), in [1/n, 1]
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,24 +16,6 @@ class KpiError(ValueError):
 
 class AllZeroThroughputError(KpiError):
     """Jain's index is 0/0 when every UE saw zero throughput."""
-
-
-@dataclass
-class ThroughputLedger:
-    """Accumulates granted bits per UE over a run; bits only increase."""
-    bits: dict = field(default_factory=dict)
-
-    def add(self, ue_id, bits):
-        if bits < 0:
-            raise KpiError("granted bits must be >= 0")
-        self.bits[ue_id] = self.bits.get(ue_id, 0.0) + float(bits)
-
-    def throughputs(self, duration_s, ue_ids=None):
-        """bit/s per UE over the run duration; unserved UEs count as 0."""
-        if duration_s <= 0:
-            raise KpiError("duration must be > 0")
-        ids = sorted(self.bits) if ue_ids is None else sorted(ue_ids)
-        return {u: self.bits.get(u, 0.0) / duration_s for u in ids}
 
 
 def average_ue_throughput(throughputs):
@@ -75,8 +57,9 @@ def _values(throughputs):
         values = np.asarray(throughputs, dtype=float)
     if values.size == 0:
         raise KpiError("no UEs in KPI population")
-    if np.any(values < 0):
-        raise KpiError("throughputs must be >= 0")
+    # NaN fails every comparison, so test for the allowed range
+    if not np.all(values >= 0):
+        raise KpiError("throughputs must be >= 0 and not NaN")
     return values
 
 

@@ -8,7 +8,6 @@ MMSE; rates use the truncated Shannon bound.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,59 +85,6 @@ def mmse_sinr_from_covariance(effective, covariance):
     return u / (1.0 - u)
 
 
-def compute_sinr(h_serv, precoder, interferer_set, noise_power):
-    """Post-MMSE per-layer SINR for one (UE, RB).
-
-    ``h_serv`` carries the serving link's full amplitude and per-layer power
-    (scale its columns by sqrt(p) beforehand); each interferer is a tuple
-    (h_i, precoder_i, power_i) entering the covariance as
-    power_i * (h_i p_i)(h_i p_i)^H. Noise regularizes the covariance, so a
-    rank-deficient interference sum never fails.
-    """
-    h_serv = np.atleast_2d(np.asarray(h_serv, dtype=complex))
-    precoder = np.atleast_2d(np.asarray(precoder, dtype=complex))
-    n_rx = h_serv.shape[0]
-    if noise_power <= 0:
-        raise LinkAbstractionError("noise_power must be > 0")
-
-    a = h_serv @ precoder
-    cov = noise_power * np.eye(n_rx, dtype=complex)
-    for h_i, p_i, power_i in interferer_set:
-        b = np.atleast_2d(np.asarray(h_i, dtype=complex)) @ \
-            np.atleast_2d(np.asarray(p_i, dtype=complex))
-        cov = cov + power_i * (b @ b.conj().T)
-    cov = cov + a @ a.conj().T
-    return mmse_sinr_from_covariance(a, cov)
-
-
-def select_precoder(h, codebook, noise_plus_interference):
-    """Pick the sum-rate-best codebook entry for one channel matrix.
-
-    ``noise_plus_interference`` is the per-rx-antenna linear power (scalar or
-    length-n_rx vector), treated as a diagonal covariance. Ties resolve to
-    the lowest rank, then the lowest entry index, via strict argmax over the
-    (rank, index)-ordered codebook.
-    """
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    n_rx = h.shape[0]
-    npi = np.asarray(noise_plus_interference, dtype=float)
-    if npi.ndim == 0:
-        npi = np.full(n_rx, float(npi))
-    if np.any(npi <= 0):
-        raise LinkAbstractionError("noise_plus_interference must be > 0")
-    base = np.diag(npi).astype(complex)
-
-    best_idx, best_cap = 0, -1.0
-    for idx, p in enumerate(codebook):
-        a = h @ p
-        cov = base + a @ a.conj().T
-        sinr = mmse_sinr_from_covariance(a, cov)
-        cap = float(np.log2(1.0 + sinr).sum())
-        if cap > best_cap + 1e-12:
-            best_idx, best_cap = idx, cap
-    return codebook[best_idx], best_idx
-
-
 def sinr_to_rate(sinr, rb_bandwidth, tti, efficiency=0.6, se_cap=7.4):
     """Truncated Shannon bits for one RB/TTI grant (per layer).
 
@@ -151,13 +97,3 @@ def sinr_to_rate(sinr, rb_bandwidth, tti, efficiency=0.6, se_cap=7.4):
     bits = tti * rb_bandwidth * se
     return bits if bits.ndim else float(bits)
 
-
-@dataclass
-class SinrReport:
-    """Per-(UE, RB) link adaptation outcome."""
-    ue_id: int
-    rb: int
-    rank: int
-    precoder_index: int
-    layer_sinr: np.ndarray
-    rate_bits: float

@@ -1,10 +1,8 @@
 """Round-robin and proportional-fair downlink scheduling on the RB grid.
 
-Both disciplines are instances of the priority family P = T^alpha / R^beta
-(RR at alpha=0, beta=1 is channel-independent; PF weights instantaneous rate
-against the EWMA average throughput). RR is realized directly as cyclic RB
-assignment with a cursor that persists across TTIs, PF as a per-RB argmax of
-rate / average-throughput with the average updated once per TTI.
+RR is cyclic RB assignment with a cursor that persists across TTIs and
+never looks at the channel. PF grants each RB to the UE with the largest
+rate / average throughput; the average is an EWMA updated once per TTI.
 """
 
 from dataclasses import dataclass, field
@@ -45,24 +43,6 @@ class SchedulerState:
             raise SchedulerError("initial average throughput must be > 0")
         return cls(avg_throughput={u: float(initial_throughput)
                                    for u in ue_ids})
-
-
-def priority(avg_throughput, rate, alpha, beta):
-    """Generic scheduling priority P = T^alpha / R^beta.
-
-    Conventions: 0^0 = 1, so beta = 0 ignores the rate; a zero rate with
-    beta > 0 yields priority 0 rather than a division error.
-    """
-    if avg_throughput <= 0:
-        raise SchedulerError("avg_throughput must be > 0")
-    if rate < 0:
-        raise SchedulerError("rate must be >= 0")
-    num = avg_throughput ** alpha
-    if beta == 0:
-        return float(num)
-    if rate == 0.0:
-        return 0.0
-    return float(num / rate ** beta)
 
 
 @dataclass

@@ -11,9 +11,10 @@ import time
 import numpy as np
 from scipy.special import j0
 
-from mmwsim import (SchedulerState, RbGrid, emit_csv, generate_fading,
+from mmwsim import (RbGrid, ScenarioConfig, SchedulerState, emit_csv,
                     jain_fairness, pathloss_uma, preset, run_sweep,
                     run_simulation, schedule_rr, update_average_throughput)
+from mmwsim.engine import _ChannelBank, _Linkset
 
 
 def _report(num, name, failures):
@@ -95,21 +96,29 @@ def test_criterion_03_round_robin_uniformity():
 def test_criterion_04_fading_statistics():
     failures = []
     start = time.monotonic()
-    rng = np.random.default_rng(11)
-    tau = 1e-3
+    tau = 1e-3    # one TTI
+    # the engine's channel bank: 3,125 unit-amplitude NLOS links of 4x4
+    # antennas on one RB give 50,000 scattered-channel samples per f_d
+    n_links = 3125
+    cfg = ScenarioConfig(n_rb=1, n_rx=4, n_tx=4, ue_polarization="LPOL",
+                         xpd_mean=math.inf, seed=11)
+    links = _Linkset(cell=np.zeros(n_links, dtype=int),
+                     ue=np.arange(n_links), n_keep=1,
+                     serving=np.zeros(n_links, dtype=int),
+                     amplitude=np.ones(n_links),
+                     los=np.zeros(n_links, dtype=bool))
     mean_power = None
     for f_d in (0.0, 100.0, 1000.0, 3113.0):
-        num = 0.0 + 0.0j
-        den = 0.0
-        h0_all = []
-        for _ in range(20):
-            fading = generate_fading(f_d, n_tti=2, tti=tau, n_rb=1,
-                                     n_rx=50, n_tx=50, rng=rng)
-            h0 = fading.gains[0].ravel()
-            h1 = fading.gains[1].ravel()
-            num += np.sum(h1 * np.conj(h0))
-            den += np.sum(np.abs(h0) ** 2)
-            h0_all.append(h0)
+        bank = _ChannelBank(cfg, links, f_d)
+        # leak-free LPOL ports couple by a constant +-1/sqrt(2): divide it
+        # out to see the scattered channel
+        h0 = (bank.current(slice(None)) / bank.port[:, None, None, :]) \
+            .ravel().astype(complex)
+        bank.advance()
+        h1 = (bank.current(slice(None)) / bank.port[:, None, None, :]) \
+            .ravel().astype(complex)
+        num = np.sum(h1 * np.conj(h0))
+        den = np.sum(np.abs(h0) ** 2)
         rho_hat = float(np.real(num / den))
         rho_ref = float(j0(2.0 * math.pi * f_d * tau))
         if abs(rho_hat - rho_ref) > 0.03:
@@ -117,8 +126,7 @@ def test_criterion_04_fading_statistics():
                 f"f_d={f_d:g}: lag-1 autocorr {rho_hat:.4f} "
                 f"vs J0 {rho_ref:.4f}")
         if f_d == 1000.0:
-            samples = np.concatenate(h0_all)   # 50k >= 1e4 samples
-            mean_power = float(np.mean(np.abs(samples) ** 2))
+            mean_power = float(np.mean(np.abs(h0) ** 2))   # 50k samples
     if not (0.95 <= mean_power <= 1.05):
         failures.append(f"mean power {mean_power:.4f} outside 1 +- 0.05")
     elapsed = time.monotonic() - start

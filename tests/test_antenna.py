@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mmwsim import AntennaConfig, PolarizationSpec, preset
-from mmwsim.antenna import (array_factor, combined_gain, coupling_matrix,
-                            element_gain, polarization_coupling,
+from mmwsim.antenna import (array_factor, combined_gain, element_gain,
                             port_coupling_series)
+from mmwsim.engine import _ChannelBank, _Linkset
 
 
 def test_element_gain_peak_and_half_power_points():
@@ -80,29 +80,43 @@ def test_leakage_power_from_xpd():
 
 
 def test_coupling_matrix_no_leakage_is_pure_slant_projection():
-    spec = PolarizationSpec(tx_slants_deg=(45.0, -45.0), rx_slant_deg=0.0,
-                            xpd_db=float("inf"))
-    c = coupling_matrix(spec, np.ones(2, dtype=complex))
+    # without leakage each port projects onto the receiver axis (cos of the
+    # slant difference), whatever the leakage phase
+    leak = np.exp(1j * np.linspace(0.0, 6.0, 5))
+    ones = np.ones(5, dtype=complex)
     root2 = 1.0 / math.sqrt(2.0)
-    # row 0 = rx axis, row 1 = orthogonal axis; columns are the +/- ports
-    assert np.allclose(c, [[root2, root2], [root2, -root2]])
+    for rx_slant, row in ((0.0, [root2, root2]), (90.0, [root2, -root2])):
+        spec = PolarizationSpec(tx_slants_deg=(45.0, -45.0),
+                                rx_slant_deg=rx_slant, xpd_db=float("inf"))
+        assert np.allclose(port_coupling_series(spec, leak, ones), row)
 
 
 def test_coupling_matrix_columns_keep_unit_power_for_any_phase():
-    spec = PolarizationSpec(xpd_db=8.0)
+    # a port's power on the receiver axis (LPOL) and on the orthogonal axis
+    # (XPOL with no depolarization loss) sums to one for any leakage phase
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
-        c = coupling_matrix(spec, phases)
-        assert np.allclose(np.sum(np.abs(c) ** 2, axis=0), 1.0)
+    leak = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 50))
+    ones = np.ones(50, dtype=complex)
+    lpol = port_coupling_series(PolarizationSpec(rx_slant_deg=0.0),
+                                leak, ones)
+    xpol = port_coupling_series(PolarizationSpec(rx_slant_deg=90.0),
+                                leak, ones)
+    assert np.allclose(np.abs(lpol) ** 2 + np.abs(xpol) ** 2, 1.0)
 
 
 def test_polarization_coupling_draws_reproducibly():
-    spec = PolarizationSpec()
-    a = polarization_coupling(spec, np.random.default_rng(9))
-    b = polarization_coupling(spec, np.random.default_rng(9))
-    assert a.shape == (2, 2)
+    # the engine draws each link's leakage and wander phases from its keyed
+    # fading stream: the same seed gives the same port coupling
+    links = _Linkset(cell=np.array([0, 1, 2]), ue=np.array([0, 0, 1]),
+                     n_keep=1, serving=np.zeros(3, dtype=int),
+                     amplitude=np.ones(3), los=np.zeros(3, dtype=bool))
+    cfg = preset("small").replace(n_rb=6, ue_polarization="XPOL")
+    a = _ChannelBank(cfg, links, 100.0).port
+    b = _ChannelBank(cfg, links, 100.0).port
+    assert a.shape == (3, 4)
     assert np.array_equal(a, b)
+    assert not np.array_equal(
+        a, _ChannelBank(cfg.replace(seed=2), links, 100.0).port)
 
 
 def test_port_coupling_series_lpol_ignores_depolarization():

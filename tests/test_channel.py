@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mmwsim import (ChannelModelError, doppler_frequency, generate_fading,
-                    los_probability, pathloss_uma)
-from mmwsim.channel import (FadingDesign, LargeScaleState, SosProcess,
-                            assemble_channel, depolarization_coherence,
-                            freq_mixing_kernel)
+from mmwsim import (ChannelModelError, ScenarioConfig, doppler_frequency,
+                    los_probability, pathloss_uma, preset)
+from mmwsim.channel import (FadingDesign, SosProcess,
+                            depolarization_coherence, freq_mixing_kernel)
+from mmwsim.engine import _build_linkset, _ChannelBank, _Linkset
 
 
 def test_doppler_frequency_oracle():
@@ -70,9 +70,12 @@ def test_pathloss_validity_errors():
 
 
 def test_large_scale_amplitude_is_field_quantity():
-    ls = LargeScaleState(pathloss_db=100.0, shadowing_db=6.0,
-                         antenna_gain_db=14.0, los=True)
-    assert ls.amplitude == pytest.approx(10.0 ** (-92.0 / 20.0))
+    # every link carries the field amplitude of its wideband gain
+    gain_db = np.array([[-92.0, -80.0], [-100.0, -70.0]])     # (cell, ue)
+    links = _build_linkset(preset("small"), gain_db,
+                           np.zeros(gain_db.shape, dtype=bool))
+    want = [-92.0, -100.0, -70.0, -80.0]    # serving link first per UE
+    assert links.amplitude == pytest.approx(10.0 ** (np.array(want) / 20.0))
 
 
 def test_freq_mixing_kernel_columns_unit_norm():
@@ -90,21 +93,27 @@ def test_freq_mixing_kernel_correlation_decays_with_rb_distance():
     assert corr[0, 3] > corr[0, 10] > corr[0, 40]
 
 
+def _angles(seed, n_seq):
+    """Doppler angles and phases for ``n_seq`` sequences of 12 sinusoids."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 2.0 * math.pi, (2, n_seq, 12))
+
+
 def test_sinusoid_bank_phasors_and_frozen_zero_doppler():
-    design = FadingDesign(f_d=100.0, n_tti=10, tti=1e-3, n_rb=1)
-    state0, step = design.draw_sinusoids(np.random.default_rng(2), 8)
+    design = FadingDesign(f_d=100.0, tti=1e-3, n_rb=1)
+    state0, step = design.sinusoids(*_angles(2, 8))
     assert state0.shape == step.shape == (8, design.n_sinusoids)
     assert np.allclose(np.abs(state0), 1.0 / math.sqrt(design.n_sinusoids))
     assert np.allclose(np.abs(step), 1.0)
 
-    frozen = FadingDesign(f_d=0.0, n_tti=10, tti=1e-3, n_rb=1)
-    _, step0 = frozen.draw_sinusoids(np.random.default_rng(2), 8)
+    frozen = FadingDesign(f_d=0.0, tti=1e-3, n_rb=1)
+    _, step0 = frozen.sinusoids(*_angles(2, 8))
     assert np.all(step0 == 1.0)
 
 
 def test_sos_process_recurrence_matches_direct_evaluation():
-    design = FadingDesign(f_d=300.0, n_tti=6, tti=1e-3, n_rb=1)
-    state0, step = design.draw_sinusoids(np.random.default_rng(4), 5)
+    design = FadingDesign(f_d=300.0, tti=1e-3, n_rb=1)
+    state0, step = design.sinusoids(*_angles(4, 5))
     proc = SosProcess(state0.copy(), step)   # the process owns its state
     for t in range(6):
         direct = (state0 * step ** t).sum(axis=-1)
@@ -112,27 +121,42 @@ def test_sos_process_recurrence_matches_direct_evaluation():
         proc.advance()
 
 
+def _bank(f_d, n_links=6, los=False, amplitude=1.0, **changes):
+    """The engine's channel bank over ``n_links`` links of one cell."""
+    links = _Linkset(cell=np.zeros(n_links, dtype=int),
+                     ue=np.arange(n_links), n_keep=1,
+                     serving=np.zeros(n_links, dtype=int),
+                     amplitude=np.full(n_links, amplitude),
+                     los=np.full(n_links, los))
+    return _ChannelBank(ScenarioConfig(**changes), links, f_d)
+
+
+def _scattered(bank):
+    """Every link's channel with the per-port polarization divided out."""
+    return bank.current(slice(None)) / bank.port[:, None, None, :]
+
+
 def test_generate_fading_shapes_and_static_limit():
-    fading = generate_fading(0.0, n_tti=8, tti=1e-3, n_rb=6, n_rx=2, n_tx=4,
-                             rng=np.random.default_rng(1))
-    assert fading.gains.shape == (8, 6, 2, 4)
+    bank = _bank(0.0, n_rb=6, n_rx=2, n_tx=4, ue_polarization="XPOL")
+    h0 = bank.current(slice(None))
+    assert h0.shape == (6, 6, 2, 4)
     # f_d = 0: every TTI identical
-    assert np.allclose(fading.gains, fading.gains[0])
+    for _ in range(3):
+        bank.advance()
+        assert np.array_equal(bank.current(slice(None)), h0)
 
 
 def test_generate_fading_mean_power_near_unity():
-    rng = np.random.default_rng(6)
-    fading = generate_fading(1000.0, n_tti=4, tti=1e-3, n_rb=1,
-                             n_rx=40, n_tx=40, rng=rng)
-    power = np.mean(np.abs(fading.gains) ** 2)
+    bank = _bank(1000.0, n_links=500, n_rb=1, n_rx=4, n_tx=4,
+                 xpd_mean=math.inf)
+    power = np.mean(np.abs(_scattered(bank)) ** 2)
     assert power == pytest.approx(1.0, abs=0.05)
 
 
 def test_generate_fading_rician_specular_dominates_at_high_k():
-    rng = np.random.default_rng(8)
-    fading = generate_fading(100.0, n_tti=5, tti=1e-3, n_rb=10,
-                             rician_k_db=60.0, n_rx=4, n_tx=4, rng=rng)
-    h = fading.gains[0]
+    bank = _bank(100.0, los=True, n_rb=10, n_rx=4, n_tx=4,
+                 rician_k_db=60.0, xpd_mean=math.inf)
+    h = _scattered(bank)[0]
     # the specular term is flat across RBs and rank one
     assert np.allclose(h, h[0], atol=1e-2)
     s = np.linalg.svd(h[0], compute_uv=False)
@@ -149,20 +173,16 @@ def test_depolarization_coherence_limits():
 
 
 def test_assemble_channel_applies_amplitude_and_port_coupling():
-    ls = LargeScaleState(pathloss_db=80.0, shadowing_db=0.0,
-                         antenna_gain_db=0.0, los=False)
-    fading = generate_fading(0.0, n_tti=1, tti=1e-3, n_rb=2, n_rx=2, n_tx=4,
-                             rng=np.random.default_rng(3))
-    coupling = np.array([[0.5, -0.5], [0.1, 0.2]], dtype=complex)
-    h = assemble_channel(ls, fading, coupling, tti=0, rb=1)
-    base = fading.gains[0, 1]
-    # 2x2 coupling: receiver-axis row tiled over the +/- port parity
-    ports = coupling[0, [0, 1, 0, 1]]
-    assert np.allclose(h, ls.amplitude * base * ports[None, :])
-
-    vec = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    h_vec = assemble_channel(ls, fading, vec, tti=0, rb=0)
-    assert np.allclose(h_vec, ls.amplitude * fading.gains[0, 0] * vec[None, :])
-
-    with pytest.raises(ChannelModelError, match="port count"):
-        assemble_channel(ls, fading, np.ones(3, dtype=complex), 0, 0)
+    # same draws: ten times the field amplitude gives ten times the channel
+    lpol = _bank(0.0, n_rb=2, n_rx=2, n_tx=4)
+    loud = _bank(0.0, amplitude=10.0, n_rb=2, n_rx=2, n_tx=4)
+    assert np.allclose(loud.current(slice(None)),
+                       10.0 * lpol.current(slice(None)), rtol=1e-5)
+    # the +/- slant port pair's coupling repeats over the tx ports
+    xpol = _bank(0.0, n_rb=2, n_rx=2, n_tx=4, ue_polarization="XPOL")
+    for bank in (lpol, xpol):
+        assert np.array_equal(bank.port[:, 2:], bank.port[:, :2])
+    # polarization only scales each port: the scattered channel is shared
+    assert not np.allclose(xpol.port, lpol.port)
+    assert np.allclose(_scattered(xpol), _scattered(lpol), rtol=1e-5,
+                       atol=1e-6)

@@ -64,6 +64,10 @@ def test_config_file_source(tmp_path, capsys):
     (("--config", "/nonexistent/file.cfg"), "No such file"),
     (TINY + ("--sweep", "--trace-dir", "tr"), "single runs only"),
     (TINY + ("--parallel", "-2"), "--parallel"),
+    # argparse's own usage errors, which it would exit 2 on
+    (TINY + ("--seeds", "abc"), "--seeds"),
+    (TINY + ("--parallel", "x"), "--parallel"),
+    (TINY + ("--bogus",), "--bogus"),
 ])
 def test_usage_errors_exit_one(argv, fragment, capsys):
     assert run_cli(*argv) == 1

@@ -1,10 +1,13 @@
 """Scenario configuration: defaults, validation, file I/O, sweep expansion."""
 
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import pytest
 
+import mmwsim
 from mmwsim.cli import _apply_overrides
 from mmwsim import (DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES,
                     ScenarioConfig, ScenarioError, expand_sweep,
@@ -34,22 +37,20 @@ def test_polarization_implies_rx_slant():
     assert ScenarioConfig(ue_polarization="XPOL").ue_pol_slant_deg == 90.0
     cfg = ScenarioConfig()
     assert cfg.replace(ue_polarization="XPOL").ue_pol_slant_deg == 90.0
-    # inconsistent explicit slant is rejected
-    with pytest.raises(ScenarioError, match="ue_pol_slant_deg"):
-        ScenarioConfig(ue_polarization="XPOL", ue_pol_slant_deg=0.0)
+    # the slant is no key of its own
+    with pytest.raises(ScenarioError, match="unknown key 'ue_pol_slant_deg'"):
+        parse_scenario("ue_polarization = XPOL\nue_pol_slant_deg = 90\n")
 
 
 def test_names_are_case_normalized():
-    cfg = ScenarioConfig(scheduler="pf", ue_polarization="xpol",
-                         transmission_mode="clsm")
+    cfg = ScenarioConfig(scheduler="pf", ue_polarization="xpol")
     assert cfg.scheduler == "PF"
     assert cfg.ue_polarization == "XPOL"
-    assert cfg.transmission_mode == "CLSM"
 
 
 @pytest.mark.parametrize("changes", [
     {"n_tti": 0},
-    {"tti_duration": 2e-3},
+    {"azimuth_3db_beamwidth_deg": 0.0},
     {"n_tx": 3},
     {"scheduler": "FIFO"},
     {"ue_polarization": "CPOL"},
@@ -60,7 +61,7 @@ def test_names_are_case_normalized():
     {"pf_time_constant_tc": 0.5},
     {"csi_period_tti": 0},
     {"csi_period_tti": 1.5},
-    {"transmission_mode": "OLSM"},
+    {"elevation_3db_beamwidth_deg": -5.0},
     {"seed": -1},
     {"n_rb": 100},   # grid would exceed the 10 MHz bandwidth
 ])
@@ -72,7 +73,7 @@ def test_invalid_values_are_rejected(changes):
 def test_text_round_trip_reproduces_every_field():
     cfg = ScenarioConfig(ue_polarization="XPOL", scheduler="PF",
                          ue_velocity=83.0, seed=12, xpd_mean=float("inf"),
-                         position_update=True)
+                         collect_all_sectors=True)
     again = parse_scenario(scenario_to_text(cfg))
     assert again == cfg
 
@@ -99,7 +100,7 @@ def test_parser_accepts_comments_and_blank_lines():
     ("seed = 1\nseed = 2\n", "duplicate key"),
     ("scheduler\n", "expected 'key = value'"),
     ("n_tti = lots\n", "n_tti"),
-    ("position_update = maybe\n", "position_update"),
+    ("collect_all_sectors = maybe\n", "collect_all_sectors"),
 ])
 def test_parser_reports_line_and_reason(text, fragment):
     with pytest.raises(ScenarioError, match=fragment) as err:
@@ -187,7 +188,38 @@ def test_infinite_xpd_parses_from_text():
     assert math.isinf(cfg.xpd_mean)
 
 
-# (derived field, change to one of its sources, value derived after it)
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type is float]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_floats_are_rejected(name):
+    for value in (math.nan, math.inf, -math.inf):
+        if name == "xpd_mean" and value == math.inf:
+            continue    # no leakage
+        with pytest.raises(ScenarioError, match=f"{name}: must be finite"):
+            ScenarioConfig(**{name: value})
+        with pytest.raises(ScenarioError, match=f"{name}: must be finite"):
+            preset("small").replace(**{name: value})
+        with pytest.raises(ScenarioError, match=f"{name}: must be finite"):
+            _apply_overrides(preset("small"), [f"{name}={value}"])
+
+
+def test_every_config_key_is_read_outside_config():
+    # A key no other module reads changes nothing. Copying a key into a
+    # field of the same name elsewhere is no read: that field must be read.
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for path in Path(mmwsim.__file__).parent.glob("*.py")
+                     if path.name != "config.py")
+    unread = []
+    for name in (f.name for f in dataclasses.fields(ScenarioConfig)):
+        rest = re.sub(rf"\b{name}=cfg\.{name}\b", "", text)
+        if not re.search(rf"\.{name}\b", rest):
+            unread.append(name)
+    assert unread == []
+
+
+# (derived value, change to one of its sources, value derived after it)
 DERIVED_CASES = [
     ("n_rb", {"bandwidth": 20e6}, 100),
     ("pf_initial_throughput_bits", {"spectral_efficiency_cap": 5.0},
@@ -239,7 +271,3 @@ def test_given_derived_values_stay_pinned(tmp_path, field, value, change):
     assert getattr(cfg.replace(**change, **{field: None}), field) \
         == getattr(preset("small").replace(**change), field)
 
-
-def test_pinned_slant_follows_a_new_polarization():
-    cfg = ScenarioConfig(ue_polarization="XPOL", ue_pol_slant_deg=90.0)
-    assert cfg.replace(ue_polarization="LPOL").ue_pol_slant_deg == 0.0

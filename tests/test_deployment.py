@@ -1,14 +1,13 @@
-"""Hex layout, sector geometry, UE placement, attachment and mobility."""
+"""Hex layout, sector geometry, UE placement and attachment."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mmwsim import (DeploymentError, UeState, build_hex_layout, drop_ues,
-                    preset)
-from mmwsim.deployment import (assign_serving_cell, dump_layout_csv,
-                               sector_contains, step_mobility)
+from mmwsim import DeploymentError, build_hex_layout, drop_ues, preset
+from mmwsim.deployment import dump_layout_csv, sector_contains
+from mmwsim.engine import _build_linkset
 
 
 @pytest.mark.parametrize("rings,n_sites", [(0, 1), (1, 7), (2, 19), (3, 37)])
@@ -21,7 +20,7 @@ def test_ring_counts(rings, n_sites):
 def test_center_site_and_ring_distances():
     layout = build_hex_layout(2, 500.0, 60.0)
     assert (layout.sites[0].x, layout.sites[0].y) == (0.0, 0.0)
-    pos = layout.site_positions()
+    pos = np.array([[s.x, s.y] for s in layout.sites])
     d_center = np.hypot(pos[:, 0], pos[:, 1])
     # ring 1 = sites 1..6 at exactly one ISD from the center
     assert np.allclose(d_center[1:7], 500.0)
@@ -76,8 +75,7 @@ def test_drop_ues_is_deterministic_per_rng_seed():
     layout = build_hex_layout(1, 500.0, 60.0)
     a = drop_ues(layout, 4, cfg, np.random.default_rng(11))
     b = drop_ues(layout, 4, cfg, np.random.default_rng(11))
-    assert [(u.x, u.y, u.heading_deg) for u in a] \
-        == [(u.x, u.y, u.heading_deg) for u in b]
+    assert [(u.x, u.y) for u in a] == [(u.x, u.y) for u in b]
 
 
 def test_drop_ues_rejects_impossible_exclusion_radius():
@@ -88,30 +86,15 @@ def test_drop_ues_rejects_impossible_exclusion_radius():
 
 
 def test_assign_serving_cell_strongest_wins_ties_to_lowest_id():
-    layout = build_hex_layout(0, 500.0, 60.0)
-    ue = UeState(ue_id=0, x=10.0, y=0.0, height=1.5, velocity_kmph=0.0,
-                 heading_deg=0.0, drop_cell=0)
-    assert assign_serving_cell(ue, layout, {0: -70.0, 1: -60.0, 2: -80.0}) == 1
-    assert ue.serving_cell == 1
-    assert assign_serving_cell(ue, layout, {0: -60.0, 1: -60.0, 2: -60.0}) == 0
-    with pytest.raises(DeploymentError, match="no candidate cells"):
-        assign_serving_cell(ue, layout, {})
-
-
-def test_step_mobility_default_keeps_position_frozen():
-    ue = UeState(ue_id=0, x=1.0, y=2.0, height=1.5, velocity_kmph=120.0,
-                 heading_deg=90.0, drop_cell=0)
-    step_mobility(ue, 1e-3)
-    assert (ue.x, ue.y) == (1.0, 2.0)
-
-
-def test_step_mobility_moves_along_heading_when_enabled():
-    ue = UeState(ue_id=0, x=0.0, y=0.0, height=1.5, velocity_kmph=120.0,
-                 heading_deg=0.0, drop_cell=0)
-    step_mobility(ue, 1e-3, position_update=True)
-    # 120 kmph = 33.33 m/s; one millisecond heading east
-    assert ue.x == pytest.approx(120.0 / 3.6 * 1e-3)
-    assert ue.y == pytest.approx(0.0)
+    # wideband gains (cell, ue): ue 0 hears cell 1 best, ue 1 a three-way tie
+    gain_db = np.array([[-70.0, -60.0], [-60.0, -60.0], [-80.0, -60.0]])
+    links = _build_linkset(preset("small"), gain_db,
+                           np.zeros(gain_db.shape, dtype=bool))
+    assert links.serving.tolist() == [1, 0]
+    # each UE's links run serving cell first, then by power and cell id
+    assert links.cell.tolist() == [1, 0, 2, 0, 1, 2]
+    assert links.ue.tolist() == [0, 0, 0, 1, 1, 1]
+    assert np.array_equal(links.cell[::links.n_keep], links.serving)
 
 
 def test_dump_layout_csv(tmp_path):

@@ -86,6 +86,14 @@ def test_trace_files_schema_and_rb_conservation(tmp_path):
     assert set(chan[0]) == {"tti", "ue_id", "serving_cell", "mean_gain_db"}
     assert len(chan) == cfg.n_tti * rec_traced.n_ues
 
+    # both traces name the serving cell the run attached each UE to
+    with open(tmp_path / "ues.csv", encoding="utf-8") as fh:
+        serving = {row["ue_id"]: row["serving_cell"]
+                   for row in csv.DictReader(fh)}
+    assert len(serving) == 3 * 3
+    for row in chan:
+        assert row["serving_cell"] == serving[row["ue_id"]]
+
 
 def test_engine_errors_carry_tti_and_cell_context(monkeypatch):
     cfg = tiny_config(n_tti=2)

@@ -1,35 +1,10 @@
-"""Throughput ledger and the three study metrics."""
+"""The three study metrics."""
 
 import numpy as np
 import pytest
 
 from mmwsim import (AllZeroThroughputError, KpiError, KpiRecord,
-                    ThroughputLedger, average_ue_throughput, jain_fairness,
-                    spectral_efficiency)
-
-
-def test_ledger_accumulates_and_divides_by_duration():
-    ledger = ThroughputLedger()
-    ledger.add(1, 100.0)
-    ledger.add(1, 50.0)
-    ledger.add(2, 30.0)
-    tp = ledger.throughputs(0.05)
-    assert tp == {1: 3000.0, 2: 600.0}
-
-
-def test_ledger_counts_unserved_ues_as_zero():
-    ledger = ThroughputLedger()
-    ledger.add(1, 100.0)
-    tp = ledger.throughputs(1.0, ue_ids=[1, 2, 3])
-    assert tp == {1: 100.0, 2: 0.0, 3: 0.0}
-
-
-def test_ledger_rejects_negative_bits_and_durations():
-    ledger = ThroughputLedger()
-    with pytest.raises(KpiError):
-        ledger.add(1, -1.0)
-    with pytest.raises(KpiError):
-        ledger.throughputs(0.0)
+                    average_ue_throughput, jain_fairness, spectral_efficiency)
 
 
 def test_average_ue_throughput():
@@ -75,6 +50,8 @@ def test_kpi_input_validation():
         average_ue_throughput([])
     with pytest.raises(KpiError):
         jain_fairness([1.0, -2.0])
+    with pytest.raises(KpiError):
+        average_ue_throughput([1.0, float("nan")])
     with pytest.raises(AllZeroThroughputError):
         jain_fairness([0.0, 0.0])
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mmwsim import (LinkAbstractionError, build_codebook, compute_sinr,
-                    noise_power_w, select_precoder, sinr_to_rate)
+from mmwsim import (LinkAbstractionError, ScenarioConfig, build_codebook,
+                    noise_power_w, sinr_to_rate)
+from mmwsim.engine import _LinkAdapter, _Linkset
 from mmwsim.link import mmse_sinr_from_covariance, stack_codebook
 
 
@@ -90,37 +91,58 @@ def test_mmse_sinr_zero_columns_score_zero():
     assert sinr[1] == 0.0
 
 
+def _adapter(n_keep=1, **changes):
+    """The engine's link adapter for one UE on one RB, with links to cells
+    0 (serving) to ``n_keep - 1``."""
+    cfg = ScenarioConfig(n_rb=1, n_strongest_interferers=n_keep - 1,
+                         **changes)
+    links = _Linkset(cell=np.arange(n_keep), ue=np.zeros(n_keep, dtype=int),
+                     n_keep=n_keep, serving=np.zeros(1, dtype=int),
+                     amplitude=np.ones(n_keep),
+                     los=np.zeros(n_keep, dtype=bool))
+    return _LinkAdapter(cfg, links)
+
+
 def test_compute_sinr_with_one_interferer_scalar_case():
-    # sinr = |a|^2 / (noise + p_i |b|^2) = 4 / (1 + 2)
-    sinr = compute_sinr(h_serv=[[2.0]], precoder=[[1.0]],
-                        interferer_set=[([[1.0]], [[1.0]], 2.0)],
-                        noise_power=1.0)
-    assert sinr == pytest.approx([4.0 / 3.0])
-    with pytest.raises(LinkAbstractionError):
-        compute_sinr([[1.0]], [[1.0]], [], noise_power=0.0)
+    # 1x1, serving gain 4 and interferer gain 2 in noise units:
+    # sinr = 4 / (1 + 2)
+    adapter = _adapter(n_keep=2, n_tx=1, n_rx=1)
+    unit = math.sqrt(adapter.noise)
+    h = (np.array([2.0, 1.0]) * unit).astype(np.complex64).reshape(2, 1, 1, 1)
+    psched = np.array([3.0, math.sqrt(2.0)], dtype=np.complex64) \
+        .reshape(2, 1, 1, 1)            # (cell, rb, tx, layer)
+    r_int = adapter.interference(h, psched, adapter.blocks[0])
+    # the serving cell's own transmission is left out
+    assert r_int.ravel() == pytest.approx([2.0 * adapter.noise], rel=1e-5)
+    bits = adapter.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64))
+    assert bits.ravel() == pytest.approx(
+        [sinr_to_rate(4.0 / 3.0, adapter.rb_bandwidth, adapter.tti)],
+        rel=1e-5)
+
+
+def _select(h):
+    """Codebook index and rank the engine picks for one 4x4 channel, given
+    in units where the full-power SNR of a unit entry is 1e4."""
+    adapter = _adapter()
+    scale = 100.0 * math.sqrt(adapter.noise / adapter.p_rb)
+    h_serv = (scale * np.asarray(h)).astype(np.complex64).reshape(1, 1, 4, 4)
+    chosen, idx = adapter.select(h_serv, np.zeros((1, 1, 4, 4), np.complex64))
+    assert np.array_equal(chosen[0], adapter.cand[idx[0]])
+    return idx[0], adapter.ranks[idx[0]]
 
 
 def test_select_precoder_prefers_low_rank_on_rank_one_channels():
-    cb = build_codebook(4)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = 100.0                      # rank-one, high SNR
-    chosen, idx = select_precoder(h, cb, noise_plus_interference=1.0)
-    assert chosen.shape[1] == 1
-    assert cb[idx] is chosen
+    h = np.zeros((4, 4))
+    h[0, 0] = 1.0                        # rank-one, high SNR
+    assert _select(h)[1] == 1
 
 
 def test_select_precoder_uses_full_rank_on_clean_identity_channels():
-    cb = build_codebook(4)
-    h = 100.0 * np.eye(4, dtype=complex)
-    chosen, _ = select_precoder(h, cb, noise_plus_interference=1.0)
-    assert chosen.shape[1] == 4
+    assert _select(np.eye(4))[1] == 4
 
 
 def test_select_precoder_ties_resolve_to_first_entry():
-    cb = build_codebook(4)
-    h = np.zeros((4, 4), dtype=complex)
-    _, idx = select_precoder(h, cb, noise_plus_interference=1.0)
-    assert idx == 0
+    assert _select(np.zeros((4, 4)))[0] == 0
 
 
 def test_sinr_to_rate_oracle_and_cap():

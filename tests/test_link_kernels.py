@@ -59,7 +59,7 @@ def select_oracle(adapter, h_serv, r_int):
 @pytest.mark.parametrize("n_links", [1, 2, 75, 300])
 def test_mix_taps_matches_tensordot(n_rb, n_rx, n_tx, n_links):
     # 75 links x 16 ports leaves a one-row tail after 109-row chunks
-    design = FadingDesign(f_d=100.0, n_tti=1, tti=1e-3, n_rb=n_rb)
+    design = FadingDesign(f_d=100.0, tti=1e-3, n_rb=n_rb)
     rng = np.random.default_rng(n_links)
     shape = (n_links, design.n_taps, n_rx, n_tx)
     taps = (rng.standard_normal(shape)
@@ -79,7 +79,7 @@ def _link_layer(cfg):
                    engine._rng(cfg.seed, engine._DROP_STREAM))
     gain_db, los = engine._wideband_gain_db(
         cfg, layout, ues, AntennaConfig.from_scenario(cfg))
-    links = engine._build_linkset(cfg, layout, ues, gain_db, los)
+    links = engine._build_linkset(cfg, gain_db, los)
     bank = engine._ChannelBank(
         cfg, links, doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency))
     adapter = engine._LinkAdapter(cfg, links)

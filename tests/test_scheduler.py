@@ -1,10 +1,10 @@
-"""RR/PF disciplines, the priority family and the throughput EWMA."""
+"""RR/PF disciplines and the throughput EWMA."""
 
 import numpy as np
 import pytest
 
 from mmwsim import (Allocation, RbGrid, SchedulerError, SchedulerState,
-                    jain_fairness, priority, schedule_pf, schedule_rr,
+                    jain_fairness, schedule_pf, schedule_rr,
                     update_average_throughput)
 
 
@@ -16,24 +16,6 @@ def test_rb_grid_validation_and_subband_count():
         RbGrid(0)
     with pytest.raises(SchedulerError):
         RbGrid(10, rb_bandwidth=0.0)
-
-
-def test_priority_family_pinned_points():
-    # RR point: alpha=0, beta=1 -> 1/R
-    assert priority(3.0, 5.0, alpha=0.0, beta=1.0) == pytest.approx(0.2)
-    # beta=0 ignores the rate entirely (0^0 = 1 convention)
-    assert priority(7.0, 0.0, alpha=1.0, beta=0.0) == 7.0
-    # alpha=beta=1: T/R
-    assert priority(4.0, 2.0, alpha=1.0, beta=1.0) == pytest.approx(2.0)
-    # zero rate with beta > 0 is lowest priority, not an error
-    assert priority(4.0, 0.0, alpha=1.0, beta=1.0) == 0.0
-
-
-def test_priority_rejects_bad_inputs():
-    with pytest.raises(SchedulerError):
-        priority(0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SchedulerError):
-        priority(1.0, -1.0, 1.0, 1.0)
 
 
 def test_scheduler_state_fresh():

@@ -14,6 +14,7 @@ import pytest
 
 from mmwsim import ScenarioConfig, preset, run_simulation
 from mmwsim.channel import FadingDesign, unit_phasor
+from mmwsim.config import TTI_DURATION
 from mmwsim.engine import _FADING_STREAM, _PHASOR_CHUNK, _ChannelBank, \
     _Linkset
 from mmwsim.streams import keyed_streams, pcg64_states, seed_state
@@ -90,8 +91,10 @@ def _old_draw_sinusoids(design, rng, n_seq, dtype):
 @pytest.mark.parametrize("dtype", [np.complex64, complex])
 @pytest.mark.parametrize("f_d", [0.0, 3113.19])
 def test_draw_sinusoids_matches_the_complex_exponential_form(f_d, dtype):
-    design = FadingDesign(f_d=f_d, n_tti=5, tti=1e-3, n_rb=12)
-    new = design.draw_sinusoids(np.random.default_rng(3), 9, dtype=dtype)
+    design = FadingDesign(f_d=f_d, tti=1e-3, n_rb=12)
+    rng = np.random.default_rng(3)
+    theta, phase = rng.uniform(0.0, 2.0 * math.pi, (2, 9, design.n_sinusoids))
+    new = [x.astype(dtype) for x in design.sinusoids(theta, phase)]
     old = _old_draw_sinusoids(design, np.random.default_rng(3), 9, dtype)
     for a, b in zip(new, old):
         assert a.dtype == b.dtype
@@ -100,7 +103,7 @@ def test_draw_sinusoids_matches_the_complex_exponential_form(f_d, dtype):
 
 def _oracle_bank(cfg, links, f_d):
     """The per-link setup loop the chunked one replaced."""
-    design = FadingDesign(f_d, cfg.n_tti, cfg.tti_duration, cfg.n_rb,
+    design = FadingDesign(f_d, TTI_DURATION, cfg.n_rb,
                           cfg.coherence_bandwidth_rb)
     n_seq = design.n_taps * cfg.n_rx * cfg.n_tx + 2
     n = links.n_links
@@ -123,7 +126,7 @@ def _oracle_bank(cfg, links, f_d):
         out["rice_step"][l] = np.exp(
             1j * 2 * math.pi * f_d
             * math.cos(stream.uniform(0, 2 * math.pi))
-            * cfg.tti_duration)
+            * TTI_DURATION)
     return out
 
 
