@@ -26,15 +26,15 @@ from .config import (DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES,
                      ScenarioError, expand_sweep, load_scenario,
                      parse_scenario, preset, save_scenario,
                      scenario_to_text)
-from .deployment import (DeploymentError, SiteLayout, UeState,
-                         build_hex_layout, drop_ues)
+from .deployment import (DeploymentError, SiteLayout, build_hex_layout,
+                         drop_ues)
 from .antenna import AntennaConfig, PolarizationSpec
 from .channel import (ChannelModelError, doppler_frequency, los_probability,
                       pathloss_uma)
 from .link import (LinkAbstractionError, build_codebook, noise_power_w,
                    sinr_to_rate)
-from .scheduler import (Allocation, RbGrid, SchedulerError, SchedulerState,
-                        schedule_pf, schedule_rr, update_average_throughput)
+from .scheduler import (SchedulerError, schedule_pf, schedule_rr,
+                        update_average_throughput)
 from .kpi import (AllZeroThroughputError, KpiError, KpiRecord,
                   average_ue_throughput, jain_fairness, spectral_efficiency)
 from .engine import (RESULT_COLUMNS, EngineError, ResultsTable, emit_csv,
@@ -48,8 +48,7 @@ __all__ = [
     "POLARIZATIONS", "SCHEDULERS", "DEFAULT_SWEEP_VELOCITIES",
     "DEFAULT_SWEEP_SEEDS",
     # deployment
-    "DeploymentError", "SiteLayout", "UeState", "build_hex_layout",
-    "drop_ues",
+    "DeploymentError", "SiteLayout", "build_hex_layout", "drop_ues",
     # antennas and polarization
     "AntennaConfig", "PolarizationSpec",
     # channel
@@ -59,8 +58,8 @@ __all__ = [
     "LinkAbstractionError", "noise_power_w", "build_codebook",
     "sinr_to_rate",
     # scheduling
-    "SchedulerError", "RbGrid", "SchedulerState", "Allocation",
-    "schedule_rr", "schedule_pf", "update_average_throughput",
+    "SchedulerError", "schedule_rr", "schedule_pf",
+    "update_average_throughput",
     # KPIs
     "KpiError", "AllZeroThroughputError", "average_ue_throughput",
     "spectral_efficiency", "jain_fairness", "KpiRecord",

@@ -12,7 +12,8 @@ The receiver slant is no key at all: it is read off the polarization
 (``ue_pol_slant_deg``).
 
 Every float must be finite, except ``xpd_mean = inf`` (no cross-polar
-leakage).
+leakage). Every int field takes only integral values (``4.0`` is cast to
+``4``; ``2.5`` is rejected).
 """
 
 import dataclasses
@@ -124,6 +125,12 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value) \
                     and not (name == "xpd_mean" and value == math.inf):
                 raise ScenarioError(f"{name}: must be finite")
+        for name in _INT_FIELDS:
+            if name in _DERIVED and name not in self._pinned:
+                continue    # derived below
+            value = getattr(self, name)
+            _require(_is_integral(value), name, "must be an integer")
+            setattr(self, name, int(value))
 
         _require(self.carrier_frequency > 0, "carrier_frequency", "must be > 0")
         _require(self.bandwidth > 0, "bandwidth", "must be > 0")
@@ -137,10 +144,7 @@ class ScenarioConfig:
         _require(self.bs_tx_power > 0, "bs_tx_power", "must be > 0")
         _require(self.n_tx in (1, 2, 4), "n_tx", "must be 1, 2 or 4")
         _require(self.n_rx >= 1, "n_rx", "must be >= 1")
-        _require(int(self.csi_period_tti) == self.csi_period_tti
-                 and self.csi_period_tti >= 1, "csi_period_tti",
-                 "must be an integer >= 1")
-        self.csi_period_tti = int(self.csi_period_tti)
+        _require(self.csi_period_tti >= 1, "csi_period_tti", "must be >= 1")
         _require(self.ue_polarization in POLARIZATIONS, "ue_polarization",
                  "must be LPOL or XPOL")
 
@@ -156,8 +160,10 @@ class ScenarioConfig:
                  "RB grid must fit inside the bandwidth")
 
         _require(self.scheduler in SCHEDULERS, "scheduler", "must be RR or PF")
-        _require(self.pf_time_constant_tc >= 1, "pf_time_constant_tc",
-                 "must be >= 1")
+        # tc = 1 has no memory: a UE granted nothing falls to an average
+        # of 0, which proportional fair cannot divide by
+        _require(self.pf_time_constant_tc > 1, "pf_time_constant_tc",
+                 "must be > 1")
         if "pf_initial_throughput_bits" not in self._pinned:
             self.pf_initial_throughput_bits = (
                 TTI_DURATION * self.rb_bandwidth
@@ -186,9 +192,7 @@ class ScenarioConfig:
                  "must be >= 0")
         _require(self.min_ue_site_distance >= 0, "min_ue_site_distance",
                  "must be >= 0")
-        _require(int(self.seed) == self.seed and self.seed >= 0, "seed",
-                 "must be a non-negative integer")
-        self.seed = int(self.seed)
+        _require(self.seed >= 0, "seed", "must be >= 0")
         return self
 
     @property
@@ -212,7 +216,16 @@ def _require(cond, key, msg):
         raise ScenarioError(f"{key}: {msg}")
 
 
+def _is_integral(value):
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+
+_INT_FIELDS = tuple(name for name, f in _FIELDS.items() if f.type is int)
 
 # fields whose dataclass default is a derived None sentinel
 _DERIVED = {"n_rb", "pf_initial_throughput_bits"}

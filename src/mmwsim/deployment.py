@@ -4,7 +4,8 @@ The grid is the classic hex-ring deployment: a center site plus ``r`` rings,
 ring r holding 6r sites, so 2 rings give 19 sites / 57 cells. Each site runs
 three sectors with boresights at ``azimuth_offset + {0, 120, 240}`` degrees.
 No wraparound: border sites simply see less interference, and KPIs are read
-from the center site's sectors only.
+from the center site's sectors only. The UE drop returns positions and
+drop cells as arrays indexed by UE id.
 """
 
 import csv
@@ -45,17 +46,6 @@ class SiteLayout:
 
     def sector_site(self, cell_id):
         return self.sites[self.sectors[cell_id].site_id]
-
-
-@dataclass
-class UeState:
-    ue_id: int
-    x: float
-    y: float
-    height: float
-    velocity_kmph: float
-    drop_cell: int            # sector whose region contained the drop point
-    rx_polarization: str = "LPOL"
 
 
 def _axial_to_xy(i, j, isd):
@@ -133,7 +123,9 @@ def drop_ues(layout, ues_per_sector, cfg, rng):
 
     Points are rejection-sampled from the hexagon's circumscribed disk until
     they land in the wedge, at least ``min_ue_site_distance`` from the site.
-    UE ids run sector-major: cell 0 gets 0..k-1, etc.
+    UE ids run sector-major: cell 0 gets 0..k-1, etc. Returns ``(xy,
+    drop_cell)``, indexed by UE id: the (n_ues, 2) positions and the sector
+    whose region contained each drop point.
     """
     min_d = cfg.min_ue_site_distance
     radius = layout.inter_site_distance / math.sqrt(3.0)
@@ -141,30 +133,23 @@ def drop_ues(layout, ues_per_sector, cfg, rng):
         raise DeploymentError(
             "min_ue_site_distance leaves no room inside the sector")
 
-    ues = []
-    ue_id = 0
-    for sec in layout.sectors:
-        site = layout.sites[sec.site_id]
-        placed = 0
-        while placed < ues_per_sector:
+    drop_cell = np.repeat([sec.cell_id for sec in layout.sectors],
+                          ues_per_sector)
+    xy = np.empty((len(drop_cell), 2))
+    for ue_id, cell_id in enumerate(drop_cell):
+        site = layout.sector_site(cell_id)
+        while True:
             r = radius * np.sqrt(rng.uniform(0.0, 1.0))
             phi = rng.uniform(0.0, 2.0 * math.pi)
             x = site.x + r * math.cos(phi)
             y = site.y + r * math.sin(phi)
-            if r < min_d:
-                continue
-            if not sector_contains(layout, sec.cell_id, x, y):
-                continue
-            # a heading draw nothing uses: dropping it would shift every
-            # later UE's position and so change every pinned KPI
-            rng.uniform(0.0, 360.0)
-            ues.append(UeState(
-                ue_id=ue_id, x=x, y=y, height=cfg.ue_height,
-                velocity_kmph=cfg.ue_velocity, drop_cell=sec.cell_id,
-                rx_polarization=cfg.ue_polarization))
-            ue_id += 1
-            placed += 1
-    return ues
+            if r >= min_d and sector_contains(layout, cell_id, x, y):
+                break
+        # a heading draw nothing uses: dropping it would shift every
+        # later UE's position and so change every pinned KPI
+        rng.uniform(0.0, 360.0)
+        xy[ue_id] = x, y
+    return xy, drop_cell
 
 
 def dump_layout_csv(layout, sites_path, cells_path):

@@ -9,6 +9,13 @@ Each UE attaches once, to the cell with the strongest wideband power (ties
 to the lowest cell id), and keeps its drop position: velocity enters the
 run only through the Doppler shift.
 
+Per-UE and per-cell state is arrays indexed by id, from the drop (UE
+positions and drop cells) to the scheduler: one proportional-fair average
+throughput per UE, one round-robin cursor per cell, and for each non-empty
+serving cell the ascending array of its UE ids. Each TTI the cells fill one
+(cell, RB) grant map, and the average throughput is updated once over all
+UEs.
+
 Link adaptation at TTI t uses CSI measured at t-1: per-RB rate reports
 refresh every TTI, precoders every ``csi_period_tti``. That feedback lag is
 how mobility erodes throughput: the faster the channel decorrelates, the
@@ -73,8 +80,8 @@ from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
     spectral_efficiency
 from .link import build_codebook, mmse_sinr_from_covariance, noise_power_w, \
     sinr_to_rate, stack_codebook
-from .scheduler import RbGrid, SchedulerError, SchedulerState, schedule_pf, \
-    schedule_rr, update_average_throughput
+from .scheduler import SchedulerError, schedule_pf, schedule_rr, \
+    update_average_throughput
 from .streams import keyed_streams
 
 log = logging.getLogger("mmwsim")
@@ -137,21 +144,21 @@ class _UeBlock:
     cells: list               # (cell id, block-local link indices) per cell
 
 
-def _wideband_gain_db(cfg, layout, ues, ant):
-    """Pathloss + antenna gain + shadowing, dB, for every (cell, ue).
+def _wideband_gain_db(cfg, layout, xy, ant):
+    """Pathloss + antenna gain + shadowing, dB, for every (cell, ue), from
+    the (n_ues, 2) UE positions ``xy``.
 
     Shadowing is drawn per link from the (seed, cell, ue)-keyed stream, so
     it is identical across velocities, polarizations and schedulers.
     """
     n_cells = len(layout.sectors)
-    n_ues = len(ues)
+    n_ues = len(xy)
     site_xy = np.array([[layout.sector_site(c).x, layout.sector_site(c).y]
                         for c in range(n_cells)])
     bore = np.array([s.boresight_deg for s in layout.sectors])
-    ue_xy = np.array([[u.x, u.y] for u in ues])
 
-    dx = ue_xy[None, :, 0] - site_xy[:, 0, None]
-    dy = ue_xy[None, :, 1] - site_xy[:, 1, None]
+    dx = xy[None, :, 0] - site_xy[:, 0, None]
+    dy = xy[None, :, 1] - site_xy[:, 1, None]
     d2d = np.hypot(dx, dy)
     az_rel = (np.degrees(np.arctan2(dy, dx)) - bore[:, None] + 180.0) \
         % 360.0 - 180.0
@@ -469,19 +476,6 @@ class _LinkAdapter:
         return np.argmax(score >= best - _SELECT_MARGIN, axis=1)
 
 
-def _scheduler_states(cfg, cell_ues):
-    return {c: SchedulerState.fresh(list(map(int, ues)),
-                                    cfg.pf_initial_throughput_bits)
-            for c, ues in cell_ues.items()}
-
-
-def _schedule_cell(cfg, ues_c, grid, state, csi_rates):
-    if cfg.scheduler == "RR":
-        return schedule_rr(list(map(int, ues_c)), grid, state)
-    per_rb = {int(u): csi_rates[u] for u in ues_c}
-    return schedule_pf(list(map(int, ues_c)), grid, per_rb, state)
-
-
 def run_simulation(cfg, trace_dir=None):
     """Run one scenario point end to end and return its KPI record.
 
@@ -493,20 +487,19 @@ def run_simulation(cfg, trace_dir=None):
     layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
                               cfg.azimuth_offset_deg)
     n_cells = len(layout.sectors)
-    ues = drop_ues(layout, cfg.ues_per_sector, cfg,
-                   _rng(cfg.seed, _DROP_STREAM))
-    n_ues = len(ues)
+    xy, drop_cell = drop_ues(layout, cfg.ues_per_sector, cfg,
+                             _rng(cfg.seed, _DROP_STREAM))
+    n_ues = len(xy)
     ant = AntennaConfig.from_scenario(cfg)
 
-    gain_db, los = _wideband_gain_db(cfg, layout, ues, ant)
+    gain_db, los = _wideband_gain_db(cfg, layout, xy, ant)
     links = _build_linkset(cfg, gain_db, los)
 
-    if cfg.collect_all_sectors:
-        counted = list(range(n_ues))
-    else:
-        center = {s.cell_id for s in layout.sectors if s.site_id == 0}
-        counted = [u for u in range(n_ues) if links.serving[u] in center]
-    if not counted:
+    counted = np.arange(n_ues)
+    if not cfg.collect_all_sectors:
+        center = [s.cell_id for s in layout.sectors if s.site_id == 0]
+        counted = np.flatnonzero(np.isin(links.serving, center))
+    if counted.size == 0:
         raise EngineError("no UEs attached to the collected cells")
 
     f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
@@ -514,13 +507,12 @@ def run_simulation(cfg, trace_dir=None):
     adapter = _LinkAdapter(cfg, links)
     adapter.sn_scale = 1.0 / bank.coherent_fraction_sq()
 
-    cell_ues = {}
-    for u in range(n_ues):
-        cell_ues.setdefault(int(links.serving[u]), []).append(u)
-    for c in cell_ues:
-        cell_ues[c].sort()
-    grid = RbGrid(cfg.n_rb, cfg.rb_bandwidth)
-    sched = _scheduler_states(cfg, cell_ues)
+    # scheduler state: the non-empty serving cells, each with its UE ids
+    # in ascending order, an RR cursor per cell and a PF average per UE
+    active = np.unique(links.serving)
+    active_ues = [np.flatnonzero(links.serving == c) for c in active]
+    cursor = np.zeros(n_cells, dtype=int)
+    avg = np.full(n_ues, cfg.pf_initial_throughput_bits)
 
     log.info("run %s/%s v=%g seed=%d: %d cells, %d ues (%d counted), "
              "%d links", cfg.scheduler, cfg.ue_polarization, cfg.ue_velocity,
@@ -532,7 +524,7 @@ def run_simulation(cfg, trace_dir=None):
             os.makedirs(trace_dir, exist_ok=True)
             dump_layout_csv(layout, os.path.join(trace_dir, "sites.csv"),
                             os.path.join(trace_dir, "cells.csv"))
-            _dump_ue_csv(ues, links.serving,
+            _dump_ue_csv(xy, drop_cell, links.serving, cfg.ue_velocity,
                          os.path.join(trace_dir, "ues.csv"))
             alloc_trace = stack.enter_context(
                 open(os.path.join(trace_dir, "allocation.csv"), "w",
@@ -559,33 +551,35 @@ def run_simulation(cfg, trace_dir=None):
                 if t > 0:
                     bank.advance()
 
-                psched = np.zeros(
-                    (n_cells, cfg.n_rb, cfg.n_tx, adapter.max_rank),
-                    dtype=np.complex64)
-                allocs = {}
-                for c, ues_c in cell_ues.items():
+                # rb_to_ue[i, rb]: the UE that active cell i grants rb to
+                rb_to_ue = np.empty((len(active), cfg.n_rb), dtype=int)
+                for i, (c, ues_c) in enumerate(zip(active, active_ues)):
                     try:
-                        allocs[c] = _schedule_cell(cfg, ues_c, grid,
-                                                   sched[c], csi_rates)
+                        if cfg.scheduler == "RR":
+                            rb_to_ue[i], cursor[c] = schedule_rr(
+                                ues_c, cfg.n_rb, cursor[c])
+                        else:
+                            rb_to_ue[i] = schedule_pf(
+                                ues_c, csi_rates[ues_c], avg[ues_c])
                     except SchedulerError as exc:
                         raise EngineError(
                             f"tti {t} cell {c}: {exc}") from exc
-                    psched[c] = p_own[allocs[c].rb_to_ue]
+                # empty cells stay silent
+                psched = np.zeros(
+                    (n_cells, cfg.n_rb, cfg.n_tx, adapter.max_rank),
+                    dtype=np.complex64)
+                psched[active] = p_own[rb_to_ue]
 
                 adapter.measure(bank, psched)
                 rate_meas = adapter.rate_table(p_own)
 
+                # each UE has one serving cell, so its grants add up in
+                # RB order whatever order the cells come in
                 granted = np.zeros(n_ues)
-                for c, alloc in allocs.items():
-                    np.add.at(granted, alloc.rb_to_ue,
-                              rate_meas[alloc.rb_to_ue, rb_idx])
+                np.add.at(granted, rb_to_ue, rate_meas[rb_to_ue, rb_idx])
                 total_bits += granted
-
-                for c, ues_c in cell_ues.items():
-                    update_average_throughput(
-                        sched[c],
-                        {int(u): float(granted[u]) for u in ues_c},
-                        cfg.pf_time_constant_tc)
+                avg = update_average_throughput(avg, granted,
+                                                cfg.pf_time_constant_tc)
 
                 if (t + 1) % cfg.csi_period_tti == 0:
                     p_own, _ = adapter.select(adapter.h_serv, adapter.r_int)
@@ -597,8 +591,8 @@ def run_simulation(cfg, trace_dir=None):
                     f"tti {t}: {type(exc).__name__}: {exc}") from exc
 
             if alloc_trace is not None:
-                for c in sorted(allocs):
-                    for rb, u in enumerate(allocs[c].rb_to_ue):
+                for c, grants in zip(active, rb_to_ue):
+                    for rb, u in enumerate(grants):
                         alloc_trace.write(
                             f"{t},{c},{rb},{u},"
                             f"{rate_meas[u, rb]:.6g}\n")
@@ -623,12 +617,12 @@ def run_simulation(cfg, trace_dir=None):
         bandwidth_hz=cfg.bandwidth)
 
 
-def _dump_ue_csv(ues, serving, path):
+def _dump_ue_csv(xy, drop_cell, serving, velocity_kmph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ue_id,x,y,serving_cell,drop_cell,velocity_kmph\n")
-        for u in ues:
-            fh.write(f"{u.ue_id},{u.x:.6g},{u.y:.6g},{serving[u.ue_id]},"
-                     f"{u.drop_cell},{u.velocity_kmph:g}\n")
+        for u, (x, y) in enumerate(xy):
+            fh.write(f"{u},{x:.6g},{y:.6g},{serving[u]},{drop_cell[u]},"
+                     f"{velocity_kmph:g}\n")
 
 
 RESULT_COLUMNS = ("scheduler", "rx_polarization", "velocity_kmph", "seed",

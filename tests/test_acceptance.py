@@ -11,9 +11,9 @@ import time
 import numpy as np
 from scipy.special import j0
 
-from mmwsim import (RbGrid, ScenarioConfig, SchedulerState, emit_csv,
-                    jain_fairness, pathloss_uma, preset, run_sweep,
-                    run_simulation, schedule_rr, update_average_throughput)
+from mmwsim import (ScenarioConfig, emit_csv, jain_fairness, pathloss_uma,
+                    preset, run_sweep, run_simulation, schedule_rr,
+                    update_average_throughput)
 from mmwsim.engine import _ChannelBank, _Linkset
 
 
@@ -42,14 +42,14 @@ def test_criterion_01_fairness_index_exactness():
 
 def test_criterion_02_throughput_ewma_recurrence():
     failures = []
-    state = SchedulerState(avg_throughput={1: 4.0})
-    update_average_throughput(state, {1: 8.0}, time_constant=2.0)
-    if state.avg_throughput[1] != 6.0:
-        failures.append(f"tc=2, T=4, grant=8 -> {state.avg_throughput[1]!r}")
+    avg = update_average_throughput(np.array([4.0]), np.array([8.0]),
+                                    time_constant=2.0)
+    if avg[0] != 6.0:
+        failures.append(f"tc=2, T=4, grant=8 -> {avg[0]!r}")
 
-    state = SchedulerState(avg_throughput={1: 123.0})
-    update_average_throughput(state, {1: 77.0}, time_constant=1.0)
-    if state.avg_throughput[1] != 77.0:
+    avg = update_average_throughput(np.array([123.0]), np.array([77.0]),
+                                    time_constant=1.0)
+    if avg[0] != 77.0:
         failures.append("tc=1 is not memoryless")
 
     rng = np.random.default_rng(42)
@@ -57,9 +57,9 @@ def test_criterion_02_throughput_ewma_recurrence():
     for _ in range(100):
         g = float(rng.uniform(1e-3, 1e6))
         tc = float(rng.uniform(1.0, 200.0))
-        state = SchedulerState(avg_throughput={1: g})
-        update_average_throughput(state, {1: g}, time_constant=tc)
-        worst = max(worst, abs(state.avg_throughput[1] - g) / g)
+        avg = update_average_throughput(np.array([g]), np.array([g]),
+                                        time_constant=tc)
+        worst = max(worst, abs(avg[0] - g) / g)
     if worst > 1e-12:
         failures.append(f"fixed-point drift {worst:.3e} > 1e-12")
     _report(2, "throughput EWMA recurrence", failures)
@@ -67,26 +67,23 @@ def test_criterion_02_throughput_ewma_recurrence():
 
 def test_criterion_03_round_robin_uniformity():
     failures = []
-    grid = RbGrid(50)
-    state = SchedulerState.fresh([0, 1, 2], 1.0)
-    totals = {0: 0, 1: 0, 2: 0}
+    cursor = 0
+    totals = np.zeros(3, dtype=int)
     for _ in range(3):
-        alloc = schedule_rr([0, 1, 2], grid, state)
-        for u in totals:
-            totals[u] += alloc.rb_count(u)
-    if totals != {0: 50, 1: 50, 2: 50}:
-        failures.append(f"3 UEs x 50 RB x 3 TTI -> {totals}")
+        rb_to_ue, cursor = schedule_rr(np.arange(3), 50, cursor)
+        totals += np.bincount(rb_to_ue, minlength=3)
+    if totals.tolist() != [50, 50, 50]:
+        failures.append(f"3 UEs x 50 RB x 3 TTI -> {totals.tolist()}")
 
     rng = np.random.default_rng(7)
     for _ in range(20):
         n_ues = int(rng.integers(1, 10))
         n_rb = int(rng.integers(1, 70))
-        ues = list(range(n_ues))
-        grid = RbGrid(n_rb)
-        state = SchedulerState.fresh(ues, 1.0)
+        ues = np.arange(n_ues)
+        cursor = 0
         for t in range(int(rng.integers(1, 6))):
-            alloc = schedule_rr(ues, grid, state)
-            granted = sum(alloc.rb_count(u) for u in ues)
+            rb_to_ue, cursor = schedule_rr(ues, n_rb, cursor)
+            granted = np.count_nonzero(np.isin(rb_to_ue, ues))
             if granted != n_rb:
                 failures.append(
                     f"conservation broke: {granted} != {n_rb} RBs")

@@ -59,6 +59,7 @@ def test_names_are_case_normalized():
     {"bandwidth": 0.0},
     {"ues_per_sector": 0},
     {"pf_time_constant_tc": 0.5},
+    {"pf_time_constant_tc": 1.0},   # memoryless: unserved UEs average 0
     {"csi_period_tti": 0},
     {"csi_period_tti": 1.5},
     {"elevation_3db_beamwidth_deg": -5.0},
@@ -181,6 +182,24 @@ def test_replace_validates_and_casts():
     assert cfg.csi_period_tti == 2 and isinstance(cfg.csi_period_tti, int)
     with pytest.raises(ScenarioError):
         preset("small").replace(n_tti=-1)
+
+
+INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+              if f.type is int]
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_int_fields_take_only_integral_values(name):
+    value = getattr(preset("small"), name)
+    for cfg in (ScenarioConfig(**{name: float(value)}),
+                preset("small").replace(**{name: float(value)})):
+        assert getattr(cfg, name) == value
+        assert type(getattr(cfg, name)) is int
+    for bad in (value + 0.5, "3"):
+        with pytest.raises(ScenarioError, match=f"{name}: must be an integer"):
+            ScenarioConfig(**{name: bad})
+        with pytest.raises(ScenarioError, match=f"{name}: must be an integer"):
+            preset("small").replace(**{name: bad})
 
 
 def test_infinite_xpd_parses_from_text():

@@ -57,25 +57,25 @@ def test_drop_ues_population_and_geometry():
     cfg = preset("small")
     layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
                               cfg.azimuth_offset_deg)
-    ues = drop_ues(layout, cfg.ues_per_sector, cfg, np.random.default_rng(3))
-    assert len(ues) == len(layout.sectors) * cfg.ues_per_sector
-    for ue in ues:
-        # sector-major ids
-        assert ue.drop_cell == ue.ue_id // cfg.ues_per_sector
-        assert sector_contains(layout, ue.drop_cell, ue.x, ue.y)
-        site = layout.sector_site(ue.drop_cell)
-        assert math.hypot(ue.x - site.x, ue.y - site.y) \
-            >= cfg.min_ue_site_distance
-        assert ue.velocity_kmph == cfg.ue_velocity
-        assert ue.rx_polarization == cfg.ue_polarization
+    xy, drop_cell = drop_ues(layout, cfg.ues_per_sector, cfg,
+                             np.random.default_rng(3))
+    n_ues = len(layout.sectors) * cfg.ues_per_sector
+    assert xy.shape == (n_ues, 2)
+    # sector-major ids
+    assert drop_cell.tolist() == [u // cfg.ues_per_sector
+                                  for u in range(n_ues)]
+    for (x, y), cell in zip(xy, drop_cell):
+        assert sector_contains(layout, cell, x, y)
+        site = layout.sector_site(cell)
+        assert math.hypot(x - site.x, y - site.y) >= cfg.min_ue_site_distance
 
 
 def test_drop_ues_is_deterministic_per_rng_seed():
     cfg = preset("small")
     layout = build_hex_layout(1, 500.0, 60.0)
-    a = drop_ues(layout, 4, cfg, np.random.default_rng(11))
-    b = drop_ues(layout, 4, cfg, np.random.default_rng(11))
-    assert [(u.x, u.y) for u in a] == [(u.x, u.y) for u in b]
+    a, _ = drop_ues(layout, 4, cfg, np.random.default_rng(11))
+    b, _ = drop_ues(layout, 4, cfg, np.random.default_rng(11))
+    assert np.array_equal(a, b)
 
 
 def test_drop_ues_rejects_impossible_exclusion_radius():

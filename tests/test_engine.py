@@ -96,17 +96,17 @@ def test_trace_files_schema_and_rb_conservation(tmp_path):
 
 
 def test_engine_errors_carry_tti_and_cell_context(monkeypatch):
-    cfg = tiny_config(n_tti=2)
-    original = mmwsim.engine._schedule_cell
+    cfg = tiny_config(n_tti=2, scheduler="PF")
+    original = mmwsim.engine.schedule_pf
     calls = []
 
-    def failing(cfg_, ues_c, grid, state, csi_rates):
+    def failing(ues, rates, avg):
         calls.append(1)
         if len(calls) > 3:       # let TTI 0's cells through, fail on TTI 1
             raise SchedulerError("ue 4: no positive average throughput")
-        return original(cfg_, ues_c, grid, state, csi_rates)
+        return original(ues, rates, avg)
 
-    monkeypatch.setattr(mmwsim.engine, "_schedule_cell", failing)
+    monkeypatch.setattr(mmwsim.engine, "schedule_pf", failing)
     with pytest.raises(EngineError, match=r"tti 1 cell \d+: ue 4"):
         run_simulation(cfg)
 

@@ -6,8 +6,14 @@ proportional-fair points are sensitive to the last bit of every rate (a
 flipped near-tie moves whole RBs between UEs), and the benchmark reference
 is tied to the same floating-point operations. Every config runs 7 TTIs, so
 precoders are re-selected once after the TTI-0 bootstrap.
+
+The trace hashes pin every grant RB by RB (``allocation.csv``) and the drop
+(``ues.csv``): a changed tie-break can cancel out in the averaged KPIs, but
+not in the grant map. They were pinned before the scheduler and the UE drop
+moved from per-UE objects to arrays indexed by id.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -63,6 +69,36 @@ GOLDEN = [
 ]
 
 
+# (scheduler, polarization, kmph, sha256 of allocation.csv, of ues.csv);
+# every point has 0 rings and 2 UEs per sector
+GOLDEN_TRACES = [
+    ('RR', 'LPOL', 0.0,
+     'afb75bc3896534854fd15b6ddf172a9c5add713c287d60167d0e524652670cb7',
+     '3794523d331ae9e682674499ae88ce715a1ee4e687034285892dda0019b08cc2'),
+    ('RR', 'LPOL', 120.0,
+     '7886e4e4a7b4f63272992a956125b5b9fd2cab8c080fb9d394d81a9e09eaa50a',
+     '3f31165bbeae1c829b0edfcb9bcffd0bb5ea7fdd6d360d34223423a98cfb9280'),
+    ('RR', 'XPOL', 0.0,
+     '1f3bc3aac134af28d7a5e8c31b4c461e98f4942daca6e0f8b63b0fce85472fd9',
+     '3794523d331ae9e682674499ae88ce715a1ee4e687034285892dda0019b08cc2'),
+    ('RR', 'XPOL', 120.0,
+     '2296587b9b864da1228601e45106feb6f2a02d9015daa5012d593bbcecf00b3d',
+     '3f31165bbeae1c829b0edfcb9bcffd0bb5ea7fdd6d360d34223423a98cfb9280'),
+    ('PF', 'LPOL', 0.0,
+     '965fbb48c6a308ca0974337dcb03e3407cbb8ae84cd2e2bb392c37fc641a19d0',
+     '3794523d331ae9e682674499ae88ce715a1ee4e687034285892dda0019b08cc2'),
+    ('PF', 'LPOL', 120.0,
+     '4835aed729be30a3a4fcb07364b915869c2481b59e25c824d609279b25aabd60',
+     '3f31165bbeae1c829b0edfcb9bcffd0bb5ea7fdd6d360d34223423a98cfb9280'),
+    ('PF', 'XPOL', 0.0,
+     'b971b548455320954cd00a8e6e7645be76a60ae300aa59333e695ca24ad948b2',
+     '3794523d331ae9e682674499ae88ce715a1ee4e687034285892dda0019b08cc2'),
+    ('PF', 'XPOL', 120.0,
+     'bd624e693f0651592ffd4c8b45db15e42e775e75792b6a864b2591aaf1067b3b',
+     '3f31165bbeae1c829b0edfcb9bcffd0bb5ea7fdd6d360d34223423a98cfb9280'),
+]
+
+
 def _config(rings, scheduler, pol, kmph, extra):
     changes = dict(n_site_rings=rings, ues_per_sector=2, n_tti=7,
                    scheduler=scheduler, ue_polarization=pol,
@@ -93,3 +129,13 @@ def test_golden_records_hold_over_uneven_ue_blocks(
     monkeypatch.setattr(mmwsim.engine, "_BLOCK_BYTES", 4 * 9 * 50 * 16 * 8)
     record = run_simulation(_config(rings, scheduler, pol, kmph, extra))
     assert _kpis(record) == (tp, se, jain, n_ues)
+
+
+@pytest.mark.parametrize("scheduler,pol,kmph,alloc_sha,ues_sha",
+                         GOLDEN_TRACES)
+def test_golden_traces_are_reproduced_exactly(scheduler, pol, kmph, alloc_sha,
+                                              ues_sha, tmp_path):
+    run_simulation(_config(0, scheduler, pol, kmph, {}), trace_dir=tmp_path)
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("allocation.csv", "ues.csv")]
+    assert digests == [alloc_sha, ues_sha]

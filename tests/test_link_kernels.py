@@ -75,10 +75,10 @@ def _link_layer(cfg):
     """The engine's per-run objects for ``cfg``, built as run_simulation does."""
     layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
                               cfg.azimuth_offset_deg)
-    ues = drop_ues(layout, cfg.ues_per_sector, cfg,
-                   engine._rng(cfg.seed, engine._DROP_STREAM))
+    xy, _ = drop_ues(layout, cfg.ues_per_sector, cfg,
+                     engine._rng(cfg.seed, engine._DROP_STREAM))
     gain_db, los = engine._wideband_gain_db(
-        cfg, layout, ues, AntennaConfig.from_scenario(cfg))
+        cfg, layout, xy, AntennaConfig.from_scenario(cfg))
     links = engine._build_linkset(cfg, gain_db, los)
     bank = engine._ChannelBank(
         cfg, links, doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency))
