@@ -13,7 +13,8 @@ The receiver slant is no key at all: it is read off the polarization
 
 Every float must be finite, except ``xpd_mean = inf`` (no cross-polar
 leakage). Every int field takes only integral values (``4.0`` is cast to
-``4``; ``2.5`` is rejected).
+``4``; ``2.5`` and ``True`` are rejected), and every bool field only
+``True`` or ``False``.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ TTI_DURATION = 1e-3   # s; every rate and Doppler step assumes 1 ms TTIs
 
 # rx slant implied by the polarization label: aligned with / perpendicular to
 # the intended plane
-_POL_SLANT = {"LPOL": 0.0, "XPOL": 90.0}
+POL_SLANT_DEG = {"LPOL": 0.0, "XPOL": 90.0}
 
 
 @dataclass
@@ -131,6 +132,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             _require(_is_integral(value), name, "must be an integer")
             setattr(self, name, int(value))
+        for name in _BOOL_FIELDS:
+            _require(isinstance(getattr(self, name), bool), name,
+                     "must be true or false")
 
         _require(self.carrier_frequency > 0, "carrier_frequency", "must be > 0")
         _require(self.bandwidth > 0, "bandwidth", "must be > 0")
@@ -198,7 +202,7 @@ class ScenarioConfig:
     @property
     def ue_pol_slant_deg(self):
         """Receiver slant implied by the polarization, degrees."""
-        return _POL_SLANT[self.ue_polarization]
+        return POL_SLANT_DEG[self.ue_polarization]
 
     def replace(self, **changes):
         """Copy with fields changed.
@@ -217,6 +221,8 @@ def _require(cond, key, msg):
 
 
 def _is_integral(value):
+    if isinstance(value, bool):
+        return False
     try:
         return int(value) == value
     except (TypeError, ValueError, OverflowError):
@@ -226,6 +232,7 @@ def _is_integral(value):
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 
 _INT_FIELDS = tuple(name for name, f in _FIELDS.items() if f.type is int)
+_BOOL_FIELDS = tuple(name for name, f in _FIELDS.items() if f.type is bool)
 
 # fields whose dataclass default is a derived None sentinel
 _DERIVED = {"n_rb", "pf_initial_throughput_bits"}

@@ -41,6 +41,20 @@ of links at a time.
 The link layer is streamed over contiguous UE blocks, so per-link arrays
 exist for one block at a time; only per-UE results span the network.
 
+Sweep points that differ only in scheduler and polarization (the points
+of one (velocity, seed)) run in lockstep as lanes of one group. The group
+is built once: layout, drop, gains, link set, channel bank, UE blocks,
+codebook and one serving channel per polarization. Each TTI the bank
+advances once (at f_d = 0 not at all: it could not change), and each
+block's channel is mixed once; only the receive-port coupling, a few
+milliseconds a TTI, is applied per polarization, cell by cell as each
+lane precodes, so no coupled copy of a block is kept. A lane keeps only
+per-UE and per-cell arrays: interference covariance, precoders, CSI
+rates, precoder map, throughput averages, round-robin cursors and granted
+bits. Lanes of one polarization share the isotropic TTI-0 bootstrap.
+``run_simulation`` is the one-lane case, and every lane's record equals
+it.
+
 Rewrites of the link layer must keep every KPI bit-identical, not merely
 close. Proportional-fair scheduling turns a last-bit change in one rate
 into a different RB grant, and the throughput averages carry it forward:
@@ -74,7 +88,8 @@ from .antenna import AntennaConfig, PolarizationSpec, combined_gain, \
 from .channel import SERIAL_GEMM_MNK, FadingDesign, SosProcess, \
     depolarization_coherence, doppler_frequency, los_probability, \
     pathloss_uma, unit_phasor
-from .config import TTI_DURATION, expand_sweep, scenario_to_text
+from .config import POL_SLANT_DEG, TTI_DURATION, expand_sweep, \
+    scenario_to_text
 from .deployment import build_hex_layout, drop_ues, dump_layout_csv
 from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
     spectral_efficiency
@@ -142,6 +157,24 @@ class _UeBlock:
     ues: slice
     links: slice
     cells: list               # (cell id, block-local link indices) per cell
+
+
+def _ue_blocks(cfg, links):
+    """Contiguous UE blocks of about ``_BLOCK_BYTES`` of per-link channel
+    matrices each."""
+    n_ues, n_keep = links.serving.shape[0], links.n_keep
+    ue_bytes = n_keep * cfg.n_rb * cfg.n_rx * cfg.n_tx \
+        * np.dtype(np.complex64).itemsize
+    step = max(1, _BLOCK_BYTES // ue_bytes)
+    blocks = []
+    for lo in range(0, n_ues, step):
+        hi = min(lo + step, n_ues)
+        lk = slice(lo * n_keep, hi * n_keep)
+        cell = links.cell[lk]
+        blocks.append(_UeBlock(
+            ues=slice(lo, hi), links=lk,
+            cells=[(c, np.flatnonzero(cell == c)) for c in np.unique(cell)]))
+    return blocks
 
 
 def _wideband_gain_db(cfg, layout, xy, ant):
@@ -216,9 +249,13 @@ class _ChannelBank:
     a rank-one specular term carrying K/(K+1) of the power. Two extra
     sequences per link drive the cross-polar leakage phase and the
     depolarization phase wander.
+
+    Only the receive-port coupling depends on the receiver polarization:
+    the bank keeps one ``port[pol]`` array for each polarization it is
+    built for, and ``current`` returns the channel before that coupling.
     """
 
-    def __init__(self, cfg, links, f_d):
+    def __init__(self, cfg, links, f_d, polarizations):
         self.n_rx, self.n_tx = cfg.n_rx, cfg.n_tx
         self.design = FadingDesign(
             f_d, TTI_DURATION, cfg.n_rb, cfg.coherence_bandwidth_rb)
@@ -276,19 +313,20 @@ class _ChannelBank:
         self.w_spec = (links.amplitude * c_spec).astype(np.float32)
 
         slant = cfg.bs_pol_slant_deg
-        self.pol = PolarizationSpec(
+        self.pols = {pol: PolarizationSpec(
             tx_slants_deg=(slant + cfg.mechanical_slant_deg,
                            -slant + cfg.mechanical_slant_deg),
-            rx_slant_deg=cfg.ue_pol_slant_deg,
-            xpd_db=cfg.xpd_mean)
+            rx_slant_deg=POL_SLANT_DEG[pol],
+            xpd_db=cfg.xpd_mean) for pol in polarizations}
         self.alpha_dep = depolarization_coherence(
             f_d, cfg.depol_coherence_time)
         self.port_parity = np.arange(self.n_tx) % 2
+        self.port = {}
         self._refresh()
 
-    def coherent_fraction_sq(self):
+    def coherent_fraction_sq(self, pol):
         """Coherent power fraction at the receiver's slant (1 for LPOL)."""
-        rho = math.radians(self.pol.rx_slant_deg)
+        rho = math.radians(self.pols[pol].rx_slant_deg)
         return math.cos(rho) ** 2 \
             + math.sin(rho) ** 2 * self.alpha_dep ** 2
 
@@ -302,19 +340,20 @@ class _ChannelBank:
         leak = seq[:, -2]
         leak = leak / np.maximum(np.abs(leak), 1e-30)
         wander = seq[:, -1]
-        wander = wander / np.maximum(np.abs(wander), 1e-30)
-        coup = port_coupling_series(
-            self.pol, leak, self.alpha_dep * wander)   # (n_links, 2)
-        self.port = coup.astype(np.complex64)[:, self.port_parity]
+        depol = self.alpha_dep * (wander / np.maximum(np.abs(wander), 1e-30))
+        for pol, spec in self.pols.items():
+            coup = port_coupling_series(spec, leak, depol)   # (n_links, 2)
+            self.port[pol] = coup.astype(np.complex64)[:, self.port_parity]
 
     def current(self, links):
-        """Assemble H for the present TTI on the link slice ``links``:
-        (n, n_rb, n_rx, n_tx), RB axis innermost in memory."""
+        """The present TTI's channel on the link slice ``links`` before the
+        receive-port coupling: (n, n_rb, n_rx, n_tx), RB axis innermost in
+        memory. ``h * port[pol][links, None, None, :]`` is the channel a
+        ``pol`` receiver sees."""
         taps = self.taps[links].reshape(
             -1, self.design.n_taps, self.n_rx, self.n_tx)
         h = self.w_scat[links, None, None, None] * self.design.mix_taps(taps)
-        h = h + self.spec[links, None, :, :]
-        return h * self.port[links, None, None, :]
+        return h + self.spec[links, None, :, :]
 
     def advance(self):
         self.sos.advance()
@@ -342,20 +381,19 @@ def _stacked_matmul(a, p):
 class _LinkAdapter:
     """Covariance assembly, rate measurement and precoder selection.
 
-    ``measure`` streams the channel and interference covariance over
-    contiguous UE blocks and keeps only the per-UE results: the serving
-    channel ``h_serv`` and the interference covariance ``r_int``.
+    One adapter holds the codebook and link constants of a group and is
+    shared by its lanes; a lane passes its own self-noise factor
+    ``sn_scale`` to ``rates`` and ``select``.
     """
 
-    def __init__(self, cfg, links):
-        self.links = links
+    def __init__(self, cfg, n_keep):
+        self.n_keep = n_keep
         self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
         self.p_rb = cfg.bs_tx_power / cfg.n_rb
         self.rb_bandwidth = cfg.rb_bandwidth
         self.tti = TTI_DURATION
         self.efficiency = cfg.shannon_efficiency
         self.se_cap = cfg.spectral_efficiency_cap
-        self.sn_scale = 1.0   # set per run from the coherent fraction
 
         padded, ranks = stack_codebook(build_codebook(cfg.n_tx), cfg.n_tx)
         self.cand = (padded * np.sqrt(self.p_rb / ranks)[:, None, None]) \
@@ -366,25 +404,6 @@ class _LinkAdapter:
         self.iso = (math.sqrt(self.p_rb / cfg.n_tx)
                     * np.eye(cfg.n_tx, self.max_rank)).astype(np.complex64)
 
-        n_ues, n_keep = links.serving.shape[0], links.n_keep
-        ue_bytes = n_keep * cfg.n_rb * cfg.n_rx * cfg.n_tx \
-            * np.dtype(np.complex64).itemsize
-        step = max(1, _BLOCK_BYTES // ue_bytes)
-        self.blocks = []
-        for lo in range(0, n_ues, step):
-            hi = min(lo + step, n_ues)
-            lk = slice(lo * n_keep, hi * n_keep)
-            cell = links.cell[lk]
-            self.blocks.append(_UeBlock(
-                ues=slice(lo, hi), links=lk,
-                cells=[(c, np.flatnonzero(cell == c))
-                       for c in np.unique(cell)]))
-        # the serving channel keeps the channel bank's RB-innermost layout
-        self.h_serv = np.empty((n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
-                               dtype=np.complex64).transpose(0, 3, 1, 2)
-        self.r_int = np.empty((n_ues, cfg.n_rb, cfg.n_rx, cfg.n_rx),
-                              dtype=np.complex64)
-
     def isotropic_psched(self, n_cells, n_rb):
         """Equal-power identity precoding everywhere (TTI-0 bootstrap)."""
         p = np.zeros((n_cells, n_rb, self.cand.shape[1], self.max_rank),
@@ -392,57 +411,46 @@ class _LinkAdapter:
         p[:, :] = self.iso
         return p
 
-    def measure(self, bank, psched):
-        """Fill ``h_serv`` and ``r_int`` for the present TTI, block by block."""
-        n_keep = self.links.n_keep
-        for block in self.blocks:
-            h = bank.current(block.links)
-            self.r_int[block.ues] = self.interference(h, psched, block)
-            self.h_serv[block.ues] = h[::n_keep]
-
-    def interference(self, h, psched, block):
+    def interference(self, h, port, psched, block):
         """Per-(ue, rb) interference covariance of one UE block, own-cell
         signal excluded.
 
-        ``h`` is the block's per-link channel and ``psched`` maps (cell, rb)
-        to the scaled precoder in use. The links of one cell are precoded
-        as one stacked product per RB. Because a UE's own hypothetical
-        grant replaces whatever its serving cell is transmitting, the
-        serving link's contribution is subtracted from the segmented sum
-        over each UE's link group.
+        ``h * port`` is the block's per-link channel, with ``port`` the
+        receive-port coupling (n, 1, 1, n_tx), and ``psched`` maps
+        (cell, rb) to the scaled precoder in use. The links of one cell are
+        coupled and precoded as one stacked product per RB. Because a UE's
+        own hypothetical grant replaces whatever its serving cell is
+        transmitting, the serving link's contribution is subtracted from
+        the segmented sum over each UE's link group.
         """
         b = np.empty(h.shape[:-1] + (self.max_rank,), dtype=np.complex64)
         for c, idx in block.cells:
-            b[idx] = _stacked_matmul(h[idx].swapaxes(0, 1),
+            h_c = h[idx]
+            h_c *= port[idx]
+            b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
                                      psched[c]).swapaxes(0, 1)
         g = b @ b.conj().swapaxes(-1, -2)
-        starts = np.arange(0, h.shape[0], self.links.n_keep)
+        starts = np.arange(0, h.shape[0], self.n_keep)
         total = np.add.reduceat(g, starts, axis=0)
         return total - g[starts]
 
-    def _with_noise(self, cov):
+    def _with_noise(self, cov, sn_scale):
         """Scale by the self-noise factor, add thermal noise, go double."""
-        out = cov.astype(np.complex128) * self.sn_scale
+        out = cov.astype(np.complex128) * sn_scale
         idx = np.arange(out.shape[-1])
         out[..., idx, idx] += self.noise
         return out
 
-    def rate_table(self, p_own):
-        """Per-(ue, rb) bits from the measured ``h_serv`` and ``r_int``."""
-        return np.concatenate([
-            self.rates(self.h_serv[b.ues], self.r_int[b.ues], p_own[b.ues])
-            for b in self.blocks])
-
-    def rates(self, h_serv, r_int, p_own):
+    def rates(self, h_serv, r_int, p_own, sn_scale):
         """Per-(ue, rb) truncated-Shannon bits for one RB grant."""
         eff = _stacked_matmul(h_serv, p_own)
         own = eff @ eff.conj().swapaxes(-1, -2)
-        cov = self._with_noise(r_int + own)
+        cov = self._with_noise(r_int + own, sn_scale)
         sinr = mmse_sinr_from_covariance(eff, cov)
         return sinr_to_rate(sinr, self.rb_bandwidth, self.tti,
                             self.efficiency, self.se_cap).sum(axis=-1)
 
-    def select(self, h_serv, r_int):
+    def select(self, h_serv, r_int, sn_scale):
         """Wideband codebook choice per UE from a decimated RB sample.
 
         UEs are taken in chunks whose stacked candidate products stay on
@@ -455,11 +463,11 @@ class _LinkAdapter:
                    // (n_sel * n_rx * n_tx * self.max_rank))
         idx = np.empty(n_ues, dtype=np.intp)
         for lo in range(0, n_ues, step):
-            idx[lo:lo + step] = self._select_chunk(h_sel[lo:lo + step],
-                                                   r_sel[lo:lo + step])
+            idx[lo:lo + step] = self._select_chunk(
+                h_sel[lo:lo + step], r_sel[lo:lo + step], sn_scale)
         return self.cand[idx], idx
 
-    def _select_chunk(self, h_sel, r_sel):
+    def _select_chunk(self, h_sel, r_sel, sn_scale):
         n_ues, n_sel, n_rx, n_tx = h_sel.shape
         rows = h_sel.swapaxes(0, 1).reshape(1, -1, n_rx, n_tx)
         eff = _stacked_matmul(rows, self.cand).reshape(
@@ -468,12 +476,237 @@ class _LinkAdapter:
         # the layout numpy gave the per-matrix form
         eff = eff.transpose(2, 0, 1, 3, 4)
         own = eff @ eff.conj().swapaxes(-1, -2)
-        base = self._with_noise(r_sel)
-        sinr = mmse_sinr_from_covariance(eff, base[:, None] +
-                                         self.sn_scale * own)
+        base = self._with_noise(r_sel, sn_scale)
+        sinr = mmse_sinr_from_covariance(eff, base[:, None] + sn_scale * own)
         score = np.log2(1.0 + sinr).sum(axis=(2, 3))
         best = score.max(axis=1, keepdims=True)
         return np.argmax(score >= best - _SELECT_MARGIN, axis=1)
+
+
+class _Group:
+    """The shared part of a run, built once for all the lanes of a group.
+
+    A group's lanes are runs whose configs differ only in ``scheduler`` and
+    ``ue_polarization``; under common random numbers they share the layout,
+    drop, gains, link set, counted UEs, channel bank, UE blocks and link
+    kernels, and each polarization's serving channel ``h_serv[pol]``.
+    """
+
+    def __init__(self, cfg, polarizations):
+        self.layout = build_hex_layout(
+            cfg.n_site_rings, cfg.inter_site_distance, cfg.azimuth_offset_deg)
+        self.n_cells = len(self.layout.sectors)
+        self.xy, self.drop_cell = drop_ues(
+            self.layout, cfg.ues_per_sector, cfg, _rng(cfg.seed, _DROP_STREAM))
+        n_ues = len(self.xy)
+        ant = AntennaConfig.from_scenario(cfg)
+
+        gain_db, los = _wideband_gain_db(cfg, self.layout, self.xy, ant)
+        self.links = links = _build_linkset(cfg, gain_db, los)
+
+        self.counted = np.arange(n_ues)
+        if not cfg.collect_all_sectors:
+            center = [s.cell_id for s in self.layout.sectors if s.site_id == 0]
+            self.counted = np.flatnonzero(np.isin(links.serving, center))
+        if self.counted.size == 0:
+            raise EngineError("no UEs attached to the collected cells")
+
+        self.f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
+        self.bank = _ChannelBank(cfg, links, self.f_d, polarizations)
+        self.adapter = _LinkAdapter(cfg, links.n_keep)
+        self.blocks = _ue_blocks(cfg, links)
+        # the serving channel keeps the channel bank's RB-innermost layout
+        self.h_serv = {pol: np.empty(
+            (n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
+            dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
+
+        # the non-empty serving cells, each with its UE ids in ascending order
+        self.active = np.unique(links.serving)
+        self.active_ues = [np.flatnonzero(links.serving == c)
+                           for c in self.active]
+
+    def measure(self, lanes, psched=None):
+        """Fill ``h_serv`` and each lane's ``r_int`` for the present TTI,
+        block by block, under each lane's own ``psched`` unless one
+        ``psched`` is given for all of them.
+
+        Each block's channel is mixed once, and only its serving links are
+        coupled to each polarization's ports here; ``interference`` couples
+        the rest cell by cell, so no coupled copy of the block exists.
+        """
+        n_keep = self.links.n_keep
+        pols = dict.fromkeys(lane.pol for lane in lanes)
+        for block in self.blocks:
+            h = self.bank.current(block.links)
+            ports = {pol: self.bank.port[pol][block.links, None, None, :]
+                     for pol in pols}
+            for pol, port in ports.items():
+                self.h_serv[pol][block.ues] = h[::n_keep] * port[::n_keep]
+            for lane in lanes:
+                lane.r_int[block.ues] = self.adapter.interference(
+                    h, ports[lane.pol],
+                    lane.psched if psched is None else psched, block)
+
+    def rate_table(self, lane):
+        """Per-(ue, rb) bits of ``lane`` from the measured channel."""
+        h_serv = self.h_serv[lane.pol]
+        return np.concatenate([
+            self.adapter.rates(h_serv[b.ues], lane.r_int[b.ues],
+                               lane.p_own[b.ues], lane.sn_scale)
+            for b in self.blocks])
+
+
+class _Lane:
+    """One run of a group: its link feedback and scheduler state, all
+    per-UE or per-cell arrays."""
+
+    def __init__(self, cfg, group):
+        n_ues, n_cells = len(group.xy), group.n_cells
+        self.cfg = cfg
+        self.pol = cfg.ue_polarization
+        self.sn_scale = 1.0 / group.bank.coherent_fraction_sq(self.pol)
+        self.r_int = np.empty((n_ues, cfg.n_rb, cfg.n_rx, cfg.n_rx),
+                              dtype=np.complex64)
+        self.p_own = self.csi_rates = None    # set by the CSI bootstrap
+        # empty cells stay silent: only the active cells' rows are written
+        self.psched = np.zeros(
+            (n_cells, cfg.n_rb, cfg.n_tx, group.adapter.max_rank),
+            dtype=np.complex64)
+        # rb_to_ue[i, rb]: the UE that active cell i grants rb to
+        self.rb_to_ue = np.empty((len(group.active), cfg.n_rb), dtype=int)
+        self.avg = np.full(n_ues, cfg.pf_initial_throughput_bits)
+        self.cursor = np.zeros(n_cells, dtype=int)
+        self.total_bits = np.zeros(n_ues)
+
+    def schedule(self, t, group):
+        """Grant every RB of every active cell and precode the grants."""
+        for i, (c, ues_c) in enumerate(zip(group.active, group.active_ues)):
+            try:
+                if self.cfg.scheduler == "RR":
+                    self.rb_to_ue[i], self.cursor[c] = schedule_rr(
+                        ues_c, self.cfg.n_rb, self.cursor[c])
+                else:
+                    self.rb_to_ue[i] = schedule_pf(
+                        ues_c, self.csi_rates[ues_c], self.avg[ues_c])
+            except SchedulerError as exc:
+                raise EngineError(f"tti {t} cell {c}: {exc}") from exc
+        self.psched[group.active] = self.p_own[self.rb_to_ue]
+
+    def account(self, t, group):
+        """Count this TTI's granted bits and refresh the CSI."""
+        rate_meas = group.rate_table(self)
+        # each UE has one serving cell, so its grants add up in RB order
+        # whatever order the cells come in
+        granted = np.zeros(len(self.avg))
+        np.add.at(granted, self.rb_to_ue,
+                  rate_meas[self.rb_to_ue, np.arange(self.cfg.n_rb)])
+        self.total_bits += granted
+        self.avg = update_average_throughput(self.avg, granted,
+                                             self.cfg.pf_time_constant_tc)
+        if (t + 1) % self.cfg.csi_period_tti == 0:
+            self.p_own, _ = group.adapter.select(
+                group.h_serv[self.pol], self.r_int, self.sn_scale)
+        self.csi_rates = rate_meas
+
+    def record(self, counted):
+        cfg = self.cfg
+        tp = self.total_bits[counted] / (cfg.n_tti * TTI_DURATION)
+        return KpiRecord(
+            scheduler=cfg.scheduler,
+            polarization=cfg.ue_polarization,
+            velocity_kmph=cfg.ue_velocity,
+            seed=cfg.seed,
+            avg_ue_throughput_bps=average_ue_throughput(tp),
+            spectral_efficiency_bps_hz=spectral_efficiency(tp, cfg.bandwidth),
+            fairness_index=jain_fairness(tp),
+            n_ues=len(counted),
+            bandwidth_hz=cfg.bandwidth)
+
+
+def _run_lanes(cfgs, trace_dir=None):
+    """Run the points ``cfgs``, which differ only in scheduler and
+    polarization, in lockstep over one shared group; return their records
+    in ``cfgs`` order. ``trace_dir`` traces the first lane."""
+    cfg = cfgs[0]
+    group = _Group(cfg, list(dict.fromkeys(c.ue_polarization for c in cfgs)))
+    lanes = [_Lane(c, group) for c in cfgs]
+    links = group.links
+
+    for c in cfgs:
+        log.info("run %s/%s v=%g seed=%d: %d cells, %d ues (%d counted), "
+                 "%d links", c.scheduler, c.ue_polarization, c.ue_velocity,
+                 c.seed, group.n_cells, len(group.xy), len(group.counted),
+                 links.n_links)
+
+    with ExitStack() as stack:
+        alloc_trace = chan_trace = None
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
+            dump_layout_csv(group.layout, os.path.join(trace_dir, "sites.csv"),
+                            os.path.join(trace_dir, "cells.csv"))
+            _dump_ue_csv(group.xy, group.drop_cell, links.serving,
+                         cfg.ue_velocity, os.path.join(trace_dir, "ues.csv"))
+            alloc_trace = stack.enter_context(
+                open(os.path.join(trace_dir, "allocation.csv"), "w",
+                     encoding="utf-8"))
+            alloc_trace.write("tti,cell_id,rb,ue_id,granted_bits\n")
+            chan_trace = stack.enter_context(
+                open(os.path.join(trace_dir, "channel.csv"), "w",
+                     encoding="utf-8"))
+            chan_trace.write("tti,ue_id,serving_cell,mean_gain_db\n")
+
+        # the bootstrap precodes isotropically, whatever the scheduler, so
+        # lanes of one polarization share its CSI
+        try:
+            first = {}
+            for lane in lanes:
+                first.setdefault(lane.pol, lane)
+            group.measure(list(first.values()), group.adapter.isotropic_psched(
+                group.n_cells, cfg.n_rb))
+            for lane in lanes:
+                if lane is first[lane.pol]:
+                    lane.p_own, _ = group.adapter.select(
+                        group.h_serv[lane.pol], lane.r_int, lane.sn_scale)
+                    lane.csi_rates = group.rate_table(lane)
+                lane.p_own = first[lane.pol].p_own
+                lane.csi_rates = first[lane.pol].csi_rates
+        except Exception as exc:
+            raise EngineError(
+                f"tti 0 (csi bootstrap): {type(exc).__name__}: {exc}"
+            ) from exc
+
+        for t in range(cfg.n_tti):
+            try:
+                # at f_d = 0 every phasor step is exactly 1, so advancing
+                # would leave the channel bit for bit as it is
+                if t > 0 and group.f_d > 0:
+                    group.bank.advance()
+                for lane in lanes:
+                    lane.schedule(t, group)
+                group.measure(lanes)
+                for lane in lanes:
+                    lane.account(t, group)
+            except EngineError:
+                raise
+            except Exception as exc:
+                raise EngineError(
+                    f"tti {t}: {type(exc).__name__}: {exc}") from exc
+
+            if alloc_trace is not None:
+                lane = lanes[0]
+                for c, grants in zip(group.active, lane.rb_to_ue):
+                    for rb, u in enumerate(grants):
+                        alloc_trace.write(
+                            f"{t},{c},{rb},{u},"
+                            f"{lane.csi_rates[u, rb]:.6g}\n")
+                h_serv = group.h_serv[lane.pol]
+                for u in group.counted:
+                    mg = 10.0 * math.log10(
+                        max(np.mean(np.abs(h_serv[u]) ** 2), 1e-300))
+                    chan_trace.write(
+                        f"{t},{u},{links.serving[u]},{mg:.6g}\n")
+
+    return [lane.record(group.counted) for lane in lanes]
 
 
 def run_simulation(cfg, trace_dir=None):
@@ -484,137 +717,7 @@ def run_simulation(cfg, trace_dir=None):
     realistic interference. With ``trace_dir`` set, layout, per-TTI
     allocation and serving-channel traces are written there as CSV.
     """
-    layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
-                              cfg.azimuth_offset_deg)
-    n_cells = len(layout.sectors)
-    xy, drop_cell = drop_ues(layout, cfg.ues_per_sector, cfg,
-                             _rng(cfg.seed, _DROP_STREAM))
-    n_ues = len(xy)
-    ant = AntennaConfig.from_scenario(cfg)
-
-    gain_db, los = _wideband_gain_db(cfg, layout, xy, ant)
-    links = _build_linkset(cfg, gain_db, los)
-
-    counted = np.arange(n_ues)
-    if not cfg.collect_all_sectors:
-        center = [s.cell_id for s in layout.sectors if s.site_id == 0]
-        counted = np.flatnonzero(np.isin(links.serving, center))
-    if counted.size == 0:
-        raise EngineError("no UEs attached to the collected cells")
-
-    f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
-    bank = _ChannelBank(cfg, links, f_d)
-    adapter = _LinkAdapter(cfg, links)
-    adapter.sn_scale = 1.0 / bank.coherent_fraction_sq()
-
-    # scheduler state: the non-empty serving cells, each with its UE ids
-    # in ascending order, an RR cursor per cell and a PF average per UE
-    active = np.unique(links.serving)
-    active_ues = [np.flatnonzero(links.serving == c) for c in active]
-    cursor = np.zeros(n_cells, dtype=int)
-    avg = np.full(n_ues, cfg.pf_initial_throughput_bits)
-
-    log.info("run %s/%s v=%g seed=%d: %d cells, %d ues (%d counted), "
-             "%d links", cfg.scheduler, cfg.ue_polarization, cfg.ue_velocity,
-             cfg.seed, n_cells, n_ues, len(counted), links.n_links)
-
-    with ExitStack() as stack:
-        alloc_trace = chan_trace = None
-        if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
-            dump_layout_csv(layout, os.path.join(trace_dir, "sites.csv"),
-                            os.path.join(trace_dir, "cells.csv"))
-            _dump_ue_csv(xy, drop_cell, links.serving, cfg.ue_velocity,
-                         os.path.join(trace_dir, "ues.csv"))
-            alloc_trace = stack.enter_context(
-                open(os.path.join(trace_dir, "allocation.csv"), "w",
-                     encoding="utf-8"))
-            alloc_trace.write("tti,cell_id,rb,ue_id,granted_bits\n")
-            chan_trace = stack.enter_context(
-                open(os.path.join(trace_dir, "channel.csv"), "w",
-                     encoding="utf-8"))
-            chan_trace.write("tti,ue_id,serving_cell,mean_gain_db\n")
-
-        try:
-            adapter.measure(bank, adapter.isotropic_psched(n_cells, cfg.n_rb))
-            p_own, _ = adapter.select(adapter.h_serv, adapter.r_int)
-            csi_rates = adapter.rate_table(p_own)
-        except Exception as exc:
-            raise EngineError(
-                f"tti 0 (csi bootstrap): {type(exc).__name__}: {exc}"
-            ) from exc
-
-        total_bits = np.zeros(n_ues)
-        rb_idx = np.arange(cfg.n_rb)
-        for t in range(cfg.n_tti):
-            try:
-                if t > 0:
-                    bank.advance()
-
-                # rb_to_ue[i, rb]: the UE that active cell i grants rb to
-                rb_to_ue = np.empty((len(active), cfg.n_rb), dtype=int)
-                for i, (c, ues_c) in enumerate(zip(active, active_ues)):
-                    try:
-                        if cfg.scheduler == "RR":
-                            rb_to_ue[i], cursor[c] = schedule_rr(
-                                ues_c, cfg.n_rb, cursor[c])
-                        else:
-                            rb_to_ue[i] = schedule_pf(
-                                ues_c, csi_rates[ues_c], avg[ues_c])
-                    except SchedulerError as exc:
-                        raise EngineError(
-                            f"tti {t} cell {c}: {exc}") from exc
-                # empty cells stay silent
-                psched = np.zeros(
-                    (n_cells, cfg.n_rb, cfg.n_tx, adapter.max_rank),
-                    dtype=np.complex64)
-                psched[active] = p_own[rb_to_ue]
-
-                adapter.measure(bank, psched)
-                rate_meas = adapter.rate_table(p_own)
-
-                # each UE has one serving cell, so its grants add up in
-                # RB order whatever order the cells come in
-                granted = np.zeros(n_ues)
-                np.add.at(granted, rb_to_ue, rate_meas[rb_to_ue, rb_idx])
-                total_bits += granted
-                avg = update_average_throughput(avg, granted,
-                                                cfg.pf_time_constant_tc)
-
-                if (t + 1) % cfg.csi_period_tti == 0:
-                    p_own, _ = adapter.select(adapter.h_serv, adapter.r_int)
-                csi_rates = rate_meas
-            except EngineError:
-                raise
-            except Exception as exc:
-                raise EngineError(
-                    f"tti {t}: {type(exc).__name__}: {exc}") from exc
-
-            if alloc_trace is not None:
-                for c, grants in zip(active, rb_to_ue):
-                    for rb, u in enumerate(grants):
-                        alloc_trace.write(
-                            f"{t},{c},{rb},{u},"
-                            f"{rate_meas[u, rb]:.6g}\n")
-                h_serv = adapter.h_serv
-                for u in counted:
-                    mg = 10.0 * math.log10(
-                        max(np.mean(np.abs(h_serv[u]) ** 2), 1e-300))
-                    chan_trace.write(
-                        f"{t},{u},{links.serving[u]},{mg:.6g}\n")
-
-    tp = total_bits[counted] / (cfg.n_tti * TTI_DURATION)
-
-    return KpiRecord(
-        scheduler=cfg.scheduler,
-        polarization=cfg.ue_polarization,
-        velocity_kmph=cfg.ue_velocity,
-        seed=cfg.seed,
-        avg_ue_throughput_bps=average_ue_throughput(tp),
-        spectral_efficiency_bps_hz=spectral_efficiency(tp, cfg.bandwidth),
-        fairness_index=jain_fairness(tp),
-        n_ues=len(counted),
-        bandwidth_hz=cfg.bandwidth)
+    return _run_lanes([cfg], trace_dir)[0]
 
 
 def _dump_ue_csv(xy, drop_cell, serving, velocity_kmph, path):
@@ -650,46 +753,89 @@ class ResultsTable:
                    f"{r.fairness_index:.6g}")
 
 
-def _run_point(cfg):
+def _run_group(cfgs):
+    """(status, record or error text) for each point of one sweep group.
+
+    If the group fails, each of its points is run again alone, so a
+    failure is reported against its own point only, exactly as a sweep
+    of single points reports it.
+    """
     try:
-        return "ok", run_simulation(cfg)
+        return [("ok", record) for record in _run_lanes(cfgs)]
     except Exception as exc:   # noqa: BLE001 - isolate per-point failures
+        if len(cfgs) > 1:
+            log.info("sweep group of %d points failed (%s: %s); running "
+                     "them one by one", len(cfgs), type(exc).__name__, exc)
+            return [outcome for cfg in cfgs for outcome in _run_group([cfg])]
+        (cfg,) = cfgs
         label = (f"scheduler={cfg.scheduler} "
                  f"polarization={cfg.ue_polarization} "
                  f"velocity={cfg.ue_velocity:g} seed={cfg.seed}")
-        return "error", f"{label}: {type(exc).__name__}: {exc}"
+        return [("error", f"{label}: {type(exc).__name__}: {exc}")]
+
+
+def _sweep_groups(points, n_workers):
+    """Lists of indices into ``points``, one per sweep group.
+
+    The points of one (velocity, seed) differ only in scheduler and
+    polarization, so they form one group, polarization-major. While there
+    are fewer groups than ``n_workers``, the largest one is halved, which
+    splits it by polarization first.
+    """
+    by_key = {}
+    for i, p in enumerate(points):
+        by_key.setdefault((p.ue_velocity, p.seed), []).append(i)
+    groups = [sorted(g, key=lambda i: points[i].ue_polarization)
+              for g in by_key.values()]
+    while len(groups) < n_workers:
+        big = max(groups, key=len)
+        if len(big) == 1:
+            break
+        groups.remove(big)
+        groups += [big[:len(big) // 2], big[len(big) // 2:]]
+    return groups
 
 
 def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
               seeds=None, parallelism=1):
     """Run the cartesian sweep and return (ResultsTable, failure list).
 
-    Points are independent runs (each rebuilds its keyed streams), so the
-    results are identical whatever ``parallelism`` is; workers only change
-    the wall clock. Failed points are reported, not fatal: they are
-    returned and also listed under ``failures`` in the table's metadata.
-    A worker process that dies mid-point breaks the pool, and the sweep
-    stops with an ``EngineError``.
+    The points of one (velocity, seed) run as lanes of one group, sharing
+    its channel bank (see ``_run_lanes``); every record equals the
+    point's own ``run_simulation``, so the results are identical whatever
+    the grouping or ``parallelism`` is. Workers take whole groups, split
+    only when there are fewer groups than workers. Records come back in
+    point order. Failed points are reported, not fatal: they are returned
+    and also listed under ``failures`` in the table's metadata. A worker
+    process that dies mid-group breaks the pool, and the sweep stops with
+    an ``EngineError``.
     """
     points = expand_sweep(base, velocities, polarizations, schedulers,
                           seeds)
-    if parallelism > 1 and len(points) > 1:
+    workers = min(parallelism, len(points))
+    groups = _sweep_groups(points, workers)
+    tasks = [[points[i] for i in g] for g in groups]
+    if workers > 1:
         # imported here: only a parallel sweep needs the process pool, and
         # importing it adds about twenty modules to every import of mmwsim
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(
-                max_workers=min(parallelism, len(points)),
+                max_workers=workers,
                 mp_context=multiprocessing.get_context("fork")) as pool:
             try:
-                outcomes = list(pool.map(_run_point, points))
+                results = list(pool.map(_run_group, tasks))
             except BrokenProcessPool as exc:
                 raise EngineError(
                     f"sweep aborted, worker pool broken: "
                     f"{type(exc).__name__}: {exc}") from exc
     else:
-        outcomes = [_run_point(p) for p in points]
+        results = [_run_group(task) for task in tasks]
 
+    outcomes = [None] * len(points)
+    for g, result in zip(groups, results):
+        for i, outcome in zip(g, result):
+            outcomes[i] = outcome
     records, failures = [], []
     for status, payload in outcomes:
         (records if status == "ok" else failures).append(payload)

@@ -121,42 +121,44 @@ def test_sos_process_recurrence_matches_direct_evaluation():
         proc.advance()
 
 
-def _bank(f_d, n_links=6, los=False, amplitude=1.0, **changes):
+def _bank(f_d, n_links=6, los=False, amplitude=1.0,
+          polarizations=("LPOL", "XPOL"), **changes):
     """The engine's channel bank over ``n_links`` links of one cell."""
     links = _Linkset(cell=np.zeros(n_links, dtype=int),
                      ue=np.arange(n_links), n_keep=1,
                      serving=np.zeros(n_links, dtype=int),
                      amplitude=np.full(n_links, amplitude),
                      los=np.full(n_links, los))
-    return _ChannelBank(ScenarioConfig(**changes), links, f_d)
+    return _ChannelBank(ScenarioConfig(**changes), links, f_d, polarizations)
 
 
-def _scattered(bank):
-    """Every link's channel with the per-port polarization divided out."""
-    return bank.current(slice(None)) / bank.port[:, None, None, :]
+def _channel(bank, pol):
+    """Every link's channel as a ``pol`` receiver sees it."""
+    return bank.current(slice(None)) * bank.port[pol][:, None, None, :]
 
 
 def test_generate_fading_shapes_and_static_limit():
-    bank = _bank(0.0, n_rb=6, n_rx=2, n_tx=4, ue_polarization="XPOL")
-    h0 = bank.current(slice(None))
-    assert h0.shape == (6, 6, 2, 4)
-    # f_d = 0: every TTI identical
+    bank = _bank(0.0, n_rb=6, n_rx=2, n_tx=4)
+    h0 = {pol: _channel(bank, pol) for pol in ("LPOL", "XPOL")}
+    assert h0["XPOL"].shape == (6, 6, 2, 4)
+    # f_d = 0: every TTI identical, so a run need not advance the bank
     for _ in range(3):
         bank.advance()
-        assert np.array_equal(bank.current(slice(None)), h0)
+        for pol, h in h0.items():
+            assert np.array_equal(_channel(bank, pol), h)
 
 
 def test_generate_fading_mean_power_near_unity():
     bank = _bank(1000.0, n_links=500, n_rb=1, n_rx=4, n_tx=4,
                  xpd_mean=math.inf)
-    power = np.mean(np.abs(_scattered(bank)) ** 2)
+    power = np.mean(np.abs(bank.current(slice(None))) ** 2)
     assert power == pytest.approx(1.0, abs=0.05)
 
 
 def test_generate_fading_rician_specular_dominates_at_high_k():
     bank = _bank(100.0, los=True, n_rb=10, n_rx=4, n_tx=4,
                  rician_k_db=60.0, xpd_mean=math.inf)
-    h = _scattered(bank)[0]
+    h = bank.current(slice(None))[0]
     # the specular term is flat across RBs and rank one
     assert np.allclose(h, h[0], atol=1e-2)
     s = np.linalg.svd(h[0], compute_uv=False)
@@ -174,15 +176,27 @@ def test_depolarization_coherence_limits():
 
 def test_assemble_channel_applies_amplitude_and_port_coupling():
     # same draws: ten times the field amplitude gives ten times the channel
-    lpol = _bank(0.0, n_rb=2, n_rx=2, n_tx=4)
+    quiet = _bank(0.0, n_rb=2, n_rx=2, n_tx=4)
     loud = _bank(0.0, amplitude=10.0, n_rb=2, n_rx=2, n_tx=4)
-    assert np.allclose(loud.current(slice(None)),
-                       10.0 * lpol.current(slice(None)), rtol=1e-5)
-    # the +/- slant port pair's coupling repeats over the tx ports
-    xpol = _bank(0.0, n_rb=2, n_rx=2, n_tx=4, ue_polarization="XPOL")
-    for bank in (lpol, xpol):
-        assert np.array_equal(bank.port[:, 2:], bank.port[:, :2])
-    # polarization only scales each port: the scattered channel is shared
-    assert not np.allclose(xpol.port, lpol.port)
-    assert np.allclose(_scattered(xpol), _scattered(lpol), rtol=1e-5,
-                       atol=1e-6)
+    for pol in ("LPOL", "XPOL"):
+        assert np.allclose(_channel(loud, pol), 10.0 * _channel(quiet, pol),
+                           rtol=1e-5)
+        # the +/- slant port pair's coupling repeats over the tx ports
+        assert np.array_equal(quiet.port[pol][:, 2:], quiet.port[pol][:, :2])
+    # polarization only scales each port
+    assert not np.allclose(quiet.port["XPOL"], quiet.port["LPOL"])
+
+
+def test_one_bank_serves_both_polarizations_bit_for_bit():
+    # a sweep group builds one bank for both polarizations: each receiver
+    # must see exactly the channel a bank of its own gives it
+    both = _bank(3113.19, los=True, n_rb=4, n_rx=2, n_tx=4)
+    alone = {pol: _bank(3113.19, los=True, n_rb=4, n_rx=2, n_tx=4,
+                        polarizations=(pol,)) for pol in ("LPOL", "XPOL")}
+    for _ in range(3):
+        for pol, bank in alone.items():
+            assert np.array_equal(_channel(both, pol), _channel(bank, pol))
+            assert both.coherent_fraction_sq(pol) \
+                == bank.coherent_fraction_sq(pol)
+            bank.advance()
+        both.advance()

@@ -65,10 +65,15 @@ def test_names_are_case_normalized():
     {"elevation_3db_beamwidth_deg": -5.0},
     {"seed": -1},
     {"n_rb": 100},   # grid would exceed the 10 MHz bandwidth
+    {"n_tti": True},   # a bool is no integer
+    {"collect_all_sectors": "no"},   # a truthy string
+    {"collect_all_sectors": 1},
 ])
 def test_invalid_values_are_rejected(changes):
     with pytest.raises(ScenarioError):
         ScenarioConfig(**changes)
+    with pytest.raises(ScenarioError):
+        preset("small").replace(**changes)
 
 
 def test_text_round_trip_reproduces_every_field():
@@ -195,7 +200,7 @@ def test_int_fields_take_only_integral_values(name):
                 preset("small").replace(**{name: float(value)})):
         assert getattr(cfg, name) == value
         assert type(getattr(cfg, name)) is int
-    for bad in (value + 0.5, "3"):
+    for bad in (value + 0.5, "3", True, False):
         with pytest.raises(ScenarioError, match=f"{name}: must be an integer"):
             ScenarioConfig(**{name: bad})
         with pytest.raises(ScenarioError, match=f"{name}: must be an integer"):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import mmwsim.engine
-from mmwsim import (EngineError, KpiRecord, ResultsTable, emit_csv, preset,
-                    run_simulation, run_sweep, RESULT_COLUMNS)
+from mmwsim import (EngineError, KpiRecord, ResultsTable, emit_csv,
+                    expand_sweep, preset, run_simulation, run_sweep,
+                    RESULT_COLUMNS)
 from mmwsim.scheduler import SchedulerError
 
 
@@ -114,7 +115,7 @@ def test_engine_errors_carry_tti_and_cell_context(monkeypatch):
 def test_bootstrap_errors_are_labelled(monkeypatch):
     cfg = tiny_config(n_tti=1)
 
-    def boom(self, h, r_int, p_own):
+    def boom(self, *args):
         raise FloatingPointError("overflow in rate computation")
 
     monkeypatch.setattr(mmwsim.engine._LinkAdapter, "rates", boom)
@@ -139,14 +140,14 @@ def test_run_sweep_grid_and_metadata():
 
 def test_run_sweep_isolates_failed_points(monkeypatch):
     cfg = tiny_config(n_tti=2)
-    real = mmwsim.engine.run_simulation
+    real = mmwsim.engine._run_lanes
 
-    def sometimes(cfg_, trace_dir=None):
-        if cfg_.ue_velocity > 100.0:
+    def sometimes(cfgs, trace_dir=None):
+        if any(c.ue_velocity > 100.0 for c in cfgs):
             raise EngineError("tti 3: boom")
-        return real(cfg_, trace_dir)
+        return real(cfgs, trace_dir)
 
-    monkeypatch.setattr(mmwsim.engine, "run_simulation", sometimes)
+    monkeypatch.setattr(mmwsim.engine, "_run_lanes", sometimes)
     table, failures = run_sweep(cfg, velocities=[0.0, 120.0],
                                 schedulers=["RR"], polarizations=["LPOL"],
                                 seeds=[1])
@@ -162,14 +163,14 @@ def test_sweep_failures_reach_the_metadata_sidecar(monkeypatch, tmp_path):
     clean, _ = run_sweep(cfg, velocities=[0.0], **kwargs)
     assert clean.metadata["failures"] == []
     emit_csv(clean, tmp_path / "clean.csv")
-    real = mmwsim.engine.run_simulation
+    real = mmwsim.engine._run_lanes
 
-    def sometimes(cfg_, trace_dir=None):
-        if cfg_.ue_velocity > 100.0:
+    def sometimes(cfgs, trace_dir=None):
+        if any(c.ue_velocity > 100.0 for c in cfgs):
             raise EngineError("tti 3: boom")
-        return real(cfg_, trace_dir)
+        return real(cfgs, trace_dir)
 
-    monkeypatch.setattr(mmwsim.engine, "run_simulation", sometimes)
+    monkeypatch.setattr(mmwsim.engine, "_run_lanes", sometimes)
     table, failures = run_sweep(cfg, velocities=[0.0, 120.0], **kwargs)
     emit_csv(table, tmp_path / "r.csv")
     meta = json.loads((tmp_path / "r.meta.json").read_text(encoding="utf-8"))
@@ -180,18 +181,41 @@ def test_sweep_failures_reach_the_metadata_sidecar(monkeypatch, tmp_path):
         == (tmp_path / "clean.csv").read_bytes()
 
 
+def test_a_failing_lane_fails_only_its_own_point(monkeypatch):
+    cfg = tiny_config(n_tti=3)
+    kwargs = dict(velocities=[60.0], schedulers=["RR", "PF"],
+                  polarizations=["LPOL", "XPOL"], seeds=[1])
+    real = mmwsim.engine._Lane.schedule
+
+    def pf_xpol_fails(lane, t, group):
+        if t == 1 and (lane.cfg.scheduler, lane.pol) == ("PF", "XPOL"):
+            raise EngineError(f"tti {t} cell 0: boom")
+        return real(lane, t, group)
+
+    # one group of four lanes, failing in lockstep at TTI 1
+    monkeypatch.setattr(mmwsim.engine._Lane, "schedule", pf_xpol_fails)
+    table, failures = run_sweep(cfg, **kwargs)
+    assert failures == ["scheduler=PF polarization=XPOL velocity=60 "
+                        "seed=1: EngineError: tti 1 cell 0: boom"]
+    survivors = [p for p in expand_sweep(cfg, **kwargs)
+                 if (p.scheduler, p.ue_polarization) != ("PF", "XPOL")]
+    assert table.records == [run_simulation(p) for p in survivors]
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     cfg = tiny_config(n_tti=3)
-    kwargs = dict(velocities=[0.0, 120.0], schedulers=["RR"],
-                  polarizations=["XPOL"], seeds=[2])
+    kwargs = dict(velocities=[0.0, 120.0], schedulers=["RR", "PF"],
+                  polarizations=["LPOL", "XPOL"], seeds=[2])
     serial, f1 = run_sweep(cfg, parallelism=1, **kwargs)
-    parallel, f2 = run_sweep(cfg, parallelism=2, **kwargs)
-    assert f1 == f2 == []
-    assert parallel.records == serial.records   # same records, point order
     emit_csv(serial, tmp_path / "serial.csv")
-    emit_csv(parallel, tmp_path / "parallel.csv")
-    assert (tmp_path / "serial.csv").read_bytes() \
-        == (tmp_path / "parallel.csv").read_bytes()
+    # two groups of four lanes; three workers split one of them
+    for workers in (2, 3):
+        parallel, f2 = run_sweep(cfg, parallelism=workers, **kwargs)
+        assert f1 == f2 == []
+        assert parallel.records == serial.records   # same records, point order
+        emit_csv(parallel, tmp_path / "parallel.csv")
+        assert (tmp_path / "serial.csv").read_bytes() \
+            == (tmp_path / "parallel.csv").read_bytes()
 
 
 @pytest.fixture
@@ -209,15 +233,15 @@ def alarm():
 
 def test_crashed_worker_stops_the_sweep(monkeypatch, alarm):
     cfg = tiny_config(n_tti=2)
-    real = mmwsim.engine.run_simulation
+    real = mmwsim.engine._run_lanes
 
-    def crash_on_seed_2(cfg_, trace_dir=None):
-        if cfg_.seed == 2:
+    def crash_on_seed_2(cfgs, trace_dir=None):
+        if any(c.seed == 2 for c in cfgs):
             os._exit(3)   # the worker dies without reporting back
-        return real(cfg_, trace_dir)
+        return real(cfgs, trace_dir)
 
     # forked workers inherit the patched engine
-    monkeypatch.setattr(mmwsim.engine, "run_simulation", crash_on_seed_2)
+    monkeypatch.setattr(mmwsim.engine, "_run_lanes", crash_on_seed_2)
     alarm(60)
     with pytest.raises(EngineError, match="BrokenProcessPool"):
         run_sweep(cfg, velocities=[0.0], schedulers=["RR"],

@@ -7,7 +7,7 @@ import pytest
 
 from mmwsim import (LinkAbstractionError, ScenarioConfig, build_codebook,
                     noise_power_w, sinr_to_rate)
-from mmwsim.engine import _LinkAdapter, _Linkset
+from mmwsim.engine import _LinkAdapter, _Linkset, _ue_blocks
 from mmwsim.link import mmse_sinr_from_covariance, stack_codebook
 
 
@@ -92,29 +92,32 @@ def test_mmse_sinr_zero_columns_score_zero():
 
 
 def _adapter(n_keep=1, **changes):
-    """The engine's link adapter for one UE on one RB, with links to cells
-    0 (serving) to ``n_keep - 1``."""
+    """The engine's link adapter and UE block for one UE on one RB, with
+    links to cells 0 (serving) to ``n_keep - 1``."""
     cfg = ScenarioConfig(n_rb=1, n_strongest_interferers=n_keep - 1,
                          **changes)
     links = _Linkset(cell=np.arange(n_keep), ue=np.zeros(n_keep, dtype=int),
                      n_keep=n_keep, serving=np.zeros(1, dtype=int),
                      amplitude=np.ones(n_keep),
                      los=np.zeros(n_keep, dtype=bool))
-    return _LinkAdapter(cfg, links)
+    (block,) = _ue_blocks(cfg, links)
+    return _LinkAdapter(cfg, n_keep), block
 
 
 def test_compute_sinr_with_one_interferer_scalar_case():
     # 1x1, serving gain 4 and interferer gain 2 in noise units:
     # sinr = 4 / (1 + 2)
-    adapter = _adapter(n_keep=2, n_tx=1, n_rx=1)
+    adapter, block = _adapter(n_keep=2, n_tx=1, n_rx=1)
     unit = math.sqrt(adapter.noise)
     h = (np.array([2.0, 1.0]) * unit).astype(np.complex64).reshape(2, 1, 1, 1)
     psched = np.array([3.0, math.sqrt(2.0)], dtype=np.complex64) \
         .reshape(2, 1, 1, 1)            # (cell, rb, tx, layer)
-    r_int = adapter.interference(h, psched, adapter.blocks[0])
+    port = np.ones((2, 1, 1, 1), np.complex64)   # uncoupled receive port
+    r_int = adapter.interference(h, port, psched, block)
     # the serving cell's own transmission is left out
     assert r_int.ravel() == pytest.approx([2.0 * adapter.noise], rel=1e-5)
-    bits = adapter.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64))
+    bits = adapter.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64),
+                         1.0)
     assert bits.ravel() == pytest.approx(
         [sinr_to_rate(4.0 / 3.0, adapter.rb_bandwidth, adapter.tti)],
         rel=1e-5)
@@ -123,10 +126,11 @@ def test_compute_sinr_with_one_interferer_scalar_case():
 def _select(h):
     """Codebook index and rank the engine picks for one 4x4 channel, given
     in units where the full-power SNR of a unit entry is 1e4."""
-    adapter = _adapter()
+    adapter, _ = _adapter()
     scale = 100.0 * math.sqrt(adapter.noise / adapter.p_rb)
     h_serv = (scale * np.asarray(h)).astype(np.complex64).reshape(1, 1, 4, 4)
-    chosen, idx = adapter.select(h_serv, np.zeros((1, 1, 4, 4), np.complex64))
+    chosen, idx = adapter.select(h_serv, np.zeros((1, 1, 4, 4), np.complex64),
+                                 1.0)
     assert np.array_equal(chosen[0], adapter.cand[idx[0]])
     return idx[0], adapter.ranks[idx[0]]
 

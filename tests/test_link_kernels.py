@@ -13,9 +13,7 @@ import pytest
 
 import mmwsim.engine as engine
 from mmwsim import preset
-from mmwsim.antenna import AntennaConfig
-from mmwsim.channel import FadingDesign, doppler_frequency
-from mmwsim.deployment import build_hex_layout, drop_ues
+from mmwsim.channel import FadingDesign
 from mmwsim.link import mmse_sinr_from_covariance, sinr_to_rate
 
 
@@ -33,22 +31,21 @@ def interference_oracle(links, h, psched):
     return total - g[starts]
 
 
-def rates_oracle(adapter, h_serv, r_int, p_own):
+def rates_oracle(adapter, h_serv, r_int, p_own, sn_scale):
     eff = h_serv @ p_own[:, None]
     own = eff @ eff.conj().swapaxes(-1, -2)
-    cov = adapter._with_noise(r_int + own)
+    cov = adapter._with_noise(r_int + own, sn_scale)
     sinr = mmse_sinr_from_covariance(eff, cov)
     return sinr_to_rate(sinr, adapter.rb_bandwidth, adapter.tti,
                         adapter.efficiency, adapter.se_cap).sum(axis=-1)
 
 
-def select_oracle(adapter, h_serv, r_int):
+def select_oracle(adapter, h_serv, r_int, sn_scale):
     h_sel = h_serv[:, adapter.select_rb]
     eff = h_sel[:, None] @ adapter.cand[None, :, None]
     own = eff @ eff.conj().swapaxes(-1, -2)
-    base = adapter._with_noise(r_int[:, adapter.select_rb])
-    sinr = mmse_sinr_from_covariance(eff, base[:, None] +
-                                     adapter.sn_scale * own)
+    base = adapter._with_noise(r_int[:, adapter.select_rb], sn_scale)
+    sinr = mmse_sinr_from_covariance(eff, base[:, None] + sn_scale * own)
     score = np.log2(1.0 + sinr).sum(axis=(2, 3))
     best = score.max(axis=1, keepdims=True)
     return np.argmax(score >= best - engine._SELECT_MARGIN, axis=1)
@@ -71,20 +68,12 @@ def test_mix_taps_matches_tensordot(n_rb, n_rx, n_tx, n_links):
                           mix_taps_oracle(design, taps64))
 
 
-def _link_layer(cfg):
-    """The engine's per-run objects for ``cfg``, built as run_simulation does."""
-    layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
-                              cfg.azimuth_offset_deg)
-    xy, _ = drop_ues(layout, cfg.ues_per_sector, cfg,
-                     engine._rng(cfg.seed, engine._DROP_STREAM))
-    gain_db, los = engine._wideband_gain_db(
-        cfg, layout, xy, AntennaConfig.from_scenario(cfg))
-    links = engine._build_linkset(cfg, gain_db, los)
-    bank = engine._ChannelBank(
-        cfg, links, doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency))
-    adapter = engine._LinkAdapter(cfg, links)
-    adapter.sn_scale = 1.0 / bank.coherent_fraction_sq()
-    return links, bank, adapter, len(layout.sectors)
+def _link_layer(cfg, polarizations):
+    """The engine's shared group for ``cfg`` and one lane per polarization,
+    built as a run builds them."""
+    group = engine._Group(cfg, polarizations)
+    return group, [engine._Lane(cfg.replace(ue_polarization=pol), group)
+                   for pol in polarizations]
 
 
 @pytest.mark.parametrize("n_rx", [1, 2, 4])
@@ -93,44 +82,54 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
                                                         monkeypatch):
     cfg = preset("small").replace(
         n_tx=n_tx, n_rx=n_rx, ues_per_sector=1, n_strongest_interferers=4,
-        ue_velocity=120.0, ue_polarization="XPOL", seed=3)
+        ue_velocity=120.0, seed=3)
     n_keep = 5
     ue_bytes = n_keep * cfg.n_rb * n_rx * n_tx * 8
     # 21 UEs in blocks of 4: five full blocks and an uneven last one
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
-    links, bank, adapter, n_cells = _link_layer(cfg)
+    group, lanes = _link_layer(cfg, ("LPOL", "XPOL"))
+    links, bank, adapter = group.links, group.bank, group.adapter
     assert links.n_keep == n_keep
-    assert [b.ues.stop - b.ues.start for b in adapter.blocks] \
+    assert [b.ues.stop - b.ues.start for b in group.blocks] \
         == [4, 4, 4, 4, 4, 1]
 
     rng = np.random.default_rng(n_tx * 10 + n_rx)
     cand = adapter.cand
-    p_own = cand[rng.integers(0, len(cand), links.serving.shape[0])]
-    psched = cand[rng.integers(0, len(cand), (n_cells, cfg.n_rb))]
-    idle = int(links.cell[1])   # an interferer silent as if it had no UEs
-    psched[idle] = 0.0
+    for lane in lanes:
+        lane.p_own = cand[rng.integers(0, len(cand), links.serving.shape[0])]
+        lane.psched = cand[rng.integers(0, len(cand), (group.n_cells,
+                                                        cfg.n_rb))]
+        idle = int(links.cell[1])   # an interferer silent as if it had no UEs
+        lane.psched[idle] = 0.0
 
     for tti in range(2):
         if tti:
             bank.advance()
-        adapter.measure(bank, psched)
-        h = bank.current(slice(None))
-        h_serv = h[::n_keep]
-        r_int = interference_oracle(links, h, psched)
-        assert np.array_equal(adapter.h_serv, h_serv)
-        assert np.array_equal(adapter.r_int, r_int)
-        assert np.array_equal(adapter.rate_table(p_own),
-                              rates_oracle(adapter, h_serv, r_int, p_own))
-        _, idx = adapter.select(adapter.h_serv, adapter.r_int)
-        assert np.array_equal(idx, select_oracle(adapter, h_serv, r_int))
+        group.measure(lanes)
+        for lane in lanes:
+            h = bank.current(slice(None)) \
+                * bank.port[lane.pol][:, None, None, :]
+            h_serv = h[::n_keep]
+            r_int = interference_oracle(links, h, lane.psched)
+            assert np.array_equal(group.h_serv[lane.pol], h_serv)
+            assert np.array_equal(lane.r_int, r_int)
+            assert np.array_equal(
+                group.rate_table(lane),
+                rates_oracle(adapter, h_serv, r_int, lane.p_own,
+                             lane.sn_scale))
+            _, idx = adapter.select(h_serv, lane.r_int, lane.sn_scale)
+            assert np.array_equal(
+                idx, select_oracle(adapter, h_serv, r_int, lane.sn_scale))
 
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
-    _, bank, adapter, n_cells = _link_layer(cfg)
-    adapter.measure(bank, adapter.isotropic_psched(n_cells, cfg.n_rb))
-    _, whole = adapter.select(adapter.h_serv, adapter.r_int)
+    group, (lane,) = _link_layer(cfg, ("LPOL",))
+    adapter = group.adapter
+    group.measure([lane], adapter.isotropic_psched(group.n_cells, cfg.n_rb))
+    h_serv = group.h_serv["LPOL"]
+    _, whole = adapter.select(h_serv, lane.r_int, lane.sn_scale)
     # three UEs per chunk: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
     monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", 3 * 5 * 4 * 4 * 4)
-    _, chunked = adapter.select(adapter.h_serv, adapter.r_int)
+    _, chunked = adapter.select(h_serv, lane.r_int, lane.sn_scale)
     assert np.array_equal(chunked, whole)
