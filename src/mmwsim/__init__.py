@@ -28,7 +28,6 @@ from .config import (DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES,
                      scenario_to_text)
 from .deployment import (DeploymentError, SiteLayout, build_hex_layout,
                          drop_ues)
-from .antenna import AntennaConfig, PolarizationSpec
 from .channel import (ChannelModelError, doppler_frequency, los_probability,
                       pathloss_uma)
 from .link import (LinkAbstractionError, build_codebook, noise_power_w,
@@ -49,8 +48,6 @@ __all__ = [
     "DEFAULT_SWEEP_SEEDS",
     # deployment
     "DeploymentError", "SiteLayout", "build_hex_layout", "drop_ues",
-    # antennas and polarization
-    "AntennaConfig", "PolarizationSpec",
     # channel
     "ChannelModelError", "doppler_frequency", "los_probability",
     "pathloss_uma",

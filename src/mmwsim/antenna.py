@@ -10,47 +10,14 @@ The vertical stack of ``vertical_panels * elements_per_panel`` elements is a
 uniform half-wavelength array; electrical downtilt is applied as the array
 steering phase (90 deg is zenith-referenced boresight, i.e. broadside), while
 mechanical downtilt rotates the element pattern's coordinate frame.
+
+Every function reads its parameters off the :class:`ScenarioConfig` it is
+given.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class AntennaConfig:
-    max_element_gain_dbi: float = 8.0
-    azimuth_3db_beamwidth_deg: float = 65.0
-    elevation_3db_beamwidth_deg: float = 65.0
-    front_back_ratio_db: float = 30.0
-    sla_v_db: float = 30.0
-    electrical_downtilt_deg: float = 90.0   # 90 = broadside
-    mechanical_downtilt_deg: float = 0.0
-    vertical_panels: int = 2
-    elements_per_panel: int = 2
-
-    @property
-    def n_vertical_elements(self):
-        return self.vertical_panels * self.elements_per_panel
-
-    @property
-    def steer_elevation_deg(self):
-        # zenith-referenced downtilt: 90 deg steers to the horizon
-        return self.electrical_downtilt_deg - 90.0
-
-    @classmethod
-    def from_scenario(cls, cfg):
-        return cls(
-            max_element_gain_dbi=cfg.max_element_gain_dbi,
-            azimuth_3db_beamwidth_deg=cfg.azimuth_3db_beamwidth_deg,
-            elevation_3db_beamwidth_deg=cfg.elevation_3db_beamwidth_deg,
-            front_back_ratio_db=cfg.front_back_ratio_db,
-            sla_v_db=cfg.sla_v_db,
-            electrical_downtilt_deg=cfg.electrical_downtilt_deg,
-            mechanical_downtilt_deg=cfg.mechanical_downtilt_deg,
-            vertical_panels=cfg.vertical_panels,
-            elements_per_panel=cfg.elements_per_panel)
 
 
 def element_gain(cfg, azimuth_deg, elevation_deg):
@@ -79,13 +46,14 @@ def array_factor(cfg, elevation_deg):
     Half-wavelength spacing; amplitude-normalized so the steered direction
     gets 10*log10(N) and a single element gets 0 dB everywhere.
     """
-    n = cfg.n_vertical_elements
+    n = cfg.vertical_panels * cfg.elements_per_panel
     if n == 1:
         el = np.asarray(elevation_deg, dtype=float)
         zeros = np.zeros_like(el)
         return zeros if zeros.ndim else 0.0
     el = np.radians(np.asarray(elevation_deg, dtype=float))
-    steer = math.radians(cfg.steer_elevation_deg)
+    # zenith-referenced downtilt: 90 deg steers to the horizon
+    steer = math.radians(cfg.electrical_downtilt_deg - 90.0)
     # phase step between adjacent elements, d = lambda/2
     psi = math.pi * (np.sin(el) - math.sin(steer))
     idx = np.arange(n)
@@ -101,35 +69,23 @@ def combined_gain(cfg, azimuth_deg, elevation_deg):
             + array_factor(cfg, elevation_deg))
 
 
-@dataclass
-class PolarizationSpec:
-    """Dual-polarized transmitter against a single-polarized receiver.
-
-    Slants are degrees in the polarization plane; 0 is the intended plane.
-    The receiver is LPOL at 0 or XPOL at 90. ``xpd_db`` sets how much power
-    the channel leaks into the orthogonal polarization (inf = none).
-    """
-    tx_slants_deg: tuple = (45.0, -45.0)
-    rx_slant_deg: float = 0.0
-    xpd_db: float = 8.0
-
-    def leakage_power(self):
-        if math.isinf(self.xpd_db):
-            return 0.0
-        return 10.0 ** (-self.xpd_db / 10.0)
-
-
-def port_coupling_series(spec, leakage, depol):
+def port_coupling_series(cfg, rx_slant_deg, leakage, depol):
     """Per-TTI coupling scalars on the receiver's own axis, one per tx port.
 
-    ``leakage`` is a unit-magnitude Doppler-correlated phasor series (n,),
-    shared by both ports; ``depol`` multiplies whatever arrives in the
-    unintended plane (coherence loss times wandering phase), which is the
-    receiver's whole signal for XPOL and nothing for LPOL.
+    The dual-polarized transmitter's ports sit at +/- ``bs_pol_slant_deg``
+    plus the mechanical slant; the single-polarized receiver at
+    ``rx_slant_deg`` (0 is the intended plane: LPOL at 0, XPOL at 90).
+    ``xpd_mean`` sets how much power the channel leaks into the orthogonal
+    polarization (inf = none). ``leakage`` is a unit-magnitude
+    Doppler-correlated phasor series (n,), shared by both ports; ``depol``
+    multiplies whatever arrives in the unintended plane (coherence loss
+    times wandering phase), which is the receiver's whole signal for XPOL
+    and nothing for LPOL.
     """
-    g = spec.leakage_power()
-    rho = math.radians(spec.rx_slant_deg)
-    tx = np.radians(np.asarray(spec.tx_slants_deg, dtype=float))
+    g = 0.0 if math.isinf(cfg.xpd_mean) else 10.0 ** (-cfg.xpd_mean / 10.0)
+    rho = math.radians(rx_slant_deg)
+    slant, mech = cfg.bs_pol_slant_deg, cfg.mechanical_slant_deg
+    tx = np.radians(np.asarray((slant + mech, -slant + mech), dtype=float))
     leak = np.sqrt(g) * np.asarray(leakage, dtype=complex)[:, None]
     plane0 = np.cos(tx)[None, :] - leak * np.sin(tx)[None, :]
     plane90 = np.sin(tx)[None, :] + leak * np.cos(tx)[None, :]

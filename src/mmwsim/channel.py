@@ -2,18 +2,26 @@
 
 Pathloss follows the TR 38.901 urban-macro formulas (dual-slope LOS with a
 breakpoint, NLOS floored by the LOS curve). Small-scale fading is a
-sum-of-sinusoids Jakes generator: each sequence sums ``n_sinusoids`` unit
+sum-of-sinusoids Jakes generator: each sequence sums ``N_SINUSOIDS`` unit
 phasors with iid random Doppler frequencies f_d*cos(theta) and phases, so
 the ensemble autocorrelation is exactly J0(2*pi*f_d*tau), mean power is
 exactly 1, and f_d = 0 freezes the sequence. Frequency selectivity comes
 from mixing a small set of independent taps across RBs with a unit-power
 kernel. LOS links add a rank-one Rician specular term.
+
+``_ChannelBank`` is the one fading implementation the engine runs: it
+draws every link's sinusoids, array phases and specular term from the
+link's keyed fading stream (:mod:`mmwsim.streams`), advances them TTI by
+TTI, and assembles the per-link channel one slice of links at a time.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .antenna import port_coupling_series
+from .config import POL_SLANT_DEG, TTI_DURATION
+from .streams import FADING_STREAM, keyed_streams
 
 # matches the pinned Doppler arithmetic (120 kmph @ 28 GHz -> 3113 Hz)
 C_LIGHT = 2.998e8  # m/s
@@ -22,6 +30,12 @@ C_LIGHT = 2.998e8  # m/s
 # Above it a helper thread joins, then busy-waits through the rest of the
 # TTI, which doubles the CPU a run burns and starves a second worker.
 SERIAL_GEMM_MNK = 65536
+
+# sinusoids summed per fading sequence
+N_SINUSOIDS = 12
+# the channel bank turns stream draws into phasors this many links at a
+# time: about a megabyte of angles per pass at paper scale
+_PHASOR_CHUNK = 32
 
 
 class ChannelModelError(ValueError):
@@ -102,73 +116,41 @@ def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-@dataclass
-class FadingDesign:
-    """Run-wide fading parameters shared by every link (same f_d, grid)."""
-    f_d: float
-    tti: float
-    n_rb: int
-    coherence_bandwidth_rb: int = 5
-    n_sinusoids: int = 12
-
-    def __post_init__(self):
-        self.kernel = freq_mixing_kernel(self.n_rb, self.coherence_bandwidth_rb)
-        self.n_taps = self.kernel.shape[0]
-
-    def sinusoids(self, theta, phase):
-        """Complex128 initial phasors and per-TTI rotations from the
-        Doppler angles ``theta`` and phases ``phase`` (any equal shapes)."""
-        state0 = unit_phasor(phase)
-        state0 /= math.sqrt(self.n_sinusoids)
-        omega = np.cos(theta)
-        omega *= 2.0 * math.pi * self.f_d
-        omega *= self.tti
-        return state0, unit_phasor(omega)
-
-    def mix_taps(self, taps, tap_axis=1):
-        """Replace the size-n_taps axis ``tap_axis`` with an RB axis.
-
-        The (rows x n_taps) x (n_taps x n_rb) product is issued in row chunks
-        small enough for OpenBLAS to keep on the calling thread. A gemm
-        gives every row of the product the same bits whatever its row count,
-        so the chunked product equals the single one exactly.
-        """
-        kern = self.kernel.astype(taps.dtype)
-        rows = np.moveaxis(taps, tap_axis, -1)
-        lead = rows.shape[:-1]
-        rows = rows.reshape(-1, self.n_taps)
-        n = rows.shape[0]
-        out = np.empty((n, self.n_rb), dtype=kern.dtype)
-        step = max(2, SERIAL_GEMM_MNK // kern.size)
-        for lo in range(0, n, step):
-            # a one-row product runs as a gemv, whose bits differ from a
-            # gemm's: end on two rows, recomputing one row identically
-            lo = max(min(lo, n - 2), 0)
-            np.dot(rows[lo:lo + step], kern, out=out[lo:lo + step])
-        return np.moveaxis(out.reshape(lead + (self.n_rb,)), -1, tap_axis)
+def sinusoids(f_d, theta, phase):
+    """Complex128 initial phasors and per-TTI rotations of sum-of-sinusoids
+    sequences from the Doppler angles ``theta`` and phases ``phase`` (equal
+    shapes, ``N_SINUSOIDS`` sinusoids on the last axis)."""
+    state0 = unit_phasor(phase)
+    state0 /= math.sqrt(N_SINUSOIDS)
+    omega = np.cos(theta)
+    omega *= 2.0 * math.pi * f_d
+    omega *= TTI_DURATION
+    return state0, unit_phasor(omega)
 
 
-class SosProcess:
-    """Bank of independent sum-of-sinusoids sequences, advanced per TTI.
+def mix_taps(taps, kernel):
+    """Replace the tap axis 1 of ``taps`` with the RB axis of the
+    (n_taps, n_rb) ``kernel``.
 
-    ``current()`` returns the bank's complex gains at the present TTI;
-    ``advance()`` rotates every sinusoid by its per-TTI phase step. The
-    recurrence never stores the time axis, so memory stays flat no matter
-    how long the run is.
-
-    The process takes ownership of ``state0``: it becomes the running state
-    and is rotated in place, so pass a copy to keep the initial phasors.
+    The (rows x n_taps) x (n_taps x n_rb) product is issued in row chunks
+    small enough for OpenBLAS to keep on the calling thread. A gemm
+    gives every row of the product the same bits whatever its row count,
+    so the chunked product equals the single one exactly.
     """
-
-    def __init__(self, state0, step):
-        self.state = state0
-        self.step = step
-
-    def current(self):
-        return self.state.sum(axis=-1)
-
-    def advance(self):
-        self.state *= self.step
+    n_taps, n_rb = kernel.shape
+    kern = kernel.astype(taps.dtype)
+    rows = np.moveaxis(taps, 1, -1)
+    lead = rows.shape[:-1]
+    rows = rows.reshape(-1, n_taps)
+    n = rows.shape[0]
+    out = np.empty((n, n_rb), dtype=kern.dtype)
+    step = max(2, SERIAL_GEMM_MNK // kern.size)
+    for lo in range(0, n, step):
+        # a one-row product runs as a gemv, whose bits differ from a
+        # gemm's: end on two rows, recomputing one row identically
+        lo = max(min(lo, n - 2), 0)
+        np.dot(rows[lo:lo + step], kern, out=out[lo:lo + step])
+    return np.moveaxis(out.reshape(lead + (n_rb,)), -1, 1)
 
 
 def depolarization_coherence(f_d, depol_coherence_time):
@@ -182,3 +164,121 @@ def depolarization_coherence(f_d, depol_coherence_time):
     x = 2.0 * math.pi * f_d * depol_coherence_time
     return math.exp(-0.5 * x * x)
 
+
+class _ChannelBank:
+    """Per-TTI MIMO channel matrices for every explicit link.
+
+    Scattered fading is a bank of sum-of-sinusoids sequences (independent
+    per tap and antenna pair) advanced by phasor recurrence; LOS links add
+    a rank-one specular term carrying K/(K+1) of the power. Two extra
+    sequences per link drive the cross-polar leakage phase and the
+    depolarization phase wander. The recurrence never stores the time
+    axis: the bank's sinusoid state is rotated in place, so memory stays
+    flat however long the run is.
+
+    Only the receive-port coupling depends on the receiver polarization:
+    the bank keeps one ``port[pol]`` array for each polarization it is
+    built for, and ``current`` returns the channel before that coupling.
+    """
+
+    def __init__(self, cfg, links, f_d, polarizations):
+        self.cfg = cfg
+        self.n_rx, self.n_tx = cfg.n_rx, cfg.n_tx
+        self.kernel = freq_mixing_kernel(cfg.n_rb, cfg.coherence_bandwidth_rb)
+        self.n_taps = self.kernel.shape[0]
+        n_scatter = self.n_taps * self.n_rx * self.n_tx
+        self.n_scatter = n_scatter
+        n_links = links.n_links
+
+        seq_shape = (n_scatter + 2, N_SINUSOIDS)
+        state0 = np.empty((n_links,) + seq_shape, dtype=np.complex64)
+        step = np.empty_like(state0)
+        a_rx = np.empty((n_links, self.n_rx), dtype=np.complex64)
+        a_tx = np.empty((n_links, self.n_tx), dtype=np.complex64)
+        rice_state = np.empty(n_links, dtype=np.complex64)
+        rice_step = np.empty(n_links, dtype=np.complex64)
+
+        # Each link's stream holds, in order: the Doppler angles of every
+        # sinusoid, then their phases, the rx and tx array phases, the
+        # specular phase and the specular Doppler angle. The specular
+        # draws happen for every link so the stream layout does not depend
+        # on the LOS outcome. uniform(0, 2 pi) is 0.0 + 2 pi * random(), so
+        # one random() call per link, scaled by 2 pi, gives every angle.
+        n_ang = state0[0].size
+        edges = np.cumsum([n_ang, n_ang, self.n_rx, self.n_tx, 1])
+        angles = np.empty((_PHASOR_CHUNK, edges[-1] + 1))
+        streams = keyed_streams(cfg.seed, FADING_STREAM, links.cell,
+                                links.ue)
+        for lo in range(0, n_links, _PHASOR_CHUNK):
+            chunk = slice(lo, min(lo + _PHASOR_CHUNK, n_links))
+            ang = angles[:chunk.stop - lo]
+            for row in ang:
+                next(streams).random(out=row)
+            ang *= 2 * math.pi
+            theta, phase, rx, tx, rice, rice_doppler = np.split(
+                ang, edges, axis=1)
+            state0[chunk], step[chunk] = sinusoids(
+                f_d, theta.reshape((-1,) + seq_shape),
+                phase.reshape((-1,) + seq_shape))
+            a_rx[chunk] = unit_phasor(rx)
+            a_tx[chunk] = unit_phasor(tx)
+            rice_state[chunk] = unit_phasor(rice[:, 0])
+            rice_step[chunk] = unit_phasor(
+                2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
+                * TTI_DURATION)
+
+        # the bank owns the running state: state0 is rotated in place
+        self.state, self.step = state0, step
+        self.rice_state, self.rice_step = rice_state, rice_step
+        self.a_rx, self.a_tx = a_rx, a_tx
+
+        k = 10.0 ** (cfg.rician_k_db / 10.0)
+        c_scat = np.where(links.los, math.sqrt(1.0 / (k + 1.0)), 1.0)
+        c_spec = np.where(links.los, math.sqrt(k / (k + 1.0)), 0.0)
+        # single precision end to end: channel matrices and covariance
+        # sums stay complex64 (PSD by construction); inversions upcast
+        self.w_scat = (links.amplitude * c_scat).astype(np.float32)
+        self.w_spec = (links.amplitude * c_spec).astype(np.float32)
+
+        self.alpha_dep = depolarization_coherence(
+            f_d, cfg.depol_coherence_time)
+        self.port_parity = np.arange(self.n_tx) % 2
+        self.port = dict.fromkeys(polarizations)
+        self._refresh()
+
+    def coherent_fraction_sq(self, pol):
+        """Coherent power fraction at the receiver's slant (1 for LPOL)."""
+        rho = math.radians(POL_SLANT_DEG[pol])
+        return math.cos(rho) ** 2 \
+            + math.sin(rho) ** 2 * self.alpha_dep ** 2
+
+    def _refresh(self):
+        """Per-link terms of the present TTI, for every link at once."""
+        seq = self.state.sum(axis=-1)
+        self.taps = seq[:, :self.n_scatter]
+        self.spec = (self.w_spec * self.rice_state)[:, None, None] \
+            * self.a_rx[:, :, None] * self.a_tx[:, None, :]
+
+        leak = seq[:, -2]
+        leak = leak / np.maximum(np.abs(leak), 1e-30)
+        wander = seq[:, -1]
+        depol = self.alpha_dep * (wander / np.maximum(np.abs(wander), 1e-30))
+        for pol in self.port:
+            coup = port_coupling_series(self.cfg, POL_SLANT_DEG[pol], leak,
+                                        depol)   # (n_links, 2)
+            self.port[pol] = coup.astype(np.complex64)[:, self.port_parity]
+
+    def current(self, links):
+        """The present TTI's channel on the link slice ``links`` before the
+        receive-port coupling: (n, n_rb, n_rx, n_tx), RB axis innermost in
+        memory. ``h * port[pol][links, None, None, :]`` is the channel a
+        ``pol`` receiver sees."""
+        taps = self.taps[links].reshape(-1, self.n_taps, self.n_rx, self.n_tx)
+        h = self.w_scat[links, None, None, None] * mix_taps(taps, self.kernel)
+        return h + self.spec[links, None, :, :]
+
+    def advance(self):
+        """Rotate every sinusoid by its per-TTI phase step."""
+        self.state *= self.step
+        self.rice_state = self.rice_state * self.rice_step
+        self._refresh()

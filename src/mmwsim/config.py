@@ -11,14 +11,16 @@ given value is pinned and kept; a derived one follows its sources through
 The receiver slant is no key at all: it is read off the polarization
 (``ue_pol_slant_deg``).
 
-Every float must be finite, except ``xpd_mean = inf`` (no cross-polar
-leakage). Every int field takes only integral values (``4.0`` is cast to
-``4``; ``2.5`` and ``True`` are rejected), and every bool field only
-``True`` or ``False``.
+Every float field takes only real numbers, stored as ``float`` (``4`` is
+cast to ``4.0``; ``"4"`` and ``True`` are rejected), and they must be
+finite, except ``xpd_mean = inf`` (no cross-polar leakage). Every int field
+takes only integral values (``4.0`` is cast to ``4``; ``2.5`` and ``True``
+are rejected), and every bool field only ``True`` or ``False``.
 """
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -120,12 +122,18 @@ class ScenarioConfig:
             self.ue_polarization = self.ue_polarization.upper()
         if isinstance(self.scheduler, str):
             self.scheduler = self.scheduler.upper()
-        for name in _FIELDS:
+        for name in _FLOAT_FIELDS:
+            if name in _DERIVED and name not in self._pinned:
+                continue    # derived below
             value = getattr(self, name)
+            _require(isinstance(value, numbers.Real)
+                     and not isinstance(value, bool), name, "must be a number")
+            value = float(value)
             # xpd_mean = inf is the documented no-leakage case
-            if isinstance(value, float) and not math.isfinite(value) \
-                    and not (name == "xpd_mean" and value == math.inf):
-                raise ScenarioError(f"{name}: must be finite")
+            _require(math.isfinite(value)
+                     or (name == "xpd_mean" and value == math.inf),
+                     name, "must be finite")
+            setattr(self, name, value)
         for name in _INT_FIELDS:
             if name in _DERIVED and name not in self._pinned:
                 continue    # derived below
@@ -231,6 +239,7 @@ def _is_integral(value):
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 
+_FLOAT_FIELDS = tuple(name for name, f in _FIELDS.items() if f.type is float)
 _INT_FIELDS = tuple(name for name, f in _FIELDS.items() if f.type is int)
 _BOOL_FIELDS = tuple(name for name, f in _FIELDS.items() if f.type is bool)
 
@@ -338,34 +347,27 @@ def expand_sweep(base, velocities=None, polarizations=None, schedulers=None,
     velocity and seed); the results table sorts rows on emission, so the
     expansion order never shows in the CSV. An empty axis or one that
     repeats a value is rejected: it would yield an empty sweep or run the
-    same point twice.
+    same point twice. The config validates every value and normalises its
+    case or number type.
     """
-    velocities = ([base.ue_velocity] if velocities is None
-                  else [float(v) for v in velocities])
-    polarizations = ([base.ue_polarization] if polarizations is None
-                     else [p.upper() for p in polarizations])
-    schedulers = ([base.scheduler] if schedulers is None
-                  else [s.upper() for s in schedulers])
-    seeds = [base.seed] if seeds is None else [int(s) for s in seeds]
-
-    for key, values in (("ue_velocity", velocities),
-                        ("ue_polarization", polarizations),
-                        ("scheduler", schedulers), ("seed", seeds)):
+    axes = {"ue_velocity": velocities, "ue_polarization": polarizations,
+            "scheduler": schedulers, "seed": seeds}
+    for key, values in axes.items():
+        values = [getattr(base, key)] if values is None else list(values)
         if not values:
             raise ScenarioError(f"{key}: sweep axis is empty")
+        values = [getattr(base.replace(**{key: v}), key) for v in values]
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ScenarioError(
                 f"{key}: sweep axis repeats {', '.join(map(str, repeated))}")
-    for v in velocities:
-        if v < 0:
-            raise ScenarioError("ue_velocity: sweep values must be >= 0")
+        axes[key] = values
 
     points = []
-    for sched in schedulers:
-        for pol in polarizations:
-            for vel in velocities:
-                for seed in seeds:
+    for sched in axes["scheduler"]:
+        for pol in axes["ue_polarization"]:
+            for vel in axes["ue_velocity"]:
+                for seed in axes["seed"]:
                     points.append(base.replace(
                         scheduler=sched, ue_polarization=pol,
                         ue_velocity=vel, seed=seed))

@@ -118,8 +118,8 @@ def sector_contains(layout, cell_id, x, y):
     return -60.0 <= _wrap_deg(az - sec.boresight_deg) < 60.0
 
 
-def drop_ues(layout, ues_per_sector, cfg, rng):
-    """Place ``ues_per_sector`` UEs uniformly in every sector region.
+def drop_ues(layout, cfg, rng):
+    """Place ``cfg.ues_per_sector`` UEs uniformly in every sector region.
 
     Points are rejection-sampled from the hexagon's circumscribed disk until
     they land in the wedge, at least ``min_ue_site_distance`` from the site.
@@ -134,7 +134,7 @@ def drop_ues(layout, ues_per_sector, cfg, rng):
             "min_ue_site_distance leaves no room inside the sector")
 
     drop_cell = np.repeat([sec.cell_id for sec in layout.sectors],
-                          ues_per_sector)
+                          cfg.ues_per_sector)
     xy = np.empty((len(drop_cell), 2))
     for ue_id, cell_id in enumerate(drop_cell):
         site = layout.sector_site(cell_id)

@@ -35,8 +35,9 @@ under common random numbers. The shadowing and fading streams of a run
 are seeded in one pass (:mod:`mmwsim.streams`) to exactly the
 ``SeedSequence`` -> ``PCG64`` state numpy would give each key, and one
 generator is re-seeded for every key, so each stream is consumed before
-the next is drawn. The fading draws then become sinusoid phasors a chunk
-of links at a time.
+the next is drawn. The fading model is the channel bank of
+:mod:`mmwsim.channel`; this module holds the link set it runs on and the
+link kernels that read its channel.
 
 The link layer is streamed over contiguous UE blocks, so per-link arrays
 exist for one block at a time; only per-UE results span the network.
@@ -44,16 +45,16 @@ exist for one block at a time; only per-UE results span the network.
 Sweep points that differ only in scheduler and polarization (the points
 of one (velocity, seed)) run in lockstep as lanes of one group. The group
 is built once: layout, drop, gains, link set, channel bank, UE blocks,
-codebook and one serving channel per polarization. Each TTI the bank
-advances once (at f_d = 0 not at all: it could not change), and each
-block's channel is mixed once; only the receive-port coupling, a few
-milliseconds a TTI, is applied per polarization, cell by cell as each
-lane precodes, so no coupled copy of a block is kept. A lane keeps only
-per-UE and per-cell arrays: interference covariance, precoders, CSI
-rates, precoder map, throughput averages, round-robin cursors and granted
-bits. Lanes of one polarization share the isotropic TTI-0 bootstrap.
-``run_simulation`` is the one-lane case, and every lane's record equals
-it.
+the link kernels with their codebook, and one serving channel per
+polarization. Each TTI the bank advances once (at f_d = 0 not at all: it
+could not change), and each block's channel is mixed once; only the
+receive-port coupling, a few milliseconds a TTI, is applied per
+polarization, cell by cell as each lane precodes, so no coupled copy of a
+block is kept. A lane keeps only per-UE and per-cell arrays: interference
+covariance, precoders, CSI rates, precoder map, throughput averages,
+round-robin cursors and granted bits. Lanes of one polarization share the
+isotropic TTI-0 bootstrap. ``run_simulation`` is the one-lane case, and
+every lane's record equals it.
 
 Rewrites of the link layer must keep every KPI bit-identical, not merely
 close. Proportional-fair scheduling turns a last-bit change in one rate
@@ -83,13 +84,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .antenna import AntennaConfig, PolarizationSpec, combined_gain, \
-    port_coupling_series
-from .channel import SERIAL_GEMM_MNK, FadingDesign, SosProcess, \
-    depolarization_coherence, doppler_frequency, los_probability, \
-    pathloss_uma, unit_phasor
-from .config import POL_SLANT_DEG, TTI_DURATION, expand_sweep, \
-    scenario_to_text
+from .antenna import combined_gain
+from .channel import SERIAL_GEMM_MNK, _ChannelBank, doppler_frequency, \
+    los_probability, pathloss_uma
+from .config import TTI_DURATION, expand_sweep, scenario_to_text
 from .deployment import build_hex_layout, drop_ues, dump_layout_csv
 from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
     spectral_efficiency
@@ -97,7 +95,7 @@ from .link import build_codebook, mmse_sinr_from_covariance, noise_power_w, \
     sinr_to_rate, stack_codebook
 from .scheduler import SchedulerError, schedule_pf, schedule_rr, \
     update_average_throughput
-from .streams import keyed_streams
+from .streams import DROP_STREAM, LARGE_SCALE_STREAM, keyed_streams
 
 log = logging.getLogger("mmwsim")
 
@@ -105,11 +103,6 @@ log = logging.getLogger("mmwsim")
 class EngineError(RuntimeError):
     """A simulation run or sweep could not proceed."""
 
-
-# purpose tags for the keyed random streams
-_DROP_STREAM = 1
-_LARGE_SCALE_STREAM = 2
-_FADING_STREAM = 3
 
 # wideband precoder selection samples every tenth RB
 _SELECT_RB_STRIDE = 10
@@ -120,9 +113,6 @@ _SELECT_MARGIN = 1e-12
 # per-link channel, precoded channel and covariance arrays of a TTI exist
 # for one block at a time, never for the whole network
 _BLOCK_BYTES = 8 << 20
-# the channel bank turns stream draws into phasors this many links at a
-# time: about a megabyte of angles per pass at paper scale
-_PHASOR_CHUNK = 32
 
 
 def _rng(*key):
@@ -177,7 +167,7 @@ def _ue_blocks(cfg, links):
     return blocks
 
 
-def _wideband_gain_db(cfg, layout, xy, ant):
+def _wideband_gain_db(cfg, layout, xy):
     """Pathloss + antenna gain + shadowing, dB, for every (cell, ue), from
     the (n_ues, 2) UE positions ``xy``.
 
@@ -196,13 +186,13 @@ def _wideband_gain_db(cfg, layout, xy, ant):
     az_rel = (np.degrees(np.arctan2(dy, dx)) - bore[:, None] + 180.0) \
         % 360.0 - 180.0
     elev = np.degrees(np.arctan2(cfg.bs_height - cfg.ue_height, d2d))
-    gain = combined_gain(ant, az_rel, elev)
+    gain = combined_gain(cfg, az_rel, elev)
 
     # each (cell, ue) stream draws uniform() (which is random()) for LOS,
     # then normal(0, sigma) (which is 0.0 + sigma * standard_normal()) for
     # shadowing
     cell, ue = np.divmod(np.arange(n_cells * n_ues), n_ues)
-    streams = keyed_streams(cfg.seed, _LARGE_SCALE_STREAM, cell, ue)
+    streams = keyed_streams(cfg.seed, LARGE_SCALE_STREAM, cell, ue)
     draws = np.fromiter(
         ((stream.random(), stream.standard_normal()) for stream in streams),
         dtype=(float, 2), count=n_cells * n_ues).reshape(n_cells, n_ues, 2)
@@ -241,126 +231,6 @@ def _build_linkset(cfg, gain_db, los):
         los=los[cell_arr, ue_arr])
 
 
-class _ChannelBank:
-    """Per-TTI MIMO channel matrices for every explicit link.
-
-    Scattered fading is a bank of sum-of-sinusoids sequences (independent
-    per tap and antenna pair) advanced by phasor recurrence; LOS links add
-    a rank-one specular term carrying K/(K+1) of the power. Two extra
-    sequences per link drive the cross-polar leakage phase and the
-    depolarization phase wander.
-
-    Only the receive-port coupling depends on the receiver polarization:
-    the bank keeps one ``port[pol]`` array for each polarization it is
-    built for, and ``current`` returns the channel before that coupling.
-    """
-
-    def __init__(self, cfg, links, f_d, polarizations):
-        self.n_rx, self.n_tx = cfg.n_rx, cfg.n_tx
-        self.design = FadingDesign(
-            f_d, TTI_DURATION, cfg.n_rb, cfg.coherence_bandwidth_rb)
-        n_scatter = self.design.n_taps * self.n_rx * self.n_tx
-        self.n_scatter = n_scatter
-        n_links = links.n_links
-
-        seq_shape = (n_scatter + 2, self.design.n_sinusoids)
-        state0 = np.empty((n_links,) + seq_shape, dtype=np.complex64)
-        step = np.empty_like(state0)
-        a_rx = np.empty((n_links, self.n_rx), dtype=np.complex64)
-        a_tx = np.empty((n_links, self.n_tx), dtype=np.complex64)
-        rice_state = np.empty(n_links, dtype=np.complex64)
-        rice_step = np.empty(n_links, dtype=np.complex64)
-
-        # Each link's stream holds, in order: the Doppler angles of every
-        # sinusoid, then their phases, the rx and tx array phases, the
-        # specular phase and the specular Doppler angle. The specular
-        # draws happen for every link so the stream layout does not depend
-        # on the LOS outcome. uniform(0, 2 pi) is 0.0 + 2 pi * random(), so
-        # one random() call per link, scaled by 2 pi, gives every angle.
-        n_ang = state0[0].size
-        edges = np.cumsum([n_ang, n_ang, self.n_rx, self.n_tx, 1])
-        angles = np.empty((_PHASOR_CHUNK, edges[-1] + 1))
-        streams = keyed_streams(cfg.seed, _FADING_STREAM, links.cell,
-                                links.ue)
-        for lo in range(0, n_links, _PHASOR_CHUNK):
-            chunk = slice(lo, min(lo + _PHASOR_CHUNK, n_links))
-            ang = angles[:chunk.stop - lo]
-            for row in ang:
-                next(streams).random(out=row)
-            ang *= 2 * math.pi
-            theta, phase, rx, tx, rice, rice_doppler = np.split(
-                ang, edges, axis=1)
-            state0[chunk], step[chunk] = self.design.sinusoids(
-                theta.reshape((-1,) + seq_shape),
-                phase.reshape((-1,) + seq_shape))
-            a_rx[chunk] = unit_phasor(rx)
-            a_tx[chunk] = unit_phasor(tx)
-            rice_state[chunk] = unit_phasor(rice[:, 0])
-            rice_step[chunk] = unit_phasor(
-                2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
-                * TTI_DURATION)
-
-        self.sos = SosProcess(state0, step)
-        self.rice_state, self.rice_step = rice_state, rice_step
-        self.a_rx, self.a_tx = a_rx, a_tx
-
-        k = 10.0 ** (cfg.rician_k_db / 10.0)
-        c_scat = np.where(links.los, math.sqrt(1.0 / (k + 1.0)), 1.0)
-        c_spec = np.where(links.los, math.sqrt(k / (k + 1.0)), 0.0)
-        # single precision end to end: channel matrices and covariance
-        # sums stay complex64 (PSD by construction); inversions upcast
-        self.w_scat = (links.amplitude * c_scat).astype(np.float32)
-        self.w_spec = (links.amplitude * c_spec).astype(np.float32)
-
-        slant = cfg.bs_pol_slant_deg
-        self.pols = {pol: PolarizationSpec(
-            tx_slants_deg=(slant + cfg.mechanical_slant_deg,
-                           -slant + cfg.mechanical_slant_deg),
-            rx_slant_deg=POL_SLANT_DEG[pol],
-            xpd_db=cfg.xpd_mean) for pol in polarizations}
-        self.alpha_dep = depolarization_coherence(
-            f_d, cfg.depol_coherence_time)
-        self.port_parity = np.arange(self.n_tx) % 2
-        self.port = {}
-        self._refresh()
-
-    def coherent_fraction_sq(self, pol):
-        """Coherent power fraction at the receiver's slant (1 for LPOL)."""
-        rho = math.radians(self.pols[pol].rx_slant_deg)
-        return math.cos(rho) ** 2 \
-            + math.sin(rho) ** 2 * self.alpha_dep ** 2
-
-    def _refresh(self):
-        """Per-link terms of the present TTI, for every link at once."""
-        seq = self.sos.current()
-        self.taps = seq[:, :self.n_scatter]
-        self.spec = (self.w_spec * self.rice_state)[:, None, None] \
-            * self.a_rx[:, :, None] * self.a_tx[:, None, :]
-
-        leak = seq[:, -2]
-        leak = leak / np.maximum(np.abs(leak), 1e-30)
-        wander = seq[:, -1]
-        depol = self.alpha_dep * (wander / np.maximum(np.abs(wander), 1e-30))
-        for pol, spec in self.pols.items():
-            coup = port_coupling_series(spec, leak, depol)   # (n_links, 2)
-            self.port[pol] = coup.astype(np.complex64)[:, self.port_parity]
-
-    def current(self, links):
-        """The present TTI's channel on the link slice ``links`` before the
-        receive-port coupling: (n, n_rb, n_rx, n_tx), RB axis innermost in
-        memory. ``h * port[pol][links, None, None, :]`` is the channel a
-        ``pol`` receiver sees."""
-        taps = self.taps[links].reshape(
-            -1, self.design.n_taps, self.n_rx, self.n_tx)
-        h = self.w_scat[links, None, None, None] * self.design.mix_taps(taps)
-        return h + self.spec[links, None, :, :]
-
-    def advance(self):
-        self.sos.advance()
-        self.rice_state = self.rice_state * self.rice_step
-        self._refresh()
-
-
 def _stacked_matmul(a, p):
     """``a @ p`` where each matrix of ``p`` is shared by a stack of ``a``.
 
@@ -378,36 +248,96 @@ def _stacked_matmul(a, p):
     return rows.reshape(rows.shape[:-2] + a.shape[-3:-1] + p.shape[-1:])
 
 
-class _LinkAdapter:
-    """Covariance assembly, rate measurement and precoder selection.
+class _Group:
+    """The shared part of a run, built once for all the lanes of a group.
 
-    One adapter holds the codebook and link constants of a group and is
-    shared by its lanes; a lane passes its own self-noise factor
-    ``sn_scale`` to ``rates`` and ``select``.
+    A group's lanes are runs whose configs differ only in ``scheduler`` and
+    ``ue_polarization``; under common random numbers they share the layout,
+    drop, gains, link set, counted UEs, channel bank, UE blocks and link
+    kernels, and each polarization's serving channel ``h_serv[pol]``. The
+    link kernels (covariance assembly, rate measurement and precoder
+    selection) hold the group's codebook; a lane passes its own self-noise
+    factor ``sn_scale`` to ``rates`` and ``select``.
     """
 
-    def __init__(self, cfg, n_keep):
-        self.n_keep = n_keep
-        self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
-        self.p_rb = cfg.bs_tx_power / cfg.n_rb
-        self.rb_bandwidth = cfg.rb_bandwidth
-        self.tti = TTI_DURATION
-        self.efficiency = cfg.shannon_efficiency
-        self.se_cap = cfg.spectral_efficiency_cap
+    def __init__(self, cfg, polarizations):
+        self.cfg = cfg
+        self.layout = build_hex_layout(
+            cfg.n_site_rings, cfg.inter_site_distance, cfg.azimuth_offset_deg)
+        self.n_cells = len(self.layout.sectors)
+        self.xy, self.drop_cell = drop_ues(
+            self.layout, cfg, _rng(cfg.seed, DROP_STREAM))
+        n_ues = len(self.xy)
 
+        gain_db, los = _wideband_gain_db(cfg, self.layout, self.xy)
+        self.links = links = _build_linkset(cfg, gain_db, los)
+
+        self.counted = np.arange(n_ues)
+        if not cfg.collect_all_sectors:
+            center = [s.cell_id for s in self.layout.sectors if s.site_id == 0]
+            self.counted = np.flatnonzero(np.isin(links.serving, center))
+        if self.counted.size == 0:
+            raise EngineError("no UEs attached to the collected cells")
+
+        self.f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
+        self.bank = _ChannelBank(cfg, links, self.f_d, polarizations)
+
+        self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
         padded, ranks = stack_codebook(build_codebook(cfg.n_tx), cfg.n_tx)
-        self.cand = (padded * np.sqrt(self.p_rb / ranks)[:, None, None]) \
+        p_rb = cfg.bs_tx_power / cfg.n_rb
+        self.cand = (padded * np.sqrt(p_rb / ranks)[:, None, None]) \
             .astype(np.complex64)
         self.ranks = ranks
         self.max_rank = padded.shape[2]
         self.select_rb = np.arange(0, cfg.n_rb, _SELECT_RB_STRIDE)
-        self.iso = (math.sqrt(self.p_rb / cfg.n_tx)
+        self.iso = (math.sqrt(p_rb / cfg.n_tx)
                     * np.eye(cfg.n_tx, self.max_rank)).astype(np.complex64)
 
-    def isotropic_psched(self, n_cells, n_rb):
+        self.blocks = _ue_blocks(cfg, links)
+        # the serving channel keeps the channel bank's RB-innermost layout
+        self.h_serv = {pol: np.empty(
+            (n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
+            dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
+
+        # the non-empty serving cells, each with its UE ids in ascending order
+        self.active = np.unique(links.serving)
+        self.active_ues = [np.flatnonzero(links.serving == c)
+                           for c in self.active]
+
+    def measure(self, lanes, psched=None):
+        """Fill ``h_serv`` and each lane's ``r_int`` for the present TTI,
+        block by block, under each lane's own ``psched`` unless one
+        ``psched`` is given for all of them.
+
+        Each block's channel is mixed once, and only its serving links are
+        coupled to each polarization's ports here; ``interference`` couples
+        the rest cell by cell, so no coupled copy of the block exists.
+        """
+        n_keep = self.links.n_keep
+        pols = dict.fromkeys(lane.pol for lane in lanes)
+        for block in self.blocks:
+            h = self.bank.current(block.links)
+            ports = {pol: self.bank.port[pol][block.links, None, None, :]
+                     for pol in pols}
+            for pol, port in ports.items():
+                self.h_serv[pol][block.ues] = h[::n_keep] * port[::n_keep]
+            for lane in lanes:
+                lane.r_int[block.ues] = self.interference(
+                    h, ports[lane.pol],
+                    lane.psched if psched is None else psched, block)
+
+    def rate_table(self, lane):
+        """Per-(ue, rb) bits of ``lane`` from the measured channel."""
+        h_serv = self.h_serv[lane.pol]
+        return np.concatenate([
+            self.rates(h_serv[b.ues], lane.r_int[b.ues], lane.p_own[b.ues],
+                       lane.sn_scale)
+            for b in self.blocks])
+
+    def isotropic_psched(self):
         """Equal-power identity precoding everywhere (TTI-0 bootstrap)."""
-        p = np.zeros((n_cells, n_rb, self.cand.shape[1], self.max_rank),
-                     dtype=np.complex64)
+        p = np.zeros((self.n_cells, self.cfg.n_rb, self.cfg.n_tx,
+                      self.max_rank), dtype=np.complex64)
         p[:, :] = self.iso
         return p
 
@@ -430,7 +360,7 @@ class _LinkAdapter:
             b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
                                      psched[c]).swapaxes(0, 1)
         g = b @ b.conj().swapaxes(-1, -2)
-        starts = np.arange(0, h.shape[0], self.n_keep)
+        starts = np.arange(0, h.shape[0], self.links.n_keep)
         total = np.add.reduceat(g, starts, axis=0)
         return total - g[starts]
 
@@ -447,8 +377,10 @@ class _LinkAdapter:
         own = eff @ eff.conj().swapaxes(-1, -2)
         cov = self._with_noise(r_int + own, sn_scale)
         sinr = mmse_sinr_from_covariance(eff, cov)
-        return sinr_to_rate(sinr, self.rb_bandwidth, self.tti,
-                            self.efficiency, self.se_cap).sum(axis=-1)
+        cfg = self.cfg
+        return sinr_to_rate(sinr, cfg.rb_bandwidth, TTI_DURATION,
+                            cfg.shannon_efficiency,
+                            cfg.spectral_efficiency_cap).sum(axis=-1)
 
     def select(self, h_serv, r_int, sn_scale):
         """Wideband codebook choice per UE from a decimated RB sample.
@@ -483,79 +415,6 @@ class _LinkAdapter:
         return np.argmax(score >= best - _SELECT_MARGIN, axis=1)
 
 
-class _Group:
-    """The shared part of a run, built once for all the lanes of a group.
-
-    A group's lanes are runs whose configs differ only in ``scheduler`` and
-    ``ue_polarization``; under common random numbers they share the layout,
-    drop, gains, link set, counted UEs, channel bank, UE blocks and link
-    kernels, and each polarization's serving channel ``h_serv[pol]``.
-    """
-
-    def __init__(self, cfg, polarizations):
-        self.layout = build_hex_layout(
-            cfg.n_site_rings, cfg.inter_site_distance, cfg.azimuth_offset_deg)
-        self.n_cells = len(self.layout.sectors)
-        self.xy, self.drop_cell = drop_ues(
-            self.layout, cfg.ues_per_sector, cfg, _rng(cfg.seed, _DROP_STREAM))
-        n_ues = len(self.xy)
-        ant = AntennaConfig.from_scenario(cfg)
-
-        gain_db, los = _wideband_gain_db(cfg, self.layout, self.xy, ant)
-        self.links = links = _build_linkset(cfg, gain_db, los)
-
-        self.counted = np.arange(n_ues)
-        if not cfg.collect_all_sectors:
-            center = [s.cell_id for s in self.layout.sectors if s.site_id == 0]
-            self.counted = np.flatnonzero(np.isin(links.serving, center))
-        if self.counted.size == 0:
-            raise EngineError("no UEs attached to the collected cells")
-
-        self.f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
-        self.bank = _ChannelBank(cfg, links, self.f_d, polarizations)
-        self.adapter = _LinkAdapter(cfg, links.n_keep)
-        self.blocks = _ue_blocks(cfg, links)
-        # the serving channel keeps the channel bank's RB-innermost layout
-        self.h_serv = {pol: np.empty(
-            (n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
-            dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
-
-        # the non-empty serving cells, each with its UE ids in ascending order
-        self.active = np.unique(links.serving)
-        self.active_ues = [np.flatnonzero(links.serving == c)
-                           for c in self.active]
-
-    def measure(self, lanes, psched=None):
-        """Fill ``h_serv`` and each lane's ``r_int`` for the present TTI,
-        block by block, under each lane's own ``psched`` unless one
-        ``psched`` is given for all of them.
-
-        Each block's channel is mixed once, and only its serving links are
-        coupled to each polarization's ports here; ``interference`` couples
-        the rest cell by cell, so no coupled copy of the block exists.
-        """
-        n_keep = self.links.n_keep
-        pols = dict.fromkeys(lane.pol for lane in lanes)
-        for block in self.blocks:
-            h = self.bank.current(block.links)
-            ports = {pol: self.bank.port[pol][block.links, None, None, :]
-                     for pol in pols}
-            for pol, port in ports.items():
-                self.h_serv[pol][block.ues] = h[::n_keep] * port[::n_keep]
-            for lane in lanes:
-                lane.r_int[block.ues] = self.adapter.interference(
-                    h, ports[lane.pol],
-                    lane.psched if psched is None else psched, block)
-
-    def rate_table(self, lane):
-        """Per-(ue, rb) bits of ``lane`` from the measured channel."""
-        h_serv = self.h_serv[lane.pol]
-        return np.concatenate([
-            self.adapter.rates(h_serv[b.ues], lane.r_int[b.ues],
-                               lane.p_own[b.ues], lane.sn_scale)
-            for b in self.blocks])
-
-
 class _Lane:
     """One run of a group: its link feedback and scheduler state, all
     per-UE or per-cell arrays."""
@@ -570,7 +429,7 @@ class _Lane:
         self.p_own = self.csi_rates = None    # set by the CSI bootstrap
         # empty cells stay silent: only the active cells' rows are written
         self.psched = np.zeros(
-            (n_cells, cfg.n_rb, cfg.n_tx, group.adapter.max_rank),
+            (n_cells, cfg.n_rb, cfg.n_tx, group.max_rank),
             dtype=np.complex64)
         # rb_to_ue[i, rb]: the UE that active cell i grants rb to
         self.rb_to_ue = np.empty((len(group.active), cfg.n_rb), dtype=int)
@@ -604,7 +463,7 @@ class _Lane:
         self.avg = update_average_throughput(self.avg, granted,
                                              self.cfg.pf_time_constant_tc)
         if (t + 1) % self.cfg.csi_period_tti == 0:
-            self.p_own, _ = group.adapter.select(
+            self.p_own, _ = group.select(
                 group.h_serv[self.pol], self.r_int, self.sn_scale)
         self.csi_rates = rate_meas
 
@@ -661,11 +520,10 @@ def _run_lanes(cfgs, trace_dir=None):
             first = {}
             for lane in lanes:
                 first.setdefault(lane.pol, lane)
-            group.measure(list(first.values()), group.adapter.isotropic_psched(
-                group.n_cells, cfg.n_rb))
+            group.measure(list(first.values()), group.isotropic_psched())
             for lane in lanes:
                 if lane is first[lane.pol]:
-                    lane.p_own, _ = group.adapter.select(
+                    lane.p_own, _ = group.select(
                         group.h_serv[lane.pol], lane.r_int, lane.sn_scale)
                     lane.csi_rates = group.rate_table(lane)
                 lane.p_own = first[lane.pol].p_own

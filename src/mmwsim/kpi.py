@@ -51,10 +51,7 @@ def jain_fairness(throughputs):
 
 
 def _values(throughputs):
-    if isinstance(throughputs, dict):
-        values = np.asarray(list(throughputs.values()), dtype=float)
-    else:
-        values = np.asarray(throughputs, dtype=float)
+    values = np.asarray(throughputs, dtype=float)
     if values.size == 0:
         raise KpiError("no UEs in KPI population")
     # NaN fails every comparison, so test for the allowed range

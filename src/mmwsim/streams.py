@@ -11,6 +11,12 @@ draws are numpy's to the last bit.
 
 import numpy as np
 
+# purpose tags, the second word of every key (the drop stream's key is
+# (seed, purpose) alone)
+DROP_STREAM = 1
+LARGE_SCALE_STREAM = 2
+FADING_STREAM = 3
+
 # numpy's SeedSequence hash constants
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875

@@ -14,7 +14,8 @@ from scipy.special import j0
 from mmwsim import (ScenarioConfig, emit_csv, jain_fairness, pathloss_uma,
                     preset, run_sweep, run_simulation, schedule_rr,
                     update_average_throughput)
-from mmwsim.engine import _ChannelBank, _Linkset
+from mmwsim.channel import _ChannelBank
+from mmwsim.engine import _Linkset
 
 
 def _report(num, name, failures):

@@ -7,9 +7,10 @@ import pytest
 
 from mmwsim import (ChannelModelError, ScenarioConfig, doppler_frequency,
                     los_probability, pathloss_uma, preset)
-from mmwsim.channel import (FadingDesign, SosProcess,
-                            depolarization_coherence, freq_mixing_kernel)
-from mmwsim.engine import _build_linkset, _ChannelBank, _Linkset
+from mmwsim.channel import (N_SINUSOIDS, _ChannelBank,
+                            depolarization_coherence, freq_mixing_kernel,
+                            sinusoids)
+from mmwsim.engine import _build_linkset, _Linkset
 
 
 def test_doppler_frequency_oracle():
@@ -100,25 +101,24 @@ def _angles(seed, n_seq):
 
 
 def test_sinusoid_bank_phasors_and_frozen_zero_doppler():
-    design = FadingDesign(f_d=100.0, tti=1e-3, n_rb=1)
-    state0, step = design.sinusoids(*_angles(2, 8))
-    assert state0.shape == step.shape == (8, design.n_sinusoids)
-    assert np.allclose(np.abs(state0), 1.0 / math.sqrt(design.n_sinusoids))
+    state0, step = sinusoids(100.0, *_angles(2, 8))
+    assert state0.shape == step.shape == (8, N_SINUSOIDS)
+    assert np.allclose(np.abs(state0), 1.0 / math.sqrt(N_SINUSOIDS))
     assert np.allclose(np.abs(step), 1.0)
 
-    frozen = FadingDesign(f_d=0.0, tti=1e-3, n_rb=1)
-    _, step0 = frozen.sinusoids(*_angles(2, 8))
+    _, step0 = sinusoids(0.0, *_angles(2, 8))
     assert np.all(step0 == 1.0)
 
 
 def test_sos_process_recurrence_matches_direct_evaluation():
-    design = FadingDesign(f_d=300.0, tti=1e-3, n_rb=1)
-    state0, step = design.sinusoids(*_angles(4, 5))
-    proc = SosProcess(state0.copy(), step)   # the process owns its state
+    bank = _bank(300.0, n_links=5, n_rb=1, n_rx=1, n_tx=1)
+    # the bank owns its state and rotates it in place
+    state0 = bank.state.astype(complex)
+    step = bank.step.astype(complex)
     for t in range(6):
         direct = (state0 * step ** t).sum(axis=-1)
-        assert np.allclose(proc.current(), direct)
-        proc.advance()
+        assert np.allclose(bank.taps, direct[:, :bank.n_scatter])
+        bank.advance()
 
 
 def _bank(f_d, n_links=6, los=False, amplitude=1.0,

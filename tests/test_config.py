@@ -66,6 +66,9 @@ def test_names_are_case_normalized():
     {"seed": -1},
     {"n_rb": 100},   # grid would exceed the 10 MHz bandwidth
     {"n_tti": True},   # a bool is no integer
+    {"xpd_mean": True},   # nor a number of dB
+    {"ue_velocity": True},
+    {"bandwidth": "1e7"},   # a string is no number
     {"collect_all_sectors": "no"},   # a truthy string
     {"collect_all_sectors": 1},
 ])
@@ -174,6 +177,10 @@ def test_expand_sweep_rejects_negative_velocity():
      "ue_polarization: sweep axis repeats LPOL"),
     ("schedulers", ["rr", "RR"], "scheduler: sweep axis repeats RR"),
     ("seeds", [1, 2, 2], "seed: sweep axis repeats 2"),
+    # the config rejects what a cast would silently truncate
+    ("seeds", [1.5], "seed: must be an integer"),
+    ("seeds", [True], "seed: must be an integer"),
+    ("velocities", [True], "ue_velocity: must be a number"),
 ])
 def test_expand_sweep_rejects_empty_and_repeated_axes(axis, values,
                                                       fragment):
@@ -182,7 +189,9 @@ def test_expand_sweep_rejects_empty_and_repeated_axes(axis, values,
 
 
 def test_replace_validates_and_casts():
-    cfg = preset("small").replace(seed=4.0, csi_period_tti=2.0)
+    cfg = preset("small").replace(seed=4.0, csi_period_tti=2.0,
+                                  ue_velocity=120)
+    assert cfg.ue_velocity == 120.0 and type(cfg.ue_velocity) is float
     assert cfg.seed == 4 and isinstance(cfg.seed, int)
     assert cfg.csi_period_tti == 2 and isinstance(cfg.csi_period_tti, int)
     with pytest.raises(ScenarioError):
@@ -227,6 +236,11 @@ def test_non_finite_floats_are_rejected(name):
             preset("small").replace(**{name: value})
         with pytest.raises(ScenarioError, match=f"{name}: must be finite"):
             _apply_overrides(preset("small"), [f"{name}={value}"])
+    for value in (True, False, "1e7"):
+        with pytest.raises(ScenarioError, match=f"{name}: must be a number"):
+            ScenarioConfig(**{name: value})
+        with pytest.raises(ScenarioError, match=f"{name}: must be a number"):
+            preset("small").replace(**{name: value})
 
 
 def test_every_config_key_is_read_outside_config():

@@ -57,8 +57,7 @@ def test_drop_ues_population_and_geometry():
     cfg = preset("small")
     layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
                               cfg.azimuth_offset_deg)
-    xy, drop_cell = drop_ues(layout, cfg.ues_per_sector, cfg,
-                             np.random.default_rng(3))
+    xy, drop_cell = drop_ues(layout, cfg, np.random.default_rng(3))
     n_ues = len(layout.sectors) * cfg.ues_per_sector
     assert xy.shape == (n_ues, 2)
     # sector-major ids
@@ -71,18 +70,19 @@ def test_drop_ues_population_and_geometry():
 
 
 def test_drop_ues_is_deterministic_per_rng_seed():
-    cfg = preset("small")
+    cfg = preset("small").replace(ues_per_sector=4)
     layout = build_hex_layout(1, 500.0, 60.0)
-    a, _ = drop_ues(layout, 4, cfg, np.random.default_rng(11))
-    b, _ = drop_ues(layout, 4, cfg, np.random.default_rng(11))
+    a, _ = drop_ues(layout, cfg, np.random.default_rng(11))
+    b, _ = drop_ues(layout, cfg, np.random.default_rng(11))
     assert np.array_equal(a, b)
 
 
 def test_drop_ues_rejects_impossible_exclusion_radius():
     layout = build_hex_layout(0, 500.0, 60.0)
-    cfg = preset("small").replace(min_ue_site_distance=300.0)  # > isd/sqrt(3)
+    cfg = preset("small").replace(min_ue_site_distance=300.0,  # > isd/sqrt(3)
+                                  ues_per_sector=1)
     with pytest.raises(DeploymentError, match="no room"):
-        drop_ues(layout, 1, cfg, np.random.default_rng(0))
+        drop_ues(layout, cfg, np.random.default_rng(0))
 
 
 def test_assign_serving_cell_strongest_wins_ties_to_lowest_id():

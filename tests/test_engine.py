@@ -118,7 +118,7 @@ def test_bootstrap_errors_are_labelled(monkeypatch):
     def boom(self, *args):
         raise FloatingPointError("overflow in rate computation")
 
-    monkeypatch.setattr(mmwsim.engine._LinkAdapter, "rates", boom)
+    monkeypatch.setattr(mmwsim.engine._Group, "rates", boom)
     with pytest.raises(EngineError, match="tti 0 .csi bootstrap."):
         run_simulation(cfg)
 

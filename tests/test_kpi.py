@@ -9,7 +9,7 @@ from mmwsim import (AllZeroThroughputError, KpiError, KpiRecord,
 
 def test_average_ue_throughput():
     assert average_ue_throughput([1.0, 2.0, 3.0]) == 2.0
-    assert average_ue_throughput({1: 10.0, 2: 20.0}) == 15.0
+    assert average_ue_throughput([10.0, 20.0]) == 15.0
 
 
 def test_spectral_efficiency_normalizes_by_bandwidth():
@@ -62,7 +62,7 @@ def test_metric_cross_consistency_identity():
     rng = np.random.default_rng(31)
     for _ in range(50):
         n = int(rng.integers(1, 40))
-        tp = dict(enumerate(rng.uniform(0.0, 1e8, n)))
+        tp = list(rng.uniform(0.0, 1e8, n))
         bw = float(rng.uniform(1e6, 1e9))
         lhs = spectral_efficiency(tp, bw) * bw
         rhs = n * average_ue_throughput(tp)

@@ -6,6 +6,7 @@ import pytest
 
 import mmwsim.engine as engine
 from mmwsim import expand_sweep, preset, run_simulation, run_sweep
+from mmwsim.channel import _ChannelBank
 from test_golden import GOLDEN, _config, _kpis
 
 AXES = dict(schedulers=["RR", "PF"], polarizations=["LPOL", "XPOL"],
@@ -42,13 +43,13 @@ def test_golden_records_hold_as_lane_groups(rows):
 
 def test_a_sweep_builds_one_bank_per_velocity_and_seed(monkeypatch):
     calls = []
-    real = engine._ChannelBank.__init__
+    real = _ChannelBank.__init__
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine._ChannelBank, "__init__", counting)
+    monkeypatch.setattr(_ChannelBank, "__init__", counting)
     base = preset("small").replace(n_site_rings=0, ues_per_sector=2, n_tti=2)
     table, failures = run_sweep(base, seeds=[1], **AXES)
     assert failures == [] and len(table.records) == 8

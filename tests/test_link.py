@@ -7,7 +7,8 @@ import pytest
 
 from mmwsim import (LinkAbstractionError, ScenarioConfig, build_codebook,
                     noise_power_w, sinr_to_rate)
-from mmwsim.engine import _LinkAdapter, _Linkset, _ue_blocks
+from mmwsim.config import TTI_DURATION
+from mmwsim.engine import _Group, _Linkset, _ue_blocks
 from mmwsim.link import mmse_sinr_from_covariance, stack_codebook
 
 
@@ -91,48 +92,49 @@ def test_mmse_sinr_zero_columns_score_zero():
     assert sinr[1] == 0.0
 
 
-def _adapter(n_keep=1, **changes):
-    """The engine's link adapter and UE block for one UE on one RB, with
-    links to cells 0 (serving) to ``n_keep - 1``."""
-    cfg = ScenarioConfig(n_rb=1, n_strongest_interferers=n_keep - 1,
-                         **changes)
+def _group(n_keep=1, **changes):
+    """The link kernels of an engine group (one site, ``n_keep`` links per
+    UE) and a UE block for one UE on one RB, with links to cells 0
+    (serving) to ``n_keep - 1``."""
+    cfg = ScenarioConfig(n_site_rings=0, ues_per_sector=1, n_rb=1,
+                         n_strongest_interferers=n_keep - 1, **changes)
     links = _Linkset(cell=np.arange(n_keep), ue=np.zeros(n_keep, dtype=int),
                      n_keep=n_keep, serving=np.zeros(1, dtype=int),
                      amplitude=np.ones(n_keep),
                      los=np.zeros(n_keep, dtype=bool))
     (block,) = _ue_blocks(cfg, links)
-    return _LinkAdapter(cfg, n_keep), block
+    return _Group(cfg, ("LPOL",)), block
 
 
 def test_compute_sinr_with_one_interferer_scalar_case():
     # 1x1, serving gain 4 and interferer gain 2 in noise units:
     # sinr = 4 / (1 + 2)
-    adapter, block = _adapter(n_keep=2, n_tx=1, n_rx=1)
-    unit = math.sqrt(adapter.noise)
+    group, block = _group(n_keep=2, n_tx=1, n_rx=1)
+    unit = math.sqrt(group.noise)
     h = (np.array([2.0, 1.0]) * unit).astype(np.complex64).reshape(2, 1, 1, 1)
     psched = np.array([3.0, math.sqrt(2.0)], dtype=np.complex64) \
         .reshape(2, 1, 1, 1)            # (cell, rb, tx, layer)
     port = np.ones((2, 1, 1, 1), np.complex64)   # uncoupled receive port
-    r_int = adapter.interference(h, port, psched, block)
+    r_int = group.interference(h, port, psched, block)
     # the serving cell's own transmission is left out
-    assert r_int.ravel() == pytest.approx([2.0 * adapter.noise], rel=1e-5)
-    bits = adapter.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64),
-                         1.0)
+    assert r_int.ravel() == pytest.approx([2.0 * group.noise], rel=1e-5)
+    bits = group.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64), 1.0)
     assert bits.ravel() == pytest.approx(
-        [sinr_to_rate(4.0 / 3.0, adapter.rb_bandwidth, adapter.tti)],
+        [sinr_to_rate(4.0 / 3.0, group.cfg.rb_bandwidth, TTI_DURATION)],
         rel=1e-5)
 
 
 def _select(h):
     """Codebook index and rank the engine picks for one 4x4 channel, given
     in units where the full-power SNR of a unit entry is 1e4."""
-    adapter, _ = _adapter()
-    scale = 100.0 * math.sqrt(adapter.noise / adapter.p_rb)
+    group, _ = _group()
+    p_rb = group.cfg.bs_tx_power / group.cfg.n_rb
+    scale = 100.0 * math.sqrt(group.noise / p_rb)
     h_serv = (scale * np.asarray(h)).astype(np.complex64).reshape(1, 1, 4, 4)
-    chosen, idx = adapter.select(h_serv, np.zeros((1, 1, 4, 4), np.complex64),
-                                 1.0)
-    assert np.array_equal(chosen[0], adapter.cand[idx[0]])
-    return idx[0], adapter.ranks[idx[0]]
+    chosen, idx = group.select(h_serv, np.zeros((1, 1, 4, 4), np.complex64),
+                               1.0)
+    assert np.array_equal(chosen[0], group.cand[idx[0]])
+    return idx[0], group.ranks[idx[0]]
 
 
 def test_select_precoder_prefers_low_rank_on_rank_one_channels():

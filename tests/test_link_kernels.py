@@ -13,12 +13,13 @@ import pytest
 
 import mmwsim.engine as engine
 from mmwsim import preset
-from mmwsim.channel import FadingDesign
+from mmwsim.channel import freq_mixing_kernel, mix_taps
+from mmwsim.config import TTI_DURATION
 from mmwsim.link import mmse_sinr_from_covariance, sinr_to_rate
 
 
-def mix_taps_oracle(design, taps, tap_axis=1):
-    kern = design.kernel.astype(taps.real.dtype)
+def mix_taps_oracle(kernel, taps, tap_axis=1):
+    kern = kernel.astype(taps.real.dtype)
     out = np.tensordot(taps, kern, axes=([tap_axis], [0]))
     return np.moveaxis(out, -1, tap_axis)
 
@@ -31,20 +32,22 @@ def interference_oracle(links, h, psched):
     return total - g[starts]
 
 
-def rates_oracle(adapter, h_serv, r_int, p_own, sn_scale):
+def rates_oracle(group, h_serv, r_int, p_own, sn_scale):
     eff = h_serv @ p_own[:, None]
     own = eff @ eff.conj().swapaxes(-1, -2)
-    cov = adapter._with_noise(r_int + own, sn_scale)
+    cov = group._with_noise(r_int + own, sn_scale)
     sinr = mmse_sinr_from_covariance(eff, cov)
-    return sinr_to_rate(sinr, adapter.rb_bandwidth, adapter.tti,
-                        adapter.efficiency, adapter.se_cap).sum(axis=-1)
+    cfg = group.cfg
+    return sinr_to_rate(sinr, cfg.rb_bandwidth, TTI_DURATION,
+                        cfg.shannon_efficiency,
+                        cfg.spectral_efficiency_cap).sum(axis=-1)
 
 
-def select_oracle(adapter, h_serv, r_int, sn_scale):
-    h_sel = h_serv[:, adapter.select_rb]
-    eff = h_sel[:, None] @ adapter.cand[None, :, None]
+def select_oracle(group, h_serv, r_int, sn_scale):
+    h_sel = h_serv[:, group.select_rb]
+    eff = h_sel[:, None] @ group.cand[None, :, None]
     own = eff @ eff.conj().swapaxes(-1, -2)
-    base = adapter._with_noise(r_int[:, adapter.select_rb], sn_scale)
+    base = group._with_noise(r_int[:, group.select_rb], sn_scale)
     sinr = mmse_sinr_from_covariance(eff, base[:, None] + sn_scale * own)
     score = np.log2(1.0 + sinr).sum(axis=(2, 3))
     best = score.max(axis=1, keepdims=True)
@@ -56,16 +59,16 @@ def select_oracle(adapter, h_serv, r_int, sn_scale):
 @pytest.mark.parametrize("n_links", [1, 2, 75, 300])
 def test_mix_taps_matches_tensordot(n_rb, n_rx, n_tx, n_links):
     # 75 links x 16 ports leaves a one-row tail after 109-row chunks
-    design = FadingDesign(f_d=100.0, tti=1e-3, n_rb=n_rb)
+    kernel = freq_mixing_kernel(n_rb, 5)
     rng = np.random.default_rng(n_links)
-    shape = (n_links, design.n_taps, n_rx, n_tx)
+    shape = (n_links, kernel.shape[0], n_rx, n_tx)
     taps = (rng.standard_normal(shape)
             + 1j * rng.standard_normal(shape)).astype(np.complex64)
-    assert np.array_equal(design.mix_taps(taps),
-                          mix_taps_oracle(design, taps))
+    assert np.array_equal(mix_taps(taps, kernel),
+                          mix_taps_oracle(kernel, taps))
     taps64 = taps.astype(np.complex128)
-    assert np.array_equal(design.mix_taps(taps64),
-                          mix_taps_oracle(design, taps64))
+    assert np.array_equal(mix_taps(taps64, kernel),
+                          mix_taps_oracle(kernel, taps64))
 
 
 def _link_layer(cfg, polarizations):
@@ -88,13 +91,13 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
     # 21 UEs in blocks of 4: five full blocks and an uneven last one
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
     group, lanes = _link_layer(cfg, ("LPOL", "XPOL"))
-    links, bank, adapter = group.links, group.bank, group.adapter
+    links, bank = group.links, group.bank
     assert links.n_keep == n_keep
     assert [b.ues.stop - b.ues.start for b in group.blocks] \
         == [4, 4, 4, 4, 4, 1]
 
     rng = np.random.default_rng(n_tx * 10 + n_rx)
-    cand = adapter.cand
+    cand = group.cand
     for lane in lanes:
         lane.p_own = cand[rng.integers(0, len(cand), links.serving.shape[0])]
         lane.psched = cand[rng.integers(0, len(cand), (group.n_cells,
@@ -115,21 +118,20 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
             assert np.array_equal(lane.r_int, r_int)
             assert np.array_equal(
                 group.rate_table(lane),
-                rates_oracle(adapter, h_serv, r_int, lane.p_own,
+                rates_oracle(group, h_serv, r_int, lane.p_own,
                              lane.sn_scale))
-            _, idx = adapter.select(h_serv, lane.r_int, lane.sn_scale)
+            _, idx = group.select(h_serv, lane.r_int, lane.sn_scale)
             assert np.array_equal(
-                idx, select_oracle(adapter, h_serv, r_int, lane.sn_scale))
+                idx, select_oracle(group, h_serv, r_int, lane.sn_scale))
 
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
     group, (lane,) = _link_layer(cfg, ("LPOL",))
-    adapter = group.adapter
-    group.measure([lane], adapter.isotropic_psched(group.n_cells, cfg.n_rb))
+    group.measure([lane], group.isotropic_psched())
     h_serv = group.h_serv["LPOL"]
-    _, whole = adapter.select(h_serv, lane.r_int, lane.sn_scale)
+    _, whole = group.select(h_serv, lane.r_int, lane.sn_scale)
     # three UEs per chunk: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
     monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", 3 * 5 * 4 * 4 * 4)
-    _, chunked = adapter.select(h_serv, lane.r_int, lane.sn_scale)
+    _, chunked = group.select(h_serv, lane.r_int, lane.sn_scale)
     assert np.array_equal(chunked, whole)

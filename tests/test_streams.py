@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from mmwsim import ScenarioConfig, preset, run_simulation
-from mmwsim.channel import FadingDesign, unit_phasor
+from mmwsim.channel import N_SINUSOIDS, _PHASOR_CHUNK, _ChannelBank, \
+    freq_mixing_kernel, sinusoids, unit_phasor
 from mmwsim.config import TTI_DURATION
-from mmwsim.engine import _FADING_STREAM, _PHASOR_CHUNK, _ChannelBank, \
-    _Linkset
-from mmwsim.streams import keyed_streams, pcg64_states, seed_state
+from mmwsim.engine import _Linkset
+from mmwsim.streams import FADING_STREAM, keyed_streams, pcg64_states, \
+    seed_state
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3)
 
@@ -78,24 +79,23 @@ def test_unit_phasor_equals_the_complex_exponential():
                           np.exp(1j * x).view(float))
 
 
-def _old_draw_sinusoids(design, rng, n_seq, dtype):
-    shape = (n_seq, design.n_sinusoids)
+def _old_draw_sinusoids(f_d, rng, n_seq, dtype):
+    shape = (n_seq, N_SINUSOIDS)
     theta = rng.uniform(0.0, 2.0 * math.pi, shape)
     phase = rng.uniform(0.0, 2.0 * math.pi, shape)
-    omega = 2.0 * math.pi * design.f_d * np.cos(theta)
-    state0 = (np.exp(1j * phase) / math.sqrt(design.n_sinusoids)).astype(dtype)
-    step = np.exp(1j * omega * design.tti).astype(dtype)
+    omega = 2.0 * math.pi * f_d * np.cos(theta)
+    state0 = (np.exp(1j * phase) / math.sqrt(N_SINUSOIDS)).astype(dtype)
+    step = np.exp(1j * omega * TTI_DURATION).astype(dtype)
     return state0, step
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, complex])
 @pytest.mark.parametrize("f_d", [0.0, 3113.19])
 def test_draw_sinusoids_matches_the_complex_exponential_form(f_d, dtype):
-    design = FadingDesign(f_d=f_d, tti=1e-3, n_rb=12)
     rng = np.random.default_rng(3)
-    theta, phase = rng.uniform(0.0, 2.0 * math.pi, (2, 9, design.n_sinusoids))
-    new = [x.astype(dtype) for x in design.sinusoids(theta, phase)]
-    old = _old_draw_sinusoids(design, np.random.default_rng(3), 9, dtype)
+    theta, phase = rng.uniform(0.0, 2.0 * math.pi, (2, 9, N_SINUSOIDS))
+    new = [x.astype(dtype) for x in sinusoids(f_d, theta, phase)]
+    old = _old_draw_sinusoids(f_d, np.random.default_rng(3), 9, dtype)
     for a, b in zip(new, old):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -103,12 +103,11 @@ def test_draw_sinusoids_matches_the_complex_exponential_form(f_d, dtype):
 
 def _oracle_bank(cfg, links, f_d):
     """The per-link setup loop the chunked one replaced."""
-    design = FadingDesign(f_d, TTI_DURATION, cfg.n_rb,
-                          cfg.coherence_bandwidth_rb)
-    n_seq = design.n_taps * cfg.n_rx * cfg.n_tx + 2
+    n_taps = freq_mixing_kernel(cfg.n_rb, cfg.coherence_bandwidth_rb).shape[0]
+    n_seq = n_taps * cfg.n_rx * cfg.n_tx + 2
     n = links.n_links
     out = {
-        "state0": np.empty((n, n_seq, design.n_sinusoids), np.complex64),
+        "state0": np.empty((n, n_seq, N_SINUSOIDS), np.complex64),
         "a_rx": np.empty((n, cfg.n_rx), np.complex64),
         "a_tx": np.empty((n, cfg.n_tx), np.complex64),
         "rice_state": np.empty(n, np.complex64),
@@ -116,10 +115,10 @@ def _oracle_bank(cfg, links, f_d):
     }
     out["step"] = np.empty_like(out["state0"])
     for l in range(n):
-        stream = _numpy_stream(cfg.seed, _FADING_STREAM,
+        stream = _numpy_stream(cfg.seed, FADING_STREAM,
                                int(links.cell[l]), int(links.ue[l]))
         out["state0"][l], out["step"][l] = _old_draw_sinusoids(
-            design, stream, n_seq, np.complex64)
+            f_d, stream, n_seq, np.complex64)
         out["a_rx"][l] = np.exp(1j * stream.uniform(0, 2 * math.pi, cfg.n_rx))
         out["a_tx"][l] = np.exp(1j * stream.uniform(0, 2 * math.pi, cfg.n_tx))
         out["rice_state"][l] = np.exp(1j * stream.uniform(0, 2 * math.pi))
@@ -150,7 +149,7 @@ def test_chunked_bank_setup_matches_the_per_link_loop(n_rx, n_tx, f_d, seed):
     links = _links(n_links)
     bank = _ChannelBank(cfg, links, f_d, ("LPOL",))
     want = _oracle_bank(cfg, links, f_d)
-    got = {"state0": bank.sos.state, "step": bank.sos.step,
+    got = {"state0": bank.state, "step": bank.step,
            "a_rx": bank.a_rx, "a_tx": bank.a_tx,
            "rice_state": bank.rice_state, "rice_step": bank.rice_step}
     for name, value in want.items():
