@@ -13,9 +13,18 @@ kernel. LOS links add a rank-one Rician specular term.
 draws every link's sinusoids, array phases and specular term from the
 link's keyed fading stream (:mod:`mmwsim.streams`), advances them TTI by
 TTI, and assembles the per-link channel one slice of links at a time.
+
+The bank's three bulk steps (drawing and building the sinusoids, rotating
+them, and summing them into taps) run over contiguous link ranges, one per
+CPU the process may run on, on threads started and joined inside each
+call. The work is elementwise numpy, which releases the GIL, and every
+link draws from its own keyed stream, so each link goes through the same
+operations whatever the split and the bank is the same to the last bit.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -91,14 +100,15 @@ def pathloss_uma(d2d, fc, h_bs, h_ut, los):
     return out if out.ndim else float(out)
 
 
-def unit_phasor(x):
-    """exp(1j * x) for real ``x``, as complex128.
+def unit_phasor(x, out=None):
+    """exp(1j * x) for real ``x``, as complex128, into ``out`` if given.
 
     Written as cos and sin into the real and imaginary parts, which gives
     the same bits as ``np.exp(1j * x)`` without the complex cast of ``x``
     and the complex exponential.
     """
-    out = np.empty(np.shape(x), dtype=np.complex128)
+    if out is None:
+        out = np.empty(np.shape(x), dtype=np.complex128)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
@@ -116,16 +126,21 @@ def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-def sinusoids(f_d, theta, phase):
+def sinusoids(f_d, theta, phase, out=(None, None, None)):
     """Complex128 initial phasors and per-TTI rotations of sum-of-sinusoids
     sequences from the Doppler angles ``theta`` and phases ``phase`` (equal
-    shapes, ``N_SINUSOIDS`` sinusoids on the last axis)."""
-    state0 = unit_phasor(phase)
+    shapes, ``N_SINUSOIDS`` sinusoids on the last axis).
+
+    ``out`` may give C-contiguous buffers of that shape for the initial
+    phasors (complex128), the Doppler phase steps (float64) and the
+    rotations (complex128); missing ones are allocated."""
+    state0, omega, step = out
+    state0 = unit_phasor(phase, state0)
     state0 /= math.sqrt(N_SINUSOIDS)
-    omega = np.cos(theta)
+    omega = np.cos(theta, out=omega)
     omega *= 2.0 * math.pi * f_d
     omega *= TTI_DURATION
-    return state0, unit_phasor(omega)
+    return state0, unit_phasor(omega, step)
 
 
 def mix_taps(taps, kernel):
@@ -163,6 +178,51 @@ def depolarization_coherence(f_d, depol_coherence_time):
     """
     x = 2.0 * math.pi * f_d * depol_coherence_time
     return math.exp(-0.5 * x * x)
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on, read at every call."""
+    return len(os.sched_getaffinity(0))
+
+
+def _link_parts(n_links):
+    """Contiguous slices of ``range(n_links)`` made of whole
+    ``_PHASOR_CHUNK``s, as even as chunks allow, at most one per CPU."""
+    n_chunks = -(-n_links // _PHASOR_CHUNK)
+    n_parts = max(1, min(n_chunks, _cpu_count()))
+    edges = [n_chunks * i // n_parts * _PHASOR_CHUNK
+             for i in range(n_parts)] + [n_links]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _in_parts(work, jobs):
+    """Call ``work(*job)`` for every job: the first on the calling thread,
+    each other one on a thread of its own, joined before this returns.
+
+    A worker thread must not allocate large arrays. glibc gives each
+    thread its own malloc arena, and what a worker frees there stays part
+    of the process's memory, so scratch is allocated by the caller and
+    passed in. The first exception, in job order, is raised here once
+    every thread has ended.
+    """
+    errors = [None] * len(jobs)
+
+    def run(i):
+        try:
+            work(*jobs[i])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(1, len(jobs))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class _ChannelBank:
@@ -206,26 +266,37 @@ class _ChannelBank:
         # one random() call per link, scaled by 2 pi, gives every angle.
         n_ang = state0[0].size
         edges = np.cumsum([n_ang, n_ang, self.n_rx, self.n_tx, 1])
-        angles = np.empty((_PHASOR_CHUNK, edges[-1] + 1))
-        streams = keyed_streams(cfg.seed, FADING_STREAM, links.cell,
-                                links.ue)
-        for lo in range(0, n_links, _PHASOR_CHUNK):
-            chunk = slice(lo, min(lo + _PHASOR_CHUNK, n_links))
-            ang = angles[:chunk.stop - lo]
-            for row in ang:
-                next(streams).random(out=row)
-            ang *= 2 * math.pi
-            theta, phase, rx, tx, rice, rice_doppler = np.split(
-                ang, edges, axis=1)
-            state0[chunk], step[chunk] = sinusoids(
-                f_d, theta.reshape((-1,) + seq_shape),
-                phase.reshape((-1,) + seq_shape))
-            a_rx[chunk] = unit_phasor(rx)
-            a_tx[chunk] = unit_phasor(tx)
-            rice_state[chunk] = unit_phasor(rice[:, 0])
-            rice_step[chunk] = unit_phasor(
-                2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
-                * TTI_DURATION)
+
+        def build(part, angles, scratch):
+            streams = keyed_streams(cfg.seed, FADING_STREAM,
+                                    links.cell[part], links.ue[part])
+            for lo in range(part.start, part.stop, _PHASOR_CHUNK):
+                chunk = slice(lo, min(lo + _PHASOR_CHUNK, part.stop))
+                n = chunk.stop - lo
+                ang = angles[:n]
+                for row in ang:
+                    next(streams).random(out=row)
+                ang *= 2 * math.pi
+                theta, phase, rx, tx, rice, rice_doppler = np.split(
+                    ang, edges, axis=1)
+                state0[chunk], step[chunk] = sinusoids(
+                    f_d, theta.reshape((-1,) + seq_shape),
+                    phase.reshape((-1,) + seq_shape),
+                    [buf[:n] for buf in scratch])
+                a_rx[chunk] = unit_phasor(rx)
+                a_tx[chunk] = unit_phasor(tx)
+                rice_state[chunk] = unit_phasor(rice[:, 0])
+                rice_step[chunk] = unit_phasor(
+                    2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
+                    * TTI_DURATION)
+
+        chunk_shape = (_PHASOR_CHUNK,) + seq_shape
+        _in_parts(build, [
+            (part, np.empty((_PHASOR_CHUNK, edges[-1] + 1)),
+             (np.empty(chunk_shape, dtype=np.complex128),
+              np.empty(chunk_shape, dtype=np.float64),
+              np.empty(chunk_shape, dtype=np.complex128)))
+            for part in _link_parts(n_links)])
 
         # the bank owns the running state: state0 is rotated in place
         self.state, self.step = state0, step
@@ -254,7 +325,12 @@ class _ChannelBank:
 
     def _refresh(self):
         """Per-link terms of the present TTI, for every link at once."""
-        seq = self.state.sum(axis=-1)
+        seq = np.empty(self.state.shape[:-1], dtype=self.state.dtype)
+
+        def add_up(part):
+            self.state[part].sum(axis=-1, out=seq[part])
+
+        _in_parts(add_up, [(part,) for part in _link_parts(len(seq))])
         self.taps = seq[:, :self.n_scatter]
         self.spec = (self.w_spec * self.rice_state)[:, None, None] \
             * self.a_rx[:, :, None] * self.a_tx[:, None, :]
@@ -279,6 +355,10 @@ class _ChannelBank:
 
     def advance(self):
         """Rotate every sinusoid by its per-TTI phase step."""
-        self.state *= self.step
+        def rotate(part):
+            state = self.state[part]
+            state *= self.step[part]
+
+        _in_parts(rotate, [(part,) for part in _link_parts(len(self.state))])
         self.rice_state = self.rice_state * self.rice_step
         self._refresh()

@@ -66,10 +66,14 @@ reference are tied to these exact floating-point operations, including
 the OpenBLAS kernels that run them. So speed comes from issuing the same
 operations more cheaply: stacking the matrices that share a right-hand
 factor into one gemm (each row of a gemm gets the same bits whatever the
-row count), and keeping every gemm small enough that OpenBLAS runs it on
-the calling thread. ``b @ b^H`` per matrix, ``np.add.reduceat`` and
-``np.linalg.inv`` are kept as they are, because their stacked or
-re-associated forms change bits.
+row count), keeping every gemm small enough that OpenBLAS runs it on
+the calling thread, and replaying ``np.add.reduceat``'s additions in its
+own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
+and ``np.linalg.inv`` are kept as they are, because their stacked or
+re-associated forms change bits. The link layer runs on one thread: numpy's
+stacked ``matmul`` and ``np.linalg.inv`` hold the GIL, so threads would
+only take turns; the channel bank's elementwise work is what runs on
+threads (see :mod:`mmwsim.channel`).
 """
 
 import hashlib
@@ -248,6 +252,61 @@ def _stacked_matmul(a, p):
     return rows.reshape(rows.shape[:-2] + a.shape[-3:-1] + p.shape[-1:])
 
 
+def _fold(v, items):
+    """The items ``v[:, i]`` for ``i`` in ``items`` (one at least), added
+    left to right into a new array."""
+    first, *rest = items
+    if not rest:
+        return v[:, first].copy()
+    total = v[:, first] + v[:, rest[0]]
+    for i in rest[1:]:
+        total += v[:, i]
+    return total
+
+
+def _pairwise_sum(v, lo, m):
+    """The sum over axis 1 of the complex items ``v[:, lo:lo + m]`` (m >= 1),
+    as a new array, added in the order of numpy's ``pairwise_sum``: left to
+    right below 4 items; up to 64 items, four accumulators stepped by 4,
+    combined as (r0 + r1) + (r2 + r3), then the remainder left to right;
+    above that, the two halves numpy splits the items into, each summed
+    this way."""
+    if m < 4:
+        return _fold(v, range(lo, lo + m))
+    if m <= 64:
+        end = lo + m - m % 4
+        total = _fold(v, range(lo, end, 4))
+        total += _fold(v, range(lo + 1, end, 4))
+        pair = _fold(v, range(lo + 2, end, 4))
+        pair += _fold(v, range(lo + 3, end, 4))
+        total += pair
+        for i in range(end, lo + m):
+            total += v[:, i]
+        return total
+    half = (m - m % 8) // 2
+    total = _pairwise_sum(v, lo, half)
+    total += _pairwise_sum(v, lo + half, m - half)
+    return total
+
+
+def _segment_sums(g, n):
+    """``np.add.reduceat(g, np.arange(0, len(g), n), axis=0)`` to the last
+    bit, for a ``len(g)`` that is a multiple of ``n``.
+
+    reduceat sums each segment element by element: the segment's first
+    item plus the pairwise sum of the rest, one small inner loop per
+    element of the trailing axes. The same additions, in the same order,
+    on strided views of every segment at once take a few whole-array adds
+    (a + b and b + a are the same float, so sums are added in place).
+    """
+    v = g.reshape((-1, n) + g.shape[1:])
+    if n == 1:
+        return v[:, 0].copy()
+    total = _pairwise_sum(v, 1, n - 1)
+    total += v[:, 0]
+    return total
+
+
 class _Group:
     """The shared part of a run, built once for all the lanes of a group.
 
@@ -360,9 +419,9 @@ class _Group:
             b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
                                      psched[c]).swapaxes(0, 1)
         g = b @ b.conj().swapaxes(-1, -2)
-        starts = np.arange(0, h.shape[0], self.links.n_keep)
-        total = np.add.reduceat(g, starts, axis=0)
-        return total - g[starts]
+        total = _segment_sums(g, self.links.n_keep)
+        total -= g[::self.links.n_keep]
+        return total
 
     def _with_noise(self, cov, sn_scale):
         """Scale by the self-noise factor, add thermal noise, go double."""

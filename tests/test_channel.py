@@ -1,13 +1,16 @@
 """Pathloss, LOS probability, Doppler and the sum-of-sinusoids fading bank."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import mmwsim.channel as channel
 from mmwsim import (ChannelModelError, ScenarioConfig, doppler_frequency,
                     los_probability, pathloss_uma, preset)
-from mmwsim.channel import (N_SINUSOIDS, _ChannelBank,
+from mmwsim.channel import (N_SINUSOIDS, _PHASOR_CHUNK, _ChannelBank,
                             depolarization_coherence, freq_mixing_kernel,
                             sinusoids)
 from mmwsim.engine import _build_linkset, _Linkset
@@ -200,3 +203,84 @@ def test_one_bank_serves_both_polarizations_bit_for_bit():
                 == bank.coherent_fraction_sq(pol)
             bank.advance()
         both.advance()
+
+
+_BANK_ARRAYS = ("state", "step", "a_rx", "a_tx", "rice_state", "rice_step",
+                "taps")
+
+
+# one part only (5, 32), and up to three parts ending on a short chunk
+@pytest.mark.parametrize("f_d", [0.0, 3113.19])
+@pytest.mark.parametrize("n_links", [5, 32, 69, 97])
+def test_bank_split_over_threads_is_bit_identical(monkeypatch, n_links, f_d):
+    banks = []
+    # switch threads often, so parts interleave as much as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_cpus in (1, 2, 3):
+            monkeypatch.setattr(channel, "_cpu_count", lambda: n_cpus)
+            n_chunks = -(-n_links // _PHASOR_CHUNK)
+            assert len(channel._link_parts(n_links)) == min(n_cpus, n_chunks)
+            bank = _bank(f_d, n_links=n_links, los=True, n_rb=6, n_rx=2,
+                         n_tx=4)
+            for _ in range(3):
+                bank.advance()
+            banks.append(bank)
+    finally:
+        sys.setswitchinterval(interval)
+    one = banks[0]
+    for bank in banks[1:]:
+        for name in _BANK_ARRAYS:
+            assert np.array_equal(getattr(bank, name), getattr(one, name)), \
+                name
+        for pol, port in one.port.items():
+            assert np.array_equal(bank.port[pol], port), pol
+
+
+def test_link_parts_are_whole_chunks_covering_every_link(monkeypatch):
+    monkeypatch.setattr(channel, "_cpu_count", lambda: 4)
+    assert channel._link_parts(0) == [slice(0, 0)]
+    assert channel._link_parts(32) == [slice(0, 32)]
+    assert channel._link_parts(97) == [slice(0, 32), slice(32, 64),
+                                       slice(64, 96), slice(96, 97)]
+    # seven chunks in four parts
+    assert channel._link_parts(200) == [slice(0, 32), slice(32, 96),
+                                        slice(96, 160), slice(160, 200)]
+
+
+def test_bank_threads_end_with_the_call(monkeypatch):
+    monkeypatch.setattr(channel, "_cpu_count", lambda: 3)
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    before = threading.active_count()
+    bank = _bank(3113.19, n_links=97)
+    assert threading.active_count() == before
+    bank.advance()
+    assert threading.active_count() == before
+    # two helper threads for each of build, refresh, advance and refresh
+    assert len(started) == 8
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_an_error_in_a_bank_part_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(channel, "_cpu_count", lambda: 3)
+    real = channel.keyed_streams
+
+    def fail_past_the_first_part(seed, purpose, cells, ues):
+        if ues[0] != 0:
+            raise RuntimeError(f"part from ue {ues[0]} failed")
+        return real(seed, purpose, cells, ues)
+
+    monkeypatch.setattr(channel, "keyed_streams", fail_past_the_first_part)
+    before = threading.active_count()
+    # the first failing part in link order is the one reported
+    with pytest.raises(RuntimeError, match="part from ue 32 failed"):
+        _bank(3113.19, n_links=97)
+    assert threading.active_count() == before

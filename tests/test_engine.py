@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import signal
 from collections import defaultdict
@@ -9,6 +10,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+import mmwsim.channel
 import mmwsim.engine
 from mmwsim import (EngineError, KpiRecord, ResultsTable, emit_csv,
                     expand_sweep, preset, run_simulation, run_sweep,
@@ -202,7 +204,8 @@ def test_a_failing_lane_fails_only_its_own_point(monkeypatch):
     assert table.records == [run_simulation(p) for p in survivors]
 
 
-def test_parallel_sweep_matches_serial(tmp_path):
+def test_parallel_sweep_matches_serial(tmp_path, alarm):
+    alarm(120)
     cfg = tiny_config(n_tti=3)
     kwargs = dict(velocities=[0.0, 120.0], schedulers=["RR", "PF"],
                   polarizations=["LPOL", "XPOL"], seeds=[2])
@@ -223,6 +226,10 @@ def alarm():
     """``alarm(seconds)`` fails the test, instead of hanging it, once
     ``seconds`` have passed."""
     def expire(signum, frame):
+        # end the pool's workers first: leaving the pool waits for them,
+        # and a hung worker would never finish
+        for child in multiprocessing.active_children():
+            child.terminate()
         raise TimeoutError("the sweep hung")
 
     previous = signal.signal(signal.SIGALRM, expire)
@@ -246,6 +253,24 @@ def test_crashed_worker_stops_the_sweep(monkeypatch, alarm):
     with pytest.raises(EngineError, match="BrokenProcessPool"):
         run_sweep(cfg, velocities=[0.0], schedulers=["RR"],
                   polarizations=["LPOL"], seeds=[1, 2], parallelism=2)
+
+
+def test_forked_sweep_after_a_threaded_bank_finishes(monkeypatch, alarm):
+    # the run builds and advances its channel bank on two threads; the
+    # sweep then forks workers from the same process, which must neither
+    # inherit a running thread nor a lock held by one
+    monkeypatch.setattr(mmwsim.channel, "_cpu_count", lambda: 2)
+    cfg = tiny_config(ues_per_sector=6, n_tti=3, ue_velocity=120.0)
+    group = mmwsim.engine._Group(cfg, ("LPOL",))
+    assert len(mmwsim.channel._link_parts(group.links.n_links)) == 2
+    alarm(120)
+    run_simulation(cfg)
+    kwargs = dict(velocities=[0.0, 120.0], schedulers=["RR"],
+                  polarizations=["LPOL", "XPOL"], seeds=[1])
+    parallel, failures = run_sweep(cfg, parallelism=2, **kwargs)
+    serial, _ = run_sweep(cfg, parallelism=1, **kwargs)
+    assert failures == []
+    assert parallel.records == serial.records
 
 
 def _record(sched, pol, vel, seed, tp=1e6):
