@@ -13,6 +13,9 @@ kernel. LOS links add a rank-one Rician specular term.
 draws every link's sinusoids, array phases and specular term from the
 link's keyed fading stream (:mod:`mmwsim.streams`), advances them TTI by
 TTI, and assembles the per-link channel one slice of links at a time.
+At f_d = 0 the bank is frozen: it still takes every draw, which fixes the
+stream layout, but makes no rotations, drops its sinusoids once they are
+summed into taps, and never advances.
 
 The bank's three bulk steps (drawing and building the sinusoids, rotating
 them, and summing them into taps) run over contiguous link ranges, one per
@@ -126,6 +129,14 @@ def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
+def initial_phasors(phase, out=None):
+    """Complex128 initial phasors of sum-of-sinusoids sequences with phases
+    ``phase``, into ``out`` if given: the first result of ``sinusoids``."""
+    out = unit_phasor(phase, out)
+    out /= math.sqrt(N_SINUSOIDS)
+    return out
+
+
 def sinusoids(f_d, theta, phase, out=(None, None, None)):
     """Complex128 initial phasors and per-TTI rotations of sum-of-sinusoids
     sequences from the Doppler angles ``theta`` and phases ``phase`` (equal
@@ -135,8 +146,7 @@ def sinusoids(f_d, theta, phase, out=(None, None, None)):
     phasors (complex128), the Doppler phase steps (float64) and the
     rotations (complex128); missing ones are allocated."""
     state0, omega, step = out
-    state0 = unit_phasor(phase, state0)
-    state0 /= math.sqrt(N_SINUSOIDS)
+    state0 = initial_phasors(phase, state0)
     omega = np.cos(theta, out=omega)
     omega *= 2.0 * math.pi * f_d
     omega *= TTI_DURATION
@@ -234,7 +244,8 @@ class _ChannelBank:
     sequences per link drive the cross-polar leakage phase and the
     depolarization phase wander. The recurrence never stores the time
     axis: the bank's sinusoid state is rotated in place, so memory stays
-    flat however long the run is.
+    flat however long the run is. A frozen bank (f_d = 0) keeps only the
+    summed taps: its ``state``, ``step`` and ``rice_step`` are None.
 
     Only the receive-port coupling depends on the receiver polarization:
     the bank keeps one ``port[pol]`` array for each polarization it is
@@ -252,11 +263,16 @@ class _ChannelBank:
 
         seq_shape = (n_scatter + 2, N_SINUSOIDS)
         state0 = np.empty((n_links,) + seq_shape, dtype=np.complex64)
-        step = np.empty_like(state0)
         a_rx = np.empty((n_links, self.n_rx), dtype=np.complex64)
         a_tx = np.empty((n_links, self.n_tx), dtype=np.complex64)
         rice_state = np.empty(n_links, dtype=np.complex64)
-        rice_step = np.empty(n_links, dtype=np.complex64)
+        # at f_d = 0 every rotation would be exactly 1: none are made
+        step = rice_step = None
+        scratch_types = (np.complex128,)
+        if f_d != 0:
+            step = np.empty_like(state0)
+            rice_step = np.empty(n_links, dtype=np.complex64)
+            scratch_types = (np.complex128, np.float64, np.complex128)
 
         # Each link's stream holds, in order: the Doppler angles of every
         # sinusoid, then their phases, the rx and tx array phases, the
@@ -279,23 +295,24 @@ class _ChannelBank:
                 ang *= 2 * math.pi
                 theta, phase, rx, tx, rice, rice_doppler = np.split(
                     ang, edges, axis=1)
-                state0[chunk], step[chunk] = sinusoids(
-                    f_d, theta.reshape((-1,) + seq_shape),
-                    phase.reshape((-1,) + seq_shape),
-                    [buf[:n] for buf in scratch])
+                phase = phase.reshape((-1,) + seq_shape)
+                bufs = [buf[:n] for buf in scratch]
+                if step is None:
+                    state0[chunk] = initial_phasors(phase, bufs[0])
+                else:
+                    state0[chunk], step[chunk] = sinusoids(
+                        f_d, theta.reshape((-1,) + seq_shape), phase, bufs)
+                    rice_step[chunk] = unit_phasor(
+                        2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
+                        * TTI_DURATION)
                 a_rx[chunk] = unit_phasor(rx)
                 a_tx[chunk] = unit_phasor(tx)
                 rice_state[chunk] = unit_phasor(rice[:, 0])
-                rice_step[chunk] = unit_phasor(
-                    2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
-                    * TTI_DURATION)
 
         chunk_shape = (_PHASOR_CHUNK,) + seq_shape
         _in_parts(build, [
             (part, np.empty((_PHASOR_CHUNK, edges[-1] + 1)),
-             (np.empty(chunk_shape, dtype=np.complex128),
-              np.empty(chunk_shape, dtype=np.float64),
-              np.empty(chunk_shape, dtype=np.complex128)))
+             [np.empty(chunk_shape, dtype=t) for t in scratch_types])
             for part in _link_parts(n_links)])
 
         # the bank owns the running state: state0 is rotated in place
@@ -316,6 +333,9 @@ class _ChannelBank:
         self.port_parity = np.arange(self.n_tx) % 2
         self.port = dict.fromkeys(polarizations)
         self._refresh()
+        if step is None:
+            # a frozen bank's terms are final: its sinusoids are not kept
+            self.state = None
 
     def coherent_fraction_sq(self, pol):
         """Coherent power fraction at the receiver's slant (1 for LPOL)."""
@@ -354,7 +374,11 @@ class _ChannelBank:
         return h + self.spec[links, None, :, :]
 
     def advance(self):
-        """Rotate every sinusoid by its per-TTI phase step."""
+        """Rotate every sinusoid by its per-TTI phase step; at f_d = 0 the
+        bank is frozen and this does nothing."""
+        if self.step is None:
+            return
+
         def rotate(part):
             state = self.state[part]
             state *= self.step[part]

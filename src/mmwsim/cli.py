@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 
+from .channel import _cpu_count
 from .config import DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES, \
     POLARIZATIONS, SCHEDULERS, ScenarioError, _parse_value, load_scenario, \
     preset
@@ -68,7 +69,8 @@ def build_parser():
     parser.add_argument("--seeds", type=_int_list, metavar="LIST",
                         help="sweep seeds: '1..5' or '1,2,3' (default 1..5)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker processes for sweeps; 0 = all cores")
+                        help="worker processes for sweeps; 0 = every CPU "
+                             "this process may run on")
     parser.add_argument("--trace-dir", metavar="DIR",
                         help="write layout/allocation/channel traces "
                              "(single runs only)")
@@ -132,7 +134,7 @@ def main(argv=None):
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
 
-    parallel = os.cpu_count() if args.parallel == 0 else args.parallel
+    parallel = _cpu_count() if args.parallel == 0 else args.parallel
     if parallel < 1:
         print("simulate: --parallel must be >= 0", file=sys.stderr)
         return 1

@@ -46,15 +46,30 @@ Sweep points that differ only in scheduler and polarization (the points
 of one (velocity, seed)) run in lockstep as lanes of one group. The group
 is built once: layout, drop, gains, link set, channel bank, UE blocks,
 the link kernels with their codebook, and one serving channel per
-polarization. Each TTI the bank advances once (at f_d = 0 not at all: it
-could not change), and each block's channel is mixed once; only the
-receive-port coupling, a few milliseconds a TTI, is applied per
-polarization, cell by cell as each lane precodes, so no coupled copy of a
-block is kept. A lane keeps only per-UE and per-cell arrays: interference
-covariance, precoders, CSI rates, precoder map, throughput averages,
-round-robin cursors and granted bits. Lanes of one polarization share the
-isotropic TTI-0 bootstrap. ``run_simulation`` is the one-lane case, and
-every lane's record equals it.
+polarization. Each TTI the bank advances once, and each block's channel
+is mixed once; only the receive-port coupling, a few milliseconds a TTI,
+is applied per polarization, cell by cell as each lane precodes, so no
+coupled copy of a block is kept. At f_d = 0 the channel cannot change:
+the group mixes each block and couples the serving channels once per
+run, and the bank keeps no sinusoids. A lane keeps only per-UE and
+per-cell arrays: interference covariance, precoders, CSI rates, precoder
+map, throughput averages, round-robin cursors and granted bits. Lanes of
+one polarization share the isotropic TTI-0 bootstrap and, at every
+precoder update, the candidate products of selection.
+``run_simulation`` is the one-lane case, and every lane's record equals
+it.
+
+Each lane measures only its demand: the (UE, RB) pairs something reads
+after the TTI's grants. Accounting and the allocation trace read the
+grants, one pair per active cell and RB; a precoder update after the TTI
+reads the ``select_rb`` rows of every UE; proportional fair's next
+``schedule`` reads every rate. So a proportional-fair lane before its
+last TTI and the TTI-0 bootstrap get the full tables, and every other
+lane gets covariances at its pairs only and rates at its grants only
+(``_Group.pair_interference`` and ``granted_rates``). Every step of the
+link layer is per matrix or elementwise, so a subset of pairs gets the
+bits the full tables give it; the entries outside the demand are not
+written, and nothing reads them.
 
 Rewrites of the link layer must keep every KPI bit-identical, not merely
 close. Proportional-fair scheduling turns a last-bit change in one rate
@@ -70,10 +85,12 @@ row count), keeping every gemm small enough that OpenBLAS runs it on
 the calling thread, and replaying ``np.add.reduceat``'s additions in its
 own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
 and ``np.linalg.inv`` are kept as they are, because their stacked or
-re-associated forms change bits. The link layer runs on one thread: numpy's
-stacked ``matmul`` and ``np.linalg.inv`` hold the GIL, so threads would
-only take turns; the channel bank's elementwise work is what runs on
-threads (see :mod:`mmwsim.channel`).
+re-associated forms change bits. The link layer runs on one thread.
+numpy's stacked ``matmul`` and ``np.linalg.inv`` do release the GIL, but
+splitting them over two threads did not pay: two stacked products of
+tiny matrices took longer side by side than one after the other, and
+``inv`` gained little. The channel bank's elementwise work is what runs
+on threads (see :mod:`mmwsim.channel`).
 """
 
 import hashlib
@@ -116,7 +133,14 @@ _SELECT_MARGIN = 1e-12
 # a UE block holds about this many bytes of per-link channel matrices; the
 # per-link channel, precoded channel and covariance arrays of a TTI exist
 # for one block at a time, never for the whole network
-_BLOCK_BYTES = 8 << 20
+_BLOCK_BYTES = 2 << 20
+
+
+def _selects(cfg, t):
+    """Whether precoders are selected after TTI ``t``: every
+    ``csi_period_tti``-th TTI, but not after the last, whose precoders
+    nothing would use."""
+    return (t + 1) % cfg.csi_period_tti == 0 and t < cfg.n_tti - 1
 
 
 def _rng(*key):
@@ -357,6 +381,13 @@ class _Group:
         self.h_serv = {pol: np.empty(
             (n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
             dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
+        # at f_d = 0 the channel never changes: each block is mixed and its
+        # serving links coupled once, for the whole run
+        self.frozen = None
+        if self.f_d == 0:
+            self.frozen = [self.bank.current(b.links) for b in self.blocks]
+            for block, h in zip(self.blocks, self.frozen):
+                self._couple_serving(block, h, polarizations)
 
         # the non-empty serving cells, each with its UE ids in ascending order
         self.active = np.unique(links.serving)
@@ -368,22 +399,40 @@ class _Group:
         block by block, under each lane's own ``psched`` unless one
         ``psched`` is given for all of them.
 
-        Each block's channel is mixed once, and only its serving links are
-        coupled to each polarization's ports here; ``interference`` couples
-        the rest cell by cell, so no coupled copy of the block exists.
+        A lane whose ``pairs`` is None gets every (ue, rb) entry; any other
+        lane gets only its ``pairs``. Each block's channel is mixed once
+        (at f_d = 0 once per run), and only its serving links are coupled
+        to each polarization's ports here; ``interference`` couples the
+        rest cell by cell, so no coupled copy of the block exists.
         """
-        n_keep = self.links.n_keep
         pols = dict.fromkeys(lane.pol for lane in lanes)
-        for block in self.blocks:
-            h = self.bank.current(block.links)
+        for i, block in enumerate(self.blocks):
+            if self.frozen is None:
+                h = self.bank.current(block.links)
+                self._couple_serving(block, h, pols)
+            else:
+                h = self.frozen[i]
             ports = {pol: self.bank.port[pol][block.links, None, None, :]
                      for pol in pols}
-            for pol, port in ports.items():
-                self.h_serv[pol][block.ues] = h[::n_keep] * port[::n_keep]
             for lane in lanes:
-                lane.r_int[block.ues] = self.interference(
-                    h, ports[lane.pol],
-                    lane.psched if psched is None else psched, block)
+                p = lane.psched if psched is None else psched
+                if lane.pairs is None:
+                    lane.r_int[block.ues] = self.interference(
+                        h, ports[lane.pol], p, block)
+                    continue
+                ue, rb = lane.pairs
+                lo, hi = np.searchsorted(ue, [block.ues.start,
+                                              block.ues.stop])
+                lane.r_int[ue[lo:hi], rb[lo:hi]] = self.pair_interference(
+                    h, ports[lane.pol], p, block, ue[lo:hi], rb[lo:hi])
+
+    def _couple_serving(self, block, h, pols):
+        """Fill ``h_serv[pol]`` for ``block``'s UEs from its channel ``h``,
+        for each of ``pols``."""
+        n_keep = self.links.n_keep
+        for pol in pols:
+            port = self.bank.port[pol][block.links][::n_keep, None, None, :]
+            self.h_serv[pol][block.ues] = h[::n_keep] * port
 
     def rate_table(self, lane):
         """Per-(ue, rb) bits of ``lane`` from the measured channel."""
@@ -392,6 +441,14 @@ class _Group:
             self.rates(h_serv[b.ues], lane.r_int[b.ues], lane.p_own[b.ues],
                        lane.sn_scale)
             for b in self.blocks])
+
+    def granted_rates(self, lane):
+        """Bits of ``lane``'s grants, (active cell, rb), from the measured
+        channel: the ``rate_table`` entries at the granted pairs."""
+        ue, rb = lane.rb_to_ue, np.arange(self.cfg.n_rb)
+        h = self.h_serv[lane.pol][ue, rb]
+        return self._bits(h @ lane.p_own[ue], lane.r_int[ue, rb],
+                          lane.sn_scale)
 
     def isotropic_psched(self):
         """Equal-power identity precoding everywhere (TTI-0 bootstrap)."""
@@ -407,10 +464,7 @@ class _Group:
         ``h * port`` is the block's per-link channel, with ``port`` the
         receive-port coupling (n, 1, 1, n_tx), and ``psched`` maps
         (cell, rb) to the scaled precoder in use. The links of one cell are
-        coupled and precoded as one stacked product per RB. Because a UE's
-        own hypothetical grant replaces whatever its serving cell is
-        transmitting, the serving link's contribution is subtracted from
-        the segmented sum over each UE's link group.
+        coupled and precoded as one stacked product per RB.
         """
         b = np.empty(h.shape[:-1] + (self.max_rank,), dtype=np.complex64)
         for c, idx in block.cells:
@@ -418,6 +472,27 @@ class _Group:
             h_c *= port[idx]
             b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
                                      psched[c]).swapaxes(0, 1)
+        return self._covariance(b)
+
+    def pair_interference(self, h, port, psched, block, ue, rb):
+        """``interference`` at the (ue, rb) pairs of one block only, to the
+        last bit: each pair's links are gathered at its RB, coupled and
+        precoded one matrix at a time, which gives the rows of the stacked
+        product."""
+        n_keep = self.links.n_keep
+        link = (ue - block.ues.start)[:, None] * n_keep + np.arange(n_keep)
+        h_p = h[link, rb[:, None]]
+        h_p *= port[link, 0]
+        cell = self.links.cell[block.links][link]
+        b = h_p @ psched[cell, rb[:, None]]
+        return self._covariance(b.reshape((-1,) + b.shape[2:]))
+
+    def _covariance(self, b):
+        """Interference covariance per UE from its precoded links ``b``,
+        ``n_keep`` consecutive ones per UE, serving link first. Because a
+        UE's own hypothetical grant replaces whatever its serving cell is
+        transmitting, the serving link's contribution is subtracted from
+        the segmented sum over each UE's link group."""
         g = b @ b.conj().swapaxes(-1, -2)
         total = _segment_sums(g, self.links.n_keep)
         total -= g[::self.links.n_keep]
@@ -432,7 +507,11 @@ class _Group:
 
     def rates(self, h_serv, r_int, p_own, sn_scale):
         """Per-(ue, rb) truncated-Shannon bits for one RB grant."""
-        eff = _stacked_matmul(h_serv, p_own)
+        return self._bits(_stacked_matmul(h_serv, p_own), r_int, sn_scale)
+
+    def _bits(self, eff, r_int, sn_scale):
+        """Bits of grants with precoded channel ``eff`` and interference
+        covariance ``r_int``, one per matrix."""
         own = eff @ eff.conj().swapaxes(-1, -2)
         cov = self._with_noise(r_int + own, sn_scale)
         sinr = mmse_sinr_from_covariance(eff, cov)
@@ -441,24 +520,31 @@ class _Group:
                             cfg.shannon_efficiency,
                             cfg.spectral_efficiency_cap).sum(axis=-1)
 
-    def select(self, h_serv, r_int, sn_scale):
-        """Wideband codebook choice per UE from a decimated RB sample.
+    def select(self, h_serv, r_ints, sn_scale):
+        """Wideband codebook choice per UE from a decimated RB sample, one
+        (n_ues,) index array for each interference covariance of
+        ``r_ints``: the lanes of one polarization, which share ``h_serv``,
+        ``sn_scale`` and so every candidate product.
 
         UEs are taken in chunks whose stacked candidate products stay on
         the calling thread, which also bounds the temporaries.
         """
         h_sel = h_serv[:, self.select_rb]
-        r_sel = r_int[:, self.select_rb]
         n_ues, n_sel, n_rx, n_tx = h_sel.shape
         step = max(1, SERIAL_GEMM_MNK
                    // (n_sel * n_rx * n_tx * self.max_rank))
-        idx = np.empty(n_ues, dtype=np.intp)
+        idx = [np.empty(n_ues, dtype=np.intp) for _ in r_ints]
         for lo in range(0, n_ues, step):
-            idx[lo:lo + step] = self._select_chunk(
-                h_sel[lo:lo + step], r_sel[lo:lo + step], sn_scale)
-        return self.cand[idx], idx
+            ues = slice(lo, lo + step)
+            eff, own = self._candidates(h_sel[ues])
+            for i, r_int in zip(idx, r_ints):
+                i[ues] = self._best_entry(
+                    eff, own, r_int[ues, self.select_rb], sn_scale)
+        return idx
 
-    def _select_chunk(self, h_sel, r_sel, sn_scale):
+    def _candidates(self, h_sel):
+        """Every codebook entry's precoded channel and its own covariance,
+        axes (ue, entry, rb, rx, ...)."""
         n_ues, n_sel, n_rx, n_tx = h_sel.shape
         rows = h_sel.swapaxes(0, 1).reshape(1, -1, n_rx, n_tx)
         eff = _stacked_matmul(rows, self.cand).reshape(
@@ -466,7 +552,9 @@ class _Group:
         # axes (ue, entry, rb, rx, layer) over (entry, rb, ue) memory order,
         # the layout numpy gave the per-matrix form
         eff = eff.transpose(2, 0, 1, 3, 4)
-        own = eff @ eff.conj().swapaxes(-1, -2)
+        return eff, eff @ eff.conj().swapaxes(-1, -2)
+
+    def _best_entry(self, eff, own, r_sel, sn_scale):
         base = self._with_noise(r_sel, sn_scale)
         sinr = mmse_sinr_from_covariance(eff, base[:, None] + sn_scale * own)
         score = np.log2(1.0 + sinr).sum(axis=(2, 3))
@@ -486,6 +574,8 @@ class _Lane:
         self.r_int = np.empty((n_ues, cfg.n_rb, cfg.n_rx, cfg.n_rx),
                               dtype=np.complex64)
         self.p_own = self.csi_rates = None    # set by the CSI bootstrap
+        # the (ue, rb) pairs measured this TTI, or None for all of them
+        self.pairs = None
         # empty cells stay silent: only the active cells' rows are written
         self.psched = np.zeros(
             (n_cells, cfg.n_rb, cfg.n_tx, group.max_rank),
@@ -509,22 +599,43 @@ class _Lane:
             except SchedulerError as exc:
                 raise EngineError(f"tti {t} cell {c}: {exc}") from exc
         self.psched[group.active] = self.p_own[self.rb_to_ue]
+        self.pairs = self.demand(t, group)
 
-    def account(self, t, group):
-        """Count this TTI's granted bits and refresh the CSI."""
-        rate_meas = group.rate_table(self)
+    def demand(self, t, group):
+        """The (ue, rb) pairs, sorted by UE, whose covariance is read after
+        this TTI's grants, or None when every pair is.
+
+        Accounting reads the grants, a precoder update after this TTI reads
+        every UE's ``select_rb`` rows, and proportional fair's next
+        ``schedule`` reads every rate.
+        """
+        cfg = self.cfg
+        if cfg.scheduler == "PF" and t < cfg.n_tti - 1:
+            return None
+        read = np.zeros((len(self.avg), cfg.n_rb), dtype=bool)
+        read[self.rb_to_ue, np.arange(cfg.n_rb)] = True
+        if _selects(cfg, t):
+            read[:, group.select_rb] = True
+        return np.nonzero(read)
+
+    def account(self, group):
+        """Count this TTI's granted bits and refresh the CSI rates.
+
+        A lane measured at its ``pairs`` only keeps its granted rates, the
+        only entries of ``csi_rates`` anything reads after this TTI."""
+        rbs = np.arange(self.cfg.n_rb)
+        if self.pairs is None:
+            self.csi_rates = group.rate_table(self)
+        else:
+            self.csi_rates = np.full((len(self.avg), self.cfg.n_rb), np.nan)
+            self.csi_rates[self.rb_to_ue, rbs] = group.granted_rates(self)
         # each UE has one serving cell, so its grants add up in RB order
         # whatever order the cells come in
         granted = np.zeros(len(self.avg))
-        np.add.at(granted, self.rb_to_ue,
-                  rate_meas[self.rb_to_ue, np.arange(self.cfg.n_rb)])
+        np.add.at(granted, self.rb_to_ue, self.csi_rates[self.rb_to_ue, rbs])
         self.total_bits += granted
         self.avg = update_average_throughput(self.avg, granted,
                                              self.cfg.pf_time_constant_tc)
-        if (t + 1) % self.cfg.csi_period_tti == 0:
-            self.p_own, _ = group.select(
-                group.h_serv[self.pol], self.r_int, self.sn_scale)
-        self.csi_rates = rate_meas
 
     def record(self, counted):
         cfg = self.cfg
@@ -548,6 +659,9 @@ def _run_lanes(cfgs, trace_dir=None):
     cfg = cfgs[0]
     group = _Group(cfg, list(dict.fromkeys(c.ue_polarization for c in cfgs)))
     lanes = [_Lane(c, group) for c in cfgs]
+    by_pol = {}
+    for lane in lanes:
+        by_pol.setdefault(lane.pol, []).append(lane)
     links = group.links
 
     for c in cfgs:
@@ -576,17 +690,15 @@ def _run_lanes(cfgs, trace_dir=None):
         # the bootstrap precodes isotropically, whatever the scheduler, so
         # lanes of one polarization share its CSI
         try:
-            first = {}
-            for lane in lanes:
-                first.setdefault(lane.pol, lane)
-            group.measure(list(first.values()), group.isotropic_psched())
-            for lane in lanes:
-                if lane is first[lane.pol]:
-                    lane.p_own, _ = group.select(
-                        group.h_serv[lane.pol], lane.r_int, lane.sn_scale)
-                    lane.csi_rates = group.rate_table(lane)
-                lane.p_own = first[lane.pol].p_own
-                lane.csi_rates = first[lane.pol].csi_rates
+            group.measure([same[0] for same in by_pol.values()],
+                          group.isotropic_psched())
+            for pol, (first, *rest) in by_pol.items():
+                (idx,) = group.select(group.h_serv[pol], [first.r_int],
+                                      first.sn_scale)
+                first.p_own = group.cand[idx]
+                first.csi_rates = group.rate_table(first)
+                for lane in rest:
+                    lane.p_own, lane.csi_rates = first.p_own, first.csi_rates
         except Exception as exc:
             raise EngineError(
                 f"tti 0 (csi bootstrap): {type(exc).__name__}: {exc}"
@@ -594,15 +706,20 @@ def _run_lanes(cfgs, trace_dir=None):
 
         for t in range(cfg.n_tti):
             try:
-                # at f_d = 0 every phasor step is exactly 1, so advancing
-                # would leave the channel bit for bit as it is
-                if t > 0 and group.f_d > 0:
+                if t > 0:
                     group.bank.advance()
                 for lane in lanes:
                     lane.schedule(t, group)
                 group.measure(lanes)
                 for lane in lanes:
-                    lane.account(t, group)
+                    lane.account(group)
+                if _selects(cfg, t):
+                    for pol, same in by_pol.items():
+                        idx = group.select(group.h_serv[pol],
+                                           [lane.r_int for lane in same],
+                                           same[0].sn_scale)
+                        for lane, i in zip(same, idx):
+                            lane.p_own = group.cand[i]
             except EngineError:
                 raise
             except Exception as exc:
@@ -725,7 +842,8 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
     point order. Failed points are reported, not fatal: they are returned
     and also listed under ``failures`` in the table's metadata. A worker
     process that dies mid-group breaks the pool, and the sweep stops with
-    an ``EngineError``.
+    an ``EngineError``. An exception that interrupts the wait for the
+    workers, such as ``KeyboardInterrupt``, ends them before it propagates.
     """
     points = expand_sweep(base, velocities, polarizations, schedulers,
                           seeds)
@@ -737,15 +855,26 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
         # importing it adds about twenty modules to every import of mmwsim
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            try:
-                results = list(pool.map(_run_group, tasks))
-            except BrokenProcessPool as exc:
-                raise EngineError(
-                    f"sweep aborted, worker pool broken: "
-                    f"{type(exc).__name__}: {exc}") from exc
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"))
+        try:
+            results = list(pool.map(_run_group, tasks))
+        except BrokenProcessPool as exc:
+            raise EngineError(
+                f"sweep aborted, worker pool broken: "
+                f"{type(exc).__name__}: {exc}") from exc
+        except BaseException:
+            # the wait was interrupted (a signal handler raised, or
+            # Ctrl-C): end this pool's workers, which may never return,
+            # instead of waiting for them. The pool's own thread then finds
+            # them gone and joins them; joining them here as well would
+            # race it for their exit status.
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         results = [_run_group(task) for task in tasks]
 

@@ -131,3 +131,20 @@ def test_help_mentions_the_study_axes(capsys):
     for flag in ("--sweep-velocities", "--polarizations", "--schedulers",
                  "--seeds", "--parallel", "--trace-dir", "--preset"):
         assert flag in text
+
+
+def test_parallel_zero_counts_the_cpus_this_process_may_use(monkeypatch,
+                                                            tmp_path):
+    # under taskset or a cpuset the affinity count is below os.cpu_count()
+    monkeypatch.setattr(mmwsim.cli, "_cpu_count", lambda: 3)
+    seen = []
+
+    def fake_sweep(cfg, velocities=None, polarizations=None, schedulers=None,
+                   seeds=None, parallelism=1):
+        seen.append(parallelism)
+        return ResultsTable(records=[], metadata={}), []
+
+    monkeypatch.setattr(mmwsim.cli, "run_sweep", fake_sweep)
+    assert run_cli(*TINY, "--seeds", "1", "--parallel", "0",
+                   "--out", str(tmp_path / "r.csv")) == 0
+    assert seen == [3]

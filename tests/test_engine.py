@@ -1,10 +1,12 @@
 """End-to-end runs, sweeps, trace output and the results table."""
 
 import csv
+import faulthandler
 import json
 import multiprocessing
 import os
 import signal
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -253,6 +255,36 @@ def test_crashed_worker_stops_the_sweep(monkeypatch, alarm):
     with pytest.raises(EngineError, match="BrokenProcessPool"):
         run_sweep(cfg, velocities=[0.0], schedulers=["RR"],
                   polarizations=["LPOL"], seeds=[1, 2], parallelism=2)
+
+
+def test_an_interrupted_sweep_ends_its_own_workers(monkeypatch):
+    cfg = tiny_config(n_tti=2)
+    real = mmwsim.engine._run_lanes
+
+    def hang_on_seed_2(cfgs, trace_dir=None):
+        if any(c.seed == 2 for c in cfgs):
+            time.sleep(3600)   # the worker never reports back
+        return real(cfgs, trace_dir)
+
+    def interrupt(signum, frame):
+        # ends nothing itself: the sweep has to end its workers
+        raise TimeoutError("sweep interrupted")
+
+    monkeypatch.setattr(mmwsim.engine, "_run_lanes", hang_on_seed_2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        with pytest.raises(TimeoutError, match="sweep interrupted"):
+            run_sweep(cfg, velocities=[0.0], schedulers=["RR"],
+                      polarizations=["LPOL"], seeds=[1, 2], parallelism=2)
+        assert time.monotonic() - start < 30.0
+        assert multiprocessing.active_children() == []
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        faulthandler.cancel_dump_traceback_later()
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_forked_sweep_after_a_threaded_bank_finishes(monkeypatch, alarm):

@@ -131,9 +131,8 @@ def _select(h):
     p_rb = group.cfg.bs_tx_power / group.cfg.n_rb
     scale = 100.0 * math.sqrt(group.noise / p_rb)
     h_serv = (scale * np.asarray(h)).astype(np.complex64).reshape(1, 1, 4, 4)
-    chosen, idx = group.select(h_serv, np.zeros((1, 1, 4, 4), np.complex64),
-                               1.0)
-    assert np.array_equal(chosen[0], group.cand[idx[0]])
+    (idx,) = group.select(h_serv, [np.zeros((1, 1, 4, 4), np.complex64)],
+                          1.0)
     return idx[0], group.ranks[idx[0]]
 
 
