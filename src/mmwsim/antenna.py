@@ -47,10 +47,6 @@ def array_factor(cfg, elevation_deg):
     gets 10*log10(N) and a single element gets 0 dB everywhere.
     """
     n = cfg.vertical_panels * cfg.elements_per_panel
-    if n == 1:
-        el = np.asarray(elevation_deg, dtype=float)
-        zeros = np.zeros_like(el)
-        return zeros if zeros.ndim else 0.0
     el = np.radians(np.asarray(elevation_deg, dtype=float))
     # zenith-referenced downtilt: 90 deg steers to the horizon
     steer = math.radians(cfg.electrical_downtilt_deg - 90.0)

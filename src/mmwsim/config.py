@@ -202,8 +202,9 @@ class ScenarioConfig:
                  "must be > 0")
         _require(self.n_strongest_interferers >= 0, "n_strongest_interferers",
                  "must be >= 0")
-        _require(self.min_ue_site_distance >= 0, "min_ue_site_distance",
-                 "must be >= 0")
+        _require(self.min_ue_site_distance >= 10, "min_ue_site_distance",
+                 "must be >= 10 m, the validity floor of the UMa pathloss "
+                 "model")
         _require(self.seed >= 0, "seed", "must be >= 0")
         return self
 
@@ -256,14 +257,14 @@ def _parse_value(key, raw):
     ftype = _FIELDS[key].type
     raw = raw.strip()
     try:
-        if ftype is bool or ftype == "bool":
+        if ftype is bool:
             word = raw.lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[word]
-        if ftype is int or ftype == "int":
+        if ftype is int:
             return int(raw)
-        if ftype is float or ftype == "float":
+        if ftype is float:
             return float(raw)   # accepts inf for xpd_mean
         return raw
     except ValueError as exc:

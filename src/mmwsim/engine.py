@@ -31,13 +31,11 @@ velocity even before CSI staleness bites.
 Every random draw comes from a stream keyed by (seed, purpose, cell, ue),
 so runs differing only in velocity, polarization or scheduler share their
 drop geometry, shadowing and fading sinusoids: sweep axes are compared
-under common random numbers. The shadowing and fading streams of a run
-are seeded in one pass (:mod:`mmwsim.streams`) to exactly the
-``SeedSequence`` -> ``PCG64`` state numpy would give each key, and one
-generator is re-seeded for every key, so each stream is consumed before
-the next is drawn. The fading model is the channel bank of
-:mod:`mmwsim.channel`; this module holds the link set it runs on and the
-link kernels that read its channel.
+under common random numbers. The seed words of a run's shadowing and
+fading streams are hashed in one pass (:mod:`mmwsim.streams`), to exactly
+the ``SeedSequence`` -> ``PCG64`` state numpy would give each key. The
+fading model is the channel bank of :mod:`mmwsim.channel`; this module
+holds the link set it runs on and the link kernels that read its channel.
 
 The link layer is streamed over contiguous UE blocks, so per-link arrays
 exist for one block at a time; only per-UE results span the network.
@@ -370,7 +368,6 @@ class _Group:
         p_rb = cfg.bs_tx_power / cfg.n_rb
         self.cand = (padded * np.sqrt(p_rb / ranks)[:, None, None]) \
             .astype(np.complex64)
-        self.ranks = ranks
         self.max_rank = padded.shape[2]
         self.select_rb = np.arange(0, cfg.n_rb, _SELECT_RB_STRIDE)
         self.iso = (math.sqrt(p_rb / cfg.n_tx)
@@ -520,27 +517,29 @@ class _Group:
                             cfg.shannon_efficiency,
                             cfg.spectral_efficiency_cap).sum(axis=-1)
 
-    def select(self, h_serv, r_ints, sn_scale):
-        """Wideband codebook choice per UE from a decimated RB sample, one
-        (n_ues,) index array for each interference covariance of
-        ``r_ints``: the lanes of one polarization, which share ``h_serv``,
-        ``sn_scale`` and so every candidate product.
+    def select(self, lanes):
+        """Wideband codebook choice per UE from a decimated RB sample: set
+        each lane's ``p_own`` from its interference covariance. The lanes
+        are of one polarization, so they share ``h_serv``, ``sn_scale`` and
+        every candidate product.
 
         UEs are taken in chunks whose stacked candidate products stay on
         the calling thread, which also bounds the temporaries.
         """
-        h_sel = h_serv[:, self.select_rb]
+        h_sel = self.h_serv[lanes[0].pol][:, self.select_rb]
+        sn_scale = lanes[0].sn_scale
         n_ues, n_sel, n_rx, n_tx = h_sel.shape
         step = max(1, SERIAL_GEMM_MNK
                    // (n_sel * n_rx * n_tx * self.max_rank))
-        idx = [np.empty(n_ues, dtype=np.intp) for _ in r_ints]
+        idx = [np.empty(n_ues, dtype=np.intp) for _ in lanes]
         for lo in range(0, n_ues, step):
             ues = slice(lo, lo + step)
             eff, own = self._candidates(h_sel[ues])
-            for i, r_int in zip(idx, r_ints):
+            for i, lane in zip(idx, lanes):
                 i[ues] = self._best_entry(
-                    eff, own, r_int[ues, self.select_rb], sn_scale)
-        return idx
+                    eff, own, lane.r_int[ues, self.select_rb], sn_scale)
+        for lane, i in zip(lanes, idx):
+            lane.p_own = self.cand[i]
 
     def _candidates(self, h_sel):
         """Every codebook entry's precoded channel and its own covariance,
@@ -692,10 +691,8 @@ def _run_lanes(cfgs, trace_dir=None):
         try:
             group.measure([same[0] for same in by_pol.values()],
                           group.isotropic_psched())
-            for pol, (first, *rest) in by_pol.items():
-                (idx,) = group.select(group.h_serv[pol], [first.r_int],
-                                      first.sn_scale)
-                first.p_own = group.cand[idx]
+            for first, *rest in by_pol.values():
+                group.select([first])
                 first.csi_rates = group.rate_table(first)
                 for lane in rest:
                     lane.p_own, lane.csi_rates = first.p_own, first.csi_rates
@@ -714,12 +711,8 @@ def _run_lanes(cfgs, trace_dir=None):
                 for lane in lanes:
                     lane.account(group)
                 if _selects(cfg, t):
-                    for pol, same in by_pol.items():
-                        idx = group.select(group.h_serv[pol],
-                                           [lane.r_int for lane in same],
-                                           same[0].sn_scale)
-                        for lane, i in zip(same, idx):
-                            lane.p_own = group.cand[i]
+                    for same in by_pol.values():
+                        group.select(same)
             except EngineError:
                 raise
             except Exception as exc:

@@ -57,9 +57,10 @@ def schedule_pf(ues, rates, avg):
     if avg.shape != ues.shape:
         raise SchedulerError(
             f"avg must be (n_ues={len(ues)},), got {avg.shape}")
-    bad = rates < 0
+    bad = ~(rates >= 0)
     if bad.any():
-        raise SchedulerError(f"negative rate for ue {ues[bad.any(axis=1)][0]}")
+        raise SchedulerError(
+            f"negative or NaN rate for ue {ues[bad.any(axis=1)][0]}")
     bad = ~(avg > 0)
     if bad.any():
         raise SchedulerError(

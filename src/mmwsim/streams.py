@@ -1,12 +1,12 @@
 """Keyed random streams, seeded for a whole batch of keys in one pass.
 
 A keyed stream is the generator ``default_rng(SeedSequence(key))`` for a
-key (seed, purpose, cell, ue). Building one costs a ``SeedSequence`` and a
-``PCG64`` object, and a paper-scale run needs over 100,000 of them. Here
-numpy's ``SeedSequence`` hash runs in vectorized ``uint32`` arithmetic over
-every key of a batch, the ``PCG64`` seeding step runs on Python ints, and
-one reused ``Generator`` is put into each key's start state in turn. The
-draws are numpy's to the last bit.
+key (seed, purpose, cell, ue), and a paper-scale run needs over 100,000 of
+them. numpy's own ``SeedSequence`` costs several times what the rest of a
+stream does, so here its hash runs in vectorized ``uint32`` arithmetic over
+every key of a batch. Each key's four seed words then go to a ``PCG64``
+through numpy's ``ISeedSequence`` interface, and numpy seeds it. The draws
+are numpy's to the last bit.
 """
 
 import numpy as np
@@ -27,12 +27,9 @@ _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-# keys seeded per vectorized pass: enough to amortize the numpy calls,
-# few enough that the Python ints of the PCG64 states stay small
+# keys seeded per vectorized pass: enough to amortize the numpy calls, few
+# enough to bound what ``seed_state`` allocates inside the channel bank's
+# worker threads, whose freed memory stays in per-thread malloc arenas
 _KEY_BLOCK = 4096
 
 
@@ -98,37 +95,30 @@ def seed_state(seed, purpose, cells, ues):
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def pcg64_states(words):
-    """PCG64 start states ``(state, inc)`` as 128-bit ints, one per row of
-    ``words`` (the (n, 4) uint64 output of ``seed_state``).
+class _SeedWords:
+    """An ``ISeedSequence`` that gives ``PCG64`` one key's ``seed_state``
+    row, which ``PCG64`` reads as raw memory: a C-contiguous row."""
 
-    This is PCG64's seeding step: the seed words give the 128-bit initial
-    state and increment, and the LCG is stepped twice from a zero state.
-    """
-    s0, s1, i0, i1 = words.astype(object).T
-    inc = ((i0 << 65) | (i1 << 1) | 1) & _MASK128
-    state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
-    return list(zip(state.tolist(), inc.tolist()))
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a keyed stream holds four uint64 seed words")
+        return self.words
 
 
 def keyed_streams(seed, purpose, cells, ues):
     """Yield the stream of every (seed, purpose, cell, ue) key in turn.
 
-    Each yielded generator draws exactly what
-    ``default_rng(SeedSequence((seed, purpose, cell, ue)))`` draws. It is
-    the same ``Generator`` object every time, re-seeded in place, so a
-    stream must be consumed before the next one is taken.
+    Each yielded generator is a new one and draws exactly what
+    ``default_rng(SeedSequence((seed, purpose, cell, ue)))`` draws.
     """
+    # numpy.random loads here, not on ``import mmwsim`` (numpy defers it)
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedWords)
     cells, ues = np.asarray(cells), np.asarray(ues)
-    gen = np.random.Generator(np.random.PCG64(0))
-    bitgen = gen.bit_generator
-    lcg = {}
-    full = {"bit_generator": "PCG64", "state": lcg,
-            "has_uint32": 0, "uinteger": 0}
     for lo in range(0, len(cells), _KEY_BLOCK):
         block = slice(lo, lo + _KEY_BLOCK)
-        for state, inc in pcg64_states(
-                seed_state(seed, purpose, cells[block], ues[block])):
-            lcg["state"], lcg["inc"] = state, inc
-            bitgen.state = full
-            yield gen
+        for words in seed_state(seed, purpose, cells[block], ues[block]):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))

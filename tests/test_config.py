@@ -198,6 +198,15 @@ def test_replace_validates_and_casts():
         preset("small").replace(n_tti=-1)
 
 
+def test_ue_site_distance_starts_at_the_pathloss_validity_floor():
+    # pathloss_uma rejects d2d < 10 m, so a smaller floor would let the
+    # drop decide, seed by seed, whether a run fails
+    with pytest.raises(ScenarioError, match="min_ue_site_distance.*10 m"):
+        preset("small").replace(min_ue_site_distance=5.0)
+    assert preset("small").replace(
+        min_ue_site_distance=10.0).min_ue_site_distance == 10.0
+
+
 INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
               if f.type is int]
 

@@ -150,9 +150,9 @@ def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
         calls.append("products")
         return real_candidates(group, h_sel)
 
-    def select(group, h_serv, r_ints, sn_scale):
-        calls.append(len(r_ints))
-        return real_select(group, h_serv, r_ints, sn_scale)
+    def select(group, lanes):
+        calls.append(len(lanes))
+        return real_select(group, lanes)
 
     monkeypatch.setattr(engine._Group, "_candidates", candidates)
     monkeypatch.setattr(engine._Group, "select", select)

@@ -1,6 +1,7 @@
 """Codebook structure, MMSE SINR, precoder choice and truncated Shannon."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,10 +131,15 @@ def _select(h):
     group, _ = _group()
     p_rb = group.cfg.bs_tx_power / group.cfg.n_rb
     scale = 100.0 * math.sqrt(group.noise / p_rb)
-    h_serv = (scale * np.asarray(h)).astype(np.complex64).reshape(1, 1, 4, 4)
-    (idx,) = group.select(h_serv, [np.zeros((1, 1, 4, 4), np.complex64)],
-                          1.0)
-    return idx[0], group.ranks[idx[0]]
+    group.h_serv["LPOL"] = (scale * np.asarray(h)).astype(
+        np.complex64).reshape(1, 1, 4, 4)
+    lane = SimpleNamespace(pol="LPOL", sn_scale=1.0,
+                           r_int=np.zeros((1, 1, 4, 4), np.complex64))
+    group.select([lane])
+    (p_own,) = lane.p_own
+    idx = [np.array_equal(c, p_own) for c in group.cand].index(True)
+    # the rank is the number of non-zero columns of the padded entry
+    return idx, np.count_nonzero(p_own.any(axis=0))
 
 
 def test_select_precoder_prefers_low_rank_on_rank_one_channels():

@@ -139,18 +139,19 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
                 group.rate_table(lane),
                 rates_oracle(group, h_serv, r_int, lane.p_own,
                              lane.sn_scale))
-            (idx,) = group.select(h_serv, [lane.r_int], lane.sn_scale)
+            group.select([lane])
             assert np.array_equal(
-                idx, select_oracle(group, h_serv, r_int, lane.sn_scale))
+                lane.p_own,
+                cand[select_oracle(group, h_serv, r_int, lane.sn_scale)])
 
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
     group, (lane,) = _link_layer(cfg, ("LPOL",))
     group.measure([lane], group.isotropic_psched())
-    h_serv = group.h_serv["LPOL"]
-    (whole,) = group.select(h_serv, [lane.r_int], lane.sn_scale)
+    group.select([lane])
+    whole = lane.p_own
     # three UEs per chunk: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
     monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", 3 * 5 * 4 * 4 * 4)
-    (chunked,) = group.select(h_serv, [lane.r_int], lane.sn_scale)
-    assert np.array_equal(chunked, whole)
+    group.select([lane])
+    assert np.array_equal(lane.p_own, whole)

@@ -64,6 +64,13 @@ def test_pf_ties_go_to_lowest_ue_id():
     assert rb_to_ue.tolist() == [3, 3]
 
 
+def test_pf_rejects_a_nan_rate():
+    # NaN compares false with everything: a `rates < 0` check would let it
+    # through, and argmax would grant RB 1 to UE 0, whose rate there is NaN
+    with pytest.raises(SchedulerError, match="NaN rate for ue 0"):
+        schedule_pf([0, 1], [[1.0, np.nan], [2.0, 1.0]], [1.0, 1.0])
+
+
 def test_pf_input_validation():
     ues, avg = np.array([1, 2]), np.array([10.0, 10.0])
     with pytest.raises(SchedulerError, match="rates must be"):
@@ -72,7 +79,7 @@ def test_pf_input_validation():
         schedule_pf(ues, np.ones(2), avg)
     with pytest.raises(SchedulerError, match="avg must be"):
         schedule_pf(ues, np.ones((2, 2)), np.array([10.0]))
-    with pytest.raises(SchedulerError, match="negative rate for ue 2"):
+    with pytest.raises(SchedulerError, match="negative or NaN rate for ue 2"):
         schedule_pf(ues, np.array([[1.0, 1.0], [1.0, -2.0]]), avg)
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(SchedulerError, match="ue 2 has no positive"):

@@ -1,9 +1,9 @@
 """Batched keyed streams and the chunked channel-bank setup, bit for bit.
 
-The engine seeds its per-(cell, ue) streams in one vectorized pass and turns
-a chunk of links' draws into phasors at once. These tests hold that path to
-numpy's own ``SeedSequence`` -> ``PCG64`` seeding and to the per-link loop
-it replaced, with exact equality.
+The engine hashes the seed words of its per-(cell, ue) streams in one
+vectorized pass and turns a chunk of links' draws into phasors at once.
+These tests hold that path to numpy's own ``SeedSequence`` -> ``PCG64``
+seeding and to the per-link loop it replaced, with exact equality.
 """
 
 import math
@@ -12,13 +12,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mmwsim import ScenarioConfig, preset, run_simulation
+from mmwsim import ScenarioConfig, preset, run_simulation, streams
 from mmwsim.channel import N_SINUSOIDS, _PHASOR_CHUNK, _ChannelBank, \
     freq_mixing_kernel, sinusoids, unit_phasor
 from mmwsim.config import TTI_DURATION
 from mmwsim.engine import _Linkset
-from mmwsim.streams import FADING_STREAM, keyed_streams, pcg64_states, \
-    seed_state
+from mmwsim.streams import FADING_STREAM, keyed_streams, seed_state
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3)
 
@@ -40,12 +39,11 @@ def _numpy_stream(*key):
 def test_seed_words_and_states_equal_numpy(seed):
     cells, ues = _keys()
     words = seed_state(seed, 3, cells, ues)
-    states = pcg64_states(words)
-    for k, (c, u) in enumerate(zip(cells.tolist(), ues.tolist())):
+    for k, (c, u, stream) in enumerate(zip(
+            cells.tolist(), ues.tolist(), keyed_streams(seed, 3, cells, ues))):
         seq = np.random.SeedSequence((seed, 3, c, u))
         assert np.array_equal(words[k], seq.generate_state(4, np.uint64))
-        lcg = np.random.PCG64(seq).state["state"]
-        assert states[k] == (lcg["state"], lcg["inc"])
+        assert stream.bit_generator.state == np.random.PCG64(seq).state
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -58,6 +56,18 @@ def test_keyed_streams_draw_what_numpy_draws(seed):
         assert stream.normal(0.0, 6.0) == ref.normal(0.0, 6.0)
         assert np.array_equal(stream.uniform(0.0, 2.0 * math.pi, 30),
                               ref.uniform(0.0, 2.0 * math.pi, 30))
+
+
+def test_keyed_streams_are_independent_generators(monkeypatch):
+    # every stream is taken before any is drawn from, and they are drawn in
+    # reverse order, across several key blocks
+    monkeypatch.setattr(streams, "_KEY_BLOCK", 16)
+    cells, ues = _keys(50, seed=2)
+    taken = list(zip(cells.tolist(), ues.tolist(),
+                     keyed_streams(5, 3, cells, ues)))
+    for c, u, stream in reversed(taken):
+        assert np.array_equal(stream.random(8),
+                              _numpy_stream(5, 3, c, u).random(8))
 
 
 def test_seed_state_rejects_keys_outside_one_word():
@@ -175,12 +185,12 @@ def test_a_run_builds_no_per_key_seed_sequences(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("SeedSequence", "PCG64", "default_rng"):
+    for name in ("SeedSequence", "default_rng"):
         monkeypatch.setattr(np.random, name,
                             counting(name, getattr(np.random, name)))
     cfg = preset("small").replace(n_site_rings=0, ues_per_sector=2, n_tti=2)
     run_simulation(cfg)
-    # the drop stream is the only SeedSequence; the shadowing and fading
-    # passes build one reused generator each
+    # the drop stream is the only SeedSequence and the only default_rng;
+    # the shadowing and fading streams are seeded from hashed seed words
     assert counts["SeedSequence"] <= 1
-    assert counts["default_rng"] + counts["PCG64"] <= 3
+    assert counts["default_rng"] <= 1
