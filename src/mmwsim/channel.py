@@ -153,9 +153,10 @@ def sinusoids(f_d, theta, phase, out=(None, None, None)):
     return state0, unit_phasor(omega, step)
 
 
-def mix_taps(taps, kernel):
+def mix_taps(taps, kernel, out=None):
     """Replace the tap axis 1 of ``taps`` with the RB axis of the
-    (n_taps, n_rb) ``kernel``.
+    (n_taps, n_rb) ``kernel``, into the front of the flat buffer ``out`` of
+    the taps' dtype if one is given.
 
     The (rows x n_taps) x (n_taps x n_rb) product is issued in row chunks
     small enough for OpenBLAS to keep on the calling thread. A gemm
@@ -168,7 +169,9 @@ def mix_taps(taps, kernel):
     lead = rows.shape[:-1]
     rows = rows.reshape(-1, n_taps)
     n = rows.shape[0]
-    out = np.empty((n, n_rb), dtype=kern.dtype)
+    if out is None:
+        out = np.empty(n * n_rb, dtype=kern.dtype)
+    out = out[:n * n_rb].reshape(n, n_rb)
     step = max(2, SERIAL_GEMM_MNK // kern.size)
     for lo in range(0, n, step):
         # a one-row product runs as a gemv, whose bits differ from a
@@ -243,8 +246,10 @@ class _ChannelBank:
     a rank-one specular term carrying K/(K+1) of the power. Two extra
     sequences per link drive the cross-polar leakage phase and the
     depolarization phase wander. The recurrence never stores the time
-    axis: the bank's sinusoid state is rotated in place, so memory stays
-    flat however long the run is. A frozen bank (f_d = 0) keeps only the
+    axis: the bank's sinusoid state is rotated in place, and each TTI's
+    tap sums and specular terms are written over the last ones, so memory
+    stays flat however long the run is and ``advance`` allocates only a
+    few values per link. A frozen bank (f_d = 0) keeps only the
     summed taps: its ``state``, ``step`` and ``rice_step`` are None.
 
     Only the receive-port coupling depends on the receiver polarization:
@@ -332,6 +337,11 @@ class _ChannelBank:
             f_d, cfg.depol_coherence_time)
         self.port_parity = np.arange(self.n_tx) % 2
         self.port = dict.fromkeys(polarizations)
+        # the present TTI's tap sums, leakage and wander phasors per link
+        self.seq = np.empty(state0.shape[:-1], dtype=state0.dtype)
+        self.taps = self.seq[:, :n_scatter]
+        self.spec = np.empty((n_links, self.n_rx, self.n_tx),
+                             dtype=np.complex64)
         self._refresh()
         if step is None:
             # a frozen bank's terms are final: its sinusoids are not kept
@@ -344,16 +354,18 @@ class _ChannelBank:
             + math.sin(rho) ** 2 * self.alpha_dep ** 2
 
     def _refresh(self):
-        """Per-link terms of the present TTI, for every link at once."""
-        seq = np.empty(self.state.shape[:-1], dtype=self.state.dtype)
+        """Per-link terms of the present TTI, for every link at once, written
+        in place into ``seq`` (whose first ``n_scatter`` columns are
+        ``taps``) and ``spec``."""
+        seq = self.seq
 
         def add_up(part):
             self.state[part].sum(axis=-1, out=seq[part])
 
         _in_parts(add_up, [(part,) for part in _link_parts(len(seq))])
-        self.taps = seq[:, :self.n_scatter]
-        self.spec = (self.w_spec * self.rice_state)[:, None, None] \
-            * self.a_rx[:, :, None] * self.a_tx[:, None, :]
+        np.multiply((self.w_spec * self.rice_state)[:, None, None]
+                    * self.a_rx[:, :, None], self.a_tx[:, None, :],
+                    out=self.spec)
 
         leak = seq[:, -2]
         leak = leak / np.maximum(np.abs(leak), 1e-30)
@@ -364,14 +376,17 @@ class _ChannelBank:
                                         depol)   # (n_links, 2)
             self.port[pol] = coup.astype(np.complex64)[:, self.port_parity]
 
-    def current(self, links):
+    def current(self, links, out=None):
         """The present TTI's channel on the link slice ``links`` before the
         receive-port coupling: (n, n_rb, n_rx, n_tx), RB axis innermost in
-        memory. ``h * port[pol][links, None, None, :]`` is the channel a
+        memory, in the front of the flat complex64 buffer ``out`` if one is
+        given. ``h * port[pol][links, None, None, :]`` is the channel a
         ``pol`` receiver sees."""
         taps = self.taps[links].reshape(-1, self.n_taps, self.n_rx, self.n_tx)
-        h = self.w_scat[links, None, None, None] * mix_taps(taps, self.kernel)
-        return h + self.spec[links, None, :, :]
+        h = mix_taps(taps, self.kernel, out)
+        np.multiply(self.w_scat[links, None, None, None], h, out=h)
+        h += self.spec[links, None, :, :]
+        return h
 
     def advance(self):
         """Rotate every sinusoid by its per-TTI phase step; at f_d = 0 the
@@ -384,5 +399,5 @@ class _ChannelBank:
             state *= self.step[part]
 
         _in_parts(rotate, [(part,) for part in _link_parts(len(self.state))])
-        self.rice_state = self.rice_state * self.rice_step
+        self.rice_state *= self.rice_step
         self._refresh()

@@ -37,8 +37,10 @@ the ``SeedSequence`` -> ``PCG64`` state numpy would give each key. The
 fading model is the channel bank of :mod:`mmwsim.channel`; this module
 holds the link set it runs on and the link kernels that read its channel.
 
-The link layer is streamed over contiguous UE blocks, so per-link arrays
-exist for one block at a time; only per-UE results span the network.
+The link layer is streamed over contiguous UE blocks, and precoder
+selection over UE chunks of the same byte budget, so per-link and
+per-candidate arrays exist for one block or chunk at a time; only per-UE
+results span the network.
 
 Sweep points that differ only in scheduler and polarization (the points
 of one (velocity, seed)) run in lockstep as lanes of one group. The group
@@ -96,6 +98,7 @@ import json
 import logging
 import math
 import multiprocessing
+import numbers
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -128,9 +131,10 @@ _SELECT_RB_STRIDE = 10
 # later codebook entries must beat the incumbent by this much (ties keep
 # the lowest rank, then the lowest entry index)
 _SELECT_MARGIN = 1e-12
-# a UE block holds about this many bytes of per-link channel matrices; the
-# per-link channel, precoded channel and covariance arrays of a TTI exist
-# for one block at a time, never for the whole network
+# a UE block holds about this many bytes of per-link channel matrices, and
+# a chunk of precoder selection at most this many bytes of candidate
+# covariances; the per-link and per-candidate arrays of a TTI exist for one
+# block or chunk at a time, never for the whole network
 _BLOCK_BYTES = 2 << 20
 
 
@@ -255,6 +259,12 @@ def _build_linkset(cfg, gain_db, los):
         serving=order[0],
         amplitude=10.0 ** (gain_db[cell_arr, ue_arr] / 20.0),
         los=los[cell_arr, ue_arr])
+
+
+def _front(buf, shape):
+    """The front of the flat buffer ``buf`` as a C-contiguous array of
+    ``shape``: ``np.empty(shape)`` without the allocation."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def _stacked_matmul(a, p):
@@ -401,11 +411,18 @@ class _Group:
         (at f_d = 0 once per run), and only its serving links are coupled
         to each polarization's ports here; ``interference`` couples the
         rest cell by cell, so no coupled copy of the block exists.
+
+        Every block and lane writes its block-sized arrays into one set of
+        buffers (``_work``), allocated once per call. Arrays made and freed
+        block by block would be freed to the top of the heap, which glibc
+        hands back to the kernel once it outgrows its trim threshold, and
+        the next block would fault every page in again.
         """
         pols = dict.fromkeys(lane.pol for lane in lanes)
+        work = self._work()
         for i, block in enumerate(self.blocks):
             if self.frozen is None:
-                h = self.bank.current(block.links)
+                h = self.bank.current(block.links, work["h"])
                 self._couple_serving(block, h, pols)
             else:
                 h = self.frozen[i]
@@ -415,13 +432,26 @@ class _Group:
                 p = lane.psched if psched is None else psched
                 if lane.pairs is None:
                     lane.r_int[block.ues] = self.interference(
-                        h, ports[lane.pol], p, block)
+                        h, ports[lane.pol], p, block, work)
                     continue
                 ue, rb = lane.pairs
                 lo, hi = np.searchsorted(ue, [block.ues.start,
                                               block.ues.stop])
                 lane.r_int[ue[lo:hi], rb[lo:hi]] = self.pair_interference(
-                    h, ports[lane.pol], p, block, ue[lo:hi], rb[lo:hi])
+                    h, ports[lane.pol], p, block, ue[lo:hi], rb[lo:hi], work)
+
+    def _work(self):
+        """Flat complex64 buffers with room for any block's channel ``h``,
+        precoded links ``b``, their conjugates ``bh`` and their products
+        ``g``; a pair path's arrays fit too, since its pairs are some of
+        the block's (ue, rb) entries."""
+        cfg = self.cfg
+        n = max(b.links.stop - b.links.start for b in self.blocks) \
+            * cfg.n_rb * cfg.n_rx
+        cols = {"h": cfg.n_tx, "b": self.max_rank, "bh": self.max_rank,
+                "g": cfg.n_rx}
+        return {k: np.empty(n * m, dtype=np.complex64)
+                for k, m in cols.items()}
 
     def _couple_serving(self, block, h, pols):
         """Fill ``h_serv[pol]`` for ``block``'s UEs from its channel ``h``,
@@ -454,24 +484,25 @@ class _Group:
         p[:, :] = self.iso
         return p
 
-    def interference(self, h, port, psched, block):
+    def interference(self, h, port, psched, block, work):
         """Per-(ue, rb) interference covariance of one UE block, own-cell
         signal excluded.
 
         ``h * port`` is the block's per-link channel, with ``port`` the
         receive-port coupling (n, 1, 1, n_tx), and ``psched`` maps
         (cell, rb) to the scaled precoder in use. The links of one cell are
-        coupled and precoded as one stacked product per RB.
+        coupled and precoded as one stacked product per RB. The block-sized
+        arrays are written into the ``_work`` buffers ``work``.
         """
-        b = np.empty(h.shape[:-1] + (self.max_rank,), dtype=np.complex64)
+        b = _front(work["b"], h.shape[:-1] + (self.max_rank,))
         for c, idx in block.cells:
             h_c = h[idx]
             h_c *= port[idx]
             b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
                                      psched[c]).swapaxes(0, 1)
-        return self._covariance(b)
+        return self._covariance(b, work)
 
-    def pair_interference(self, h, port, psched, block, ue, rb):
+    def pair_interference(self, h, port, psched, block, ue, rb, work):
         """``interference`` at the (ue, rb) pairs of one block only, to the
         last bit: each pair's links are gathered at its RB, coupled and
         precoded one matrix at a time, which gives the rows of the stacked
@@ -481,16 +512,19 @@ class _Group:
         h_p = h[link, rb[:, None]]
         h_p *= port[link, 0]
         cell = self.links.cell[block.links][link]
-        b = h_p @ psched[cell, rb[:, None]]
-        return self._covariance(b.reshape((-1,) + b.shape[2:]))
+        b = np.matmul(h_p, psched[cell, rb[:, None]], out=_front(
+            work["b"], h_p.shape[:-1] + (self.max_rank,)))
+        return self._covariance(b.reshape((-1,) + b.shape[2:]), work)
 
-    def _covariance(self, b):
+    def _covariance(self, b, work):
         """Interference covariance per UE from its precoded links ``b``,
         ``n_keep`` consecutive ones per UE, serving link first. Because a
         UE's own hypothetical grant replaces whatever its serving cell is
         transmitting, the serving link's contribution is subtracted from
         the segmented sum over each UE's link group."""
-        g = b @ b.conj().swapaxes(-1, -2)
+        bh = np.conjugate(b, out=_front(work["bh"], b.shape))
+        g = np.matmul(b, bh.swapaxes(-1, -2), out=_front(
+            work["g"], b.shape[:-1] + b.shape[-2:-1]))
         total = _segment_sums(g, self.links.n_keep)
         total -= g[::self.links.n_keep]
         return total
@@ -523,21 +557,28 @@ class _Group:
         are of one polarization, so they share ``h_serv``, ``sn_scale`` and
         every candidate product.
 
-        UEs are taken in chunks whose stacked candidate products stay on
-        the calling thread, which also bounds the temporaries.
+        UEs are taken in even chunks, sized so that the largest array of a
+        chunk, the complex128 (ue, entry, rb, rx, rx) covariances of every
+        candidate, holds at most ``_BLOCK_BYTES``, and so that the stacked
+        candidate products stay on the calling thread. Every step is per
+        UE and per matrix, so the chunks change no bit.
         """
-        h_sel = self.h_serv[lanes[0].pol][:, self.select_rb]
+        h_serv = self.h_serv[lanes[0].pol]
         sn_scale = lanes[0].sn_scale
-        n_ues, n_sel, n_rx, n_tx = h_sel.shape
-        step = max(1, SERIAL_GEMM_MNK
-                   // (n_sel * n_rx * n_tx * self.max_rank))
+        n_ues, n_sel = len(h_serv), len(self.select_rb)
+        n_rx, n_tx = self.cfg.n_rx, self.cfg.n_tx
+        cov_bytes = len(self.cand) * n_sel * n_rx * n_rx \
+            * np.dtype(np.complex128).itemsize
+        step = max(1, min(_BLOCK_BYTES // cov_bytes, SERIAL_GEMM_MNK
+                          // (n_sel * n_rx * n_tx * self.max_rank)))
+        n_chunks = -(-n_ues // step)
+        edges = [n_ues * i // n_chunks for i in range(n_chunks + 1)]
         idx = [np.empty(n_ues, dtype=np.intp) for _ in lanes]
-        for lo in range(0, n_ues, step):
-            ues = slice(lo, lo + step)
-            eff, own = self._candidates(h_sel[ues])
+        for lo, hi in zip(edges, edges[1:]):
+            eff, own = self._candidates(h_serv[lo:hi, self.select_rb])
             for i, lane in zip(idx, lanes):
-                i[ues] = self._best_entry(
-                    eff, own, lane.r_int[ues, self.select_rb], sn_scale)
+                i[lo:hi] = self._best_entry(
+                    eff, own, lane.r_int[lo:hi, self.select_rb], sn_scale)
         for lane, i in zip(lanes, idx):
             lane.p_own = self.cand[i]
 
@@ -837,7 +878,14 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
     process that dies mid-group breaks the pool, and the sweep stops with
     an ``EngineError``. An exception that interrupts the wait for the
     workers, such as ``KeyboardInterrupt``, ends them before it propagates.
+    ``parallelism``, the most worker processes to use, must be an int of at
+    least 1; anything else, a bool included, raises ``ValueError``.
     """
+    if isinstance(parallelism, bool) \
+            or not isinstance(parallelism, numbers.Integral) \
+            or parallelism < 1:
+        raise ValueError(
+            f"parallelism must be an int >= 1, got {parallelism!r}")
     points = expand_sweep(base, velocities, polarizations, schedulers,
                           seeds)
     workers = min(parallelism, len(points))

@@ -5,6 +5,7 @@ import faulthandler
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from collections import defaultdict
@@ -140,6 +141,25 @@ def test_run_sweep_grid_and_metadata():
     assert meta["velocities_kmph"] == [0.0, 120.0]
     assert meta["schedulers"] == ["RR"]
     assert len(meta["base_config_sha256"]) == 64
+
+
+@pytest.mark.parametrize("parallelism", [0, -3, 2.5, 2.0, True, "2", None])
+def test_run_sweep_rejects_a_parallelism_that_is_no_int_of_one_or_more(
+        parallelism, monkeypatch):
+    ran = []
+    monkeypatch.setattr(mmwsim.engine, "_run_group", ran.append)
+    with pytest.raises(ValueError, match=re.escape(repr(parallelism))):
+        run_sweep(tiny_config(n_tti=1), velocities=[0.0, 60.0, 120.0, 30.0],
+                  schedulers=["RR"], polarizations=["LPOL"], seeds=[1],
+                  parallelism=parallelism)
+    assert ran == []
+
+
+def test_run_sweep_takes_a_numpy_int_parallelism():
+    table, failures = run_sweep(tiny_config(n_tti=1), velocities=[0.0],
+                                schedulers=["RR"], polarizations=["LPOL"],
+                                seeds=[1], parallelism=np.int64(1))
+    assert failures == [] and len(table.records) == 1
 
 
 def test_run_sweep_isolates_failed_points(monkeypatch):

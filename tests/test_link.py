@@ -116,7 +116,7 @@ def test_compute_sinr_with_one_interferer_scalar_case():
     psched = np.array([3.0, math.sqrt(2.0)], dtype=np.complex64) \
         .reshape(2, 1, 1, 1)            # (cell, rb, tx, layer)
     port = np.ones((2, 1, 1, 1), np.complex64)   # uncoupled receive port
-    r_int = group.interference(h, port, psched, block)
+    r_int = group.interference(h, port, psched, block, group._work())
     # the serving cell's own transmission is left out
     assert r_int.ravel() == pytest.approx([2.0 * group.noise], rel=1e-5)
     bits = group.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64), 1.0)
