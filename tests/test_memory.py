@@ -1,7 +1,7 @@
-"""Block-bounded working memory: every per-TTI step of the link layer and
-the channel bank allocates a bounded multiple of the UE-block budget
-``_BLOCK_BYTES``, whatever the network size, and the budget partitions
-the work without changing a bit."""
+"""Block-bounded working memory: the link layer's per-TTI steps allocate a
+bounded multiple of the UE-block budget ``_BLOCK_BYTES`` whatever the
+network size, the channel bank's ``advance`` only a few values per link,
+and the budget partitions the work without changing a bit."""
 
 import tracemalloc
 
