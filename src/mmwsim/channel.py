@@ -13,13 +13,13 @@ kernel. LOS links add a rank-one Rician specular term.
 draws every link's sinusoids, array phases and specular term from the
 link's keyed fading stream (:mod:`mmwsim.streams`), advances them TTI by
 TTI, and assembles the per-link channel one slice of links at a time.
-At f_d = 0 the bank is frozen: it still takes every draw, which fixes the
+At f_d = 0 the bank is static: it still takes every draw, which fixes the
 stream layout, but makes no rotations, drops its sinusoids once they are
-summed into taps, and never advances.
+summed into taps, never advances, and mixes each link slice only once.
 
 The bank's three bulk steps (drawing and building the sinusoids, rotating
 them, and summing them into taps) run over contiguous link ranges, one per
-CPU the process may run on, on threads started and joined inside each
+CPU the process may run on, on a thread pool made and shut down in each
 call. The work is elementwise numpy, which releases the GIL, and every
 link draws from its own keyed stream, so each link goes through the same
 operations whatever the split and the bank is the same to the last bit.
@@ -27,7 +27,6 @@ operations whatever the split and the bank is the same to the last bit.
 
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -210,32 +209,22 @@ def _link_parts(n_links):
 
 def _in_parts(work, jobs):
     """Call ``work(*job)`` for every job: the first on the calling thread,
-    each other one on a thread of its own, joined before this returns.
+    the others on a thread pool that is shut down before this returns.
 
     A worker thread must not allocate large arrays. glibc gives each
     thread its own malloc arena, and what a worker frees there stays part
     of the process's memory, so scratch is allocated by the caller and
     passed in. The first exception, in job order, is raised here once
-    every thread has ended.
+    every job has ended.
     """
-    errors = [None] * len(jobs)
-
-    def run(i):
-        try:
-            work(*jobs[i])
-        except BaseException as exc:
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,))
-               for i in range(1, len(jobs))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    # imported here, so that importing mmwsim does not load the pool
+    from concurrent.futures import ThreadPoolExecutor
+    first, *rest = jobs
+    with ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
+        futures = [pool.submit(work, *job) for job in rest]
+        work(*first)
+        for future in futures:
+            future.result()
 
 
 class _ChannelBank:
@@ -249,8 +238,9 @@ class _ChannelBank:
     axis: the bank's sinusoid state is rotated in place, and each TTI's
     tap sums and specular terms are written over the last ones, so memory
     stays flat however long the run is and ``advance`` allocates only a
-    few values per link. A frozen bank (f_d = 0) keeps only the
-    summed taps: its ``state``, ``step`` and ``rice_step`` are None.
+    few values per link. A static bank (f_d = 0) keeps only the summed
+    taps, and each link slice's channel: its ``state``, ``step`` and
+    ``rice_step`` are None.
 
     Only the receive-port coupling depends on the receiver polarization:
     the bank keeps one ``port[pol]`` array for each polarization it is
@@ -343,8 +333,10 @@ class _ChannelBank:
         self.spec = np.empty((n_links, self.n_rx, self.n_tx),
                              dtype=np.complex64)
         self._refresh()
+        # a static bank's terms are final: it keeps no sinusoids, and keeps
+        # its channel as one array per link slice
+        self._static = {}
         if step is None:
-            # a frozen bank's terms are final: its sinusoids are not kept
             self.state = None
 
     def coherent_fraction_sq(self, pol):
@@ -381,16 +373,22 @@ class _ChannelBank:
         receive-port coupling: (n, n_rb, n_rx, n_tx), RB axis innermost in
         memory, in the front of the flat complex64 buffer ``out`` if one is
         given. ``h * port[pol][links, None, None, :]`` is the channel a
-        ``pol`` receiver sees."""
+        ``pol`` receiver sees. A static bank mixes a slice into a new array,
+        not ``out``, once, and returns that array on every later call."""
+        key = links.indices(len(self.taps))
+        if key in self._static:
+            return self._static[key]
         taps = self.taps[links].reshape(-1, self.n_taps, self.n_rx, self.n_tx)
-        h = mix_taps(taps, self.kernel, out)
+        h = mix_taps(taps, self.kernel, None if self.step is None else out)
         np.multiply(self.w_scat[links, None, None, None], h, out=h)
         h += self.spec[links, None, :, :]
+        if self.step is None:
+            self._static[key] = h
         return h
 
     def advance(self):
         """Rotate every sinusoid by its per-TTI phase step; at f_d = 0 the
-        bank is frozen and this does nothing."""
+        bank is static and this does nothing."""
         if self.step is None:
             return
 

@@ -4,9 +4,10 @@
 ``--sweep`` it runs the velocity x polarization x scheduler x seed grid
 and writes the results table as CSV (plus a JSON metadata sidecar).
 
-Exit codes: 0 success, 1 configuration/usage error, 2 sweep finished with
-failed points or was stopped by a crashed worker process. Set
-MMWSIM_LOG=info (or debug) for progress logging.
+Exit codes: 0 success, 1 configuration/usage error or an output path that
+cannot be written (checked before anything runs, so no result is lost), 2
+sweep finished with failed points or was stopped by a crashed worker
+process. Set MMWSIM_LOG=info (or debug) for progress logging.
 """
 
 import argparse
@@ -108,6 +109,15 @@ def _print_record(record, out=None):
     out.write(f"fairness_index={record.fairness_index:.6g}\n")
 
 
+def _check_writable(*paths):
+    """Raise OSError unless the files ``paths`` can be written; add none."""
+    for path in paths:
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -128,8 +138,14 @@ def main(argv=None):
               file=sys.stderr)
         return 1
 
+    out = args.out or ("results.csv" if sweep else None)
     try:
         cfg = _apply_overrides(_load_base(args), args.overrides)
+        if out:
+            _check_writable(out, os.path.splitext(out)[0] + ".meta.json")
+        if args.trace_dir:
+            os.makedirs(args.trace_dir, exist_ok=True)
+            _check_writable(os.path.join(args.trace_dir, "sites.csv"))
     except (ScenarioError, OSError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
@@ -146,11 +162,11 @@ def main(argv=None):
             print(f"simulate: {exc}", file=sys.stderr)
             return 1
         _print_record(record)
-        if args.out:
+        if out:
             table = ResultsTable(records=[record],
                                  metadata=_sweep_metadata(cfg, [cfg]))
-            emit_csv(table, args.out)
-            print(f"wrote {args.out}")
+            emit_csv(table, out)
+            print(f"wrote {out}")
         return 0
 
     velocities = (DEFAULT_SWEEP_VELOCITIES if args.velocities is None
@@ -170,7 +186,6 @@ def main(argv=None):
         print(f"simulate: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out or "results.csv"
     emit_csv(table, out)
     print(f"sweep: {len(table.records)} points ok, {len(failures)} failed; "
           f"wrote {out}")

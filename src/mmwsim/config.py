@@ -144,25 +144,38 @@ class ScenarioConfig:
             _require(isinstance(getattr(self, name), bool), name,
                      "must be true or false")
 
-        _require(self.carrier_frequency > 0, "carrier_frequency", "must be > 0")
-        _require(self.bandwidth > 0, "bandwidth", "must be > 0")
-        _require(self.n_site_rings >= 0, "n_site_rings", "must be >= 0")
-        _require(self.inter_site_distance > 0, "inter_site_distance",
-                 "must be > 0")
-        _require(self.ue_height > 0, "ue_height", "must be > 0")
+        for name in ("carrier_frequency", "bandwidth", "inter_site_distance",
+                     "bs_tx_power", "rb_bandwidth",
+                     "azimuth_3db_beamwidth_deg",
+                     "elevation_3db_beamwidth_deg", "shannon_efficiency",
+                     "spectral_efficiency_cap"):
+            _require(getattr(self, name) > 0, name, "must be > 0")
+        for name in ("n_site_rings", "ue_velocity", "noise_figure",
+                     "shadowing_sigma_los_db", "shadowing_sigma_nlos_db",
+                     "depol_coherence_time", "n_strongest_interferers",
+                     "seed"):
+            _require(getattr(self, name) >= 0, name, "must be >= 0")
+        for name in ("ues_per_sector", "n_rx", "csi_period_tti", "n_tti",
+                     "vertical_panels", "elements_per_panel",
+                     "coherence_bandwidth_rb"):
+            _require(getattr(self, name) >= 1, name, "must be >= 1")
+        # the UMa model's UE heights; at 1 m or below the LOS breakpoint
+        # distance 4 (h_bs - 1)(h_ut - 1) fc / c would not even be positive
+        _require(1.5 <= self.ue_height <= 22.5, "ue_height",
+                 "must lie in TR 38.901's UMa range [1.5, 22.5] m")
         _require(self.bs_height > self.ue_height, "bs_height",
                  "must exceed ue_height")
-        _require(self.ues_per_sector >= 1, "ues_per_sector", "must be >= 1")
-        _require(self.bs_tx_power > 0, "bs_tx_power", "must be > 0")
         _require(self.n_tx in (1, 2, 4), "n_tx", "must be 1, 2 or 4")
-        _require(self.n_rx >= 1, "n_rx", "must be >= 1")
-        _require(self.csi_period_tti >= 1, "csi_period_tti", "must be >= 1")
         _require(self.ue_polarization in POLARIZATIONS, "ue_polarization",
                  "must be LPOL or XPOL")
-
-        _require(self.ue_velocity >= 0, "ue_velocity", "must be >= 0")
-        _require(self.n_tti >= 1, "n_tti", "must be >= 1")
-        _require(self.rb_bandwidth > 0, "rb_bandwidth", "must be > 0")
+        _require(self.scheduler in SCHEDULERS, "scheduler", "must be RR or PF")
+        # tc = 1 has no memory: a UE granted nothing falls to an average
+        # of 0, which proportional fair cannot divide by
+        _require(self.pf_time_constant_tc > 1, "pf_time_constant_tc",
+                 "must be > 1")
+        _require(self.min_ue_site_distance >= 10, "min_ue_site_distance",
+                 "must be >= 10 m, the validity floor of the UMa pathloss "
+                 "model")
 
         if "n_rb" not in self._pinned:
             # LTE-style 90% occupancy: 10 MHz -> 50 RBs of 180 kHz
@@ -170,42 +183,12 @@ class ScenarioConfig:
         _require(self.n_rb >= 1, "n_rb", "must be >= 1")
         _require(self.n_rb * self.rb_bandwidth <= self.bandwidth, "n_rb",
                  "RB grid must fit inside the bandwidth")
-
-        _require(self.scheduler in SCHEDULERS, "scheduler", "must be RR or PF")
-        # tc = 1 has no memory: a UE granted nothing falls to an average
-        # of 0, which proportional fair cannot divide by
-        _require(self.pf_time_constant_tc > 1, "pf_time_constant_tc",
-                 "must be > 1")
         if "pf_initial_throughput_bits" not in self._pinned:
             self.pf_initial_throughput_bits = (
                 TTI_DURATION * self.rb_bandwidth
                 * self.spectral_efficiency_cap)
         _require(self.pf_initial_throughput_bits > 0,
                  "pf_initial_throughput_bits", "must be > 0")
-
-        _require(self.azimuth_3db_beamwidth_deg > 0,
-                 "azimuth_3db_beamwidth_deg", "must be > 0")
-        _require(self.elevation_3db_beamwidth_deg > 0,
-                 "elevation_3db_beamwidth_deg", "must be > 0")
-        _require(self.noise_figure >= 0, "noise_figure", "must be >= 0")
-        _require(self.shadowing_sigma_los_db >= 0, "shadowing_sigma_los_db",
-                 "must be >= 0")
-        _require(self.shadowing_sigma_nlos_db >= 0, "shadowing_sigma_nlos_db",
-                 "must be >= 0")
-        _require(self.coherence_bandwidth_rb >= 1, "coherence_bandwidth_rb",
-                 "must be >= 1")
-        _require(self.depol_coherence_time >= 0, "depol_coherence_time",
-                 "must be >= 0")
-        _require(self.shannon_efficiency > 0, "shannon_efficiency",
-                 "must be > 0")
-        _require(self.spectral_efficiency_cap > 0, "spectral_efficiency_cap",
-                 "must be > 0")
-        _require(self.n_strongest_interferers >= 0, "n_strongest_interferers",
-                 "must be >= 0")
-        _require(self.min_ue_site_distance >= 10, "min_ue_site_distance",
-                 "must be >= 10 m, the validity floor of the UMa pathloss "
-                 "model")
-        _require(self.seed >= 0, "seed", "must be >= 0")
         return self
 
     @property

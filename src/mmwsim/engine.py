@@ -49,13 +49,13 @@ the link kernels with their codebook, and one serving channel per
 polarization. Each TTI the bank advances once, and each block's channel
 is mixed once; only the receive-port coupling, a few milliseconds a TTI,
 is applied per polarization, cell by cell as each lane precodes, so no
-coupled copy of a block is kept. At f_d = 0 the channel cannot change:
-the group mixes each block and couples the serving channels once per
-run, and the bank keeps no sinusoids. A lane keeps only per-UE and
-per-cell arrays: interference covariance, precoders, CSI rates, precoder
-map, throughput averages, round-robin cursors and granted bits. Lanes of
-one polarization share the isotropic TTI-0 bootstrap and, at every
-precoder update, the candidate products of selection.
+coupled copy of a block is kept. At f_d = 0 the channel cannot change,
+and only the bank knows it: it keeps no sinusoids and mixes each block
+once per run. A lane keeps only per-UE and per-cell arrays: interference
+covariance, precoders, CSI rates, precoder map, throughput averages,
+round-robin cursors and granted bits. Lanes of one polarization share the
+isotropic TTI-0 bootstrap and, at every precoder update, the candidate
+products of selection.
 ``run_simulation`` is the one-lane case, and every lane's record equals
 it.
 
@@ -370,8 +370,8 @@ class _Group:
         if self.counted.size == 0:
             raise EngineError("no UEs attached to the collected cells")
 
-        self.f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
-        self.bank = _ChannelBank(cfg, links, self.f_d, polarizations)
+        f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
+        self.bank = _ChannelBank(cfg, links, f_d, polarizations)
 
         self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
         padded, ranks = stack_codebook(build_codebook(cfg.n_tx), cfg.n_tx)
@@ -388,13 +388,6 @@ class _Group:
         self.h_serv = {pol: np.empty(
             (n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
             dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
-        # at f_d = 0 the channel never changes: each block is mixed and its
-        # serving links coupled once, for the whole run
-        self.frozen = None
-        if self.f_d == 0:
-            self.frozen = [self.bank.current(b.links) for b in self.blocks]
-            for block, h in zip(self.blocks, self.frozen):
-                self._couple_serving(block, h, polarizations)
 
         # the non-empty serving cells, each with its UE ids in ascending order
         self.active = np.unique(links.serving)
@@ -408,9 +401,9 @@ class _Group:
 
         A lane whose ``pairs`` is None gets every (ue, rb) entry; any other
         lane gets only its ``pairs``. Each block's channel is mixed once
-        (at f_d = 0 once per run), and only its serving links are coupled
-        to each polarization's ports here; ``interference`` couples the
-        rest cell by cell, so no coupled copy of the block exists.
+        (at f_d = 0 the bank mixes it once per run), and only its serving
+        links are coupled to each polarization's ports here; the rest are
+        coupled cell by cell, so no coupled copy of the block exists.
 
         Every block and lane writes its block-sized arrays into one set of
         buffers (``_work``), allocated once per call. Arrays made and freed
@@ -419,15 +412,14 @@ class _Group:
         the next block would fault every page in again.
         """
         pols = dict.fromkeys(lane.pol for lane in lanes)
+        n_keep = self.links.n_keep
         work = self._work()
-        for i, block in enumerate(self.blocks):
-            if self.frozen is None:
-                h = self.bank.current(block.links, work["h"])
-                self._couple_serving(block, h, pols)
-            else:
-                h = self.frozen[i]
+        for block in self.blocks:
+            h = self.bank.current(block.links, work["h"])
             ports = {pol: self.bank.port[pol][block.links, None, None, :]
                      for pol in pols}
+            for pol, port in ports.items():
+                self.h_serv[pol][block.ues] = h[::n_keep] * port[::n_keep]
             for lane in lanes:
                 p = lane.psched if psched is None else psched
                 if lane.pairs is None:
@@ -452,14 +444,6 @@ class _Group:
                 "g": cfg.n_rx}
         return {k: np.empty(n * m, dtype=np.complex64)
                 for k, m in cols.items()}
-
-    def _couple_serving(self, block, h, pols):
-        """Fill ``h_serv[pol]`` for ``block``'s UEs from its channel ``h``,
-        for each of ``pols``."""
-        n_keep = self.links.n_keep
-        for pol in pols:
-            port = self.bank.port[pol][block.links][::n_keep, None, None, :]
-            self.h_serv[pol][block.ues] = h[::n_keep] * port
 
     def rate_table(self, lane):
         """Per-(ue, rb) bits of ``lane`` from the measured channel."""

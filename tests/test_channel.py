@@ -258,15 +258,28 @@ def test_bank_threads_end_with_the_call(monkeypatch):
         started.append(thread)
         real_start(thread)
 
+    real_in_parts = channel._in_parts
+    parts = []
+
+    def in_parts(work, jobs):
+        first = len(started)
+        real_in_parts(work, jobs)
+        helpers = started[first:]
+        # the first job runs on the calling thread; a helper that finished
+        # its job may take another, so a call needs at most one per job left
+        assert 0 < len(helpers) < len(jobs)
+        assert not any(thread.is_alive() for thread in helpers)
+        parts.append(len(jobs))
+
     monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(channel, "_in_parts", in_parts)
     before = threading.active_count()
     bank = _bank(3113.19, n_links=97)
     assert threading.active_count() == before
     bank.advance()
     assert threading.active_count() == before
-    # two helper threads for each of build, refresh, advance and refresh
-    assert len(started) == 8
-    assert not any(thread.is_alive() for thread in started)
+    # build, refresh, advance and refresh, each in three parts
+    assert parts == [3, 3, 3, 3]
 
 
 def test_an_error_in_a_bank_part_reaches_the_caller(monkeypatch):

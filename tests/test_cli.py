@@ -5,7 +5,7 @@ import json
 import pytest
 
 import mmwsim.cli
-from mmwsim import ResultsTable, preset, save_scenario
+from mmwsim import EngineError, ResultsTable, preset, save_scenario
 from mmwsim.cli import _int_list, main
 
 
@@ -121,6 +121,50 @@ def test_trace_dir_for_single_runs(tmp_path, capsys):
     names = {p.name for p in trace.iterdir()}
     assert names == {"sites.csv", "cells.csv", "ues.csv", "allocation.csv",
                      "channel.csv"}
+
+
+def _refuse_to_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before its output paths were checked")
+
+    monkeypatch.setattr(mmwsim.cli, "run_sweep", fail)
+    monkeypatch.setattr(mmwsim.cli, "run_simulation", fail)
+
+
+@pytest.mark.parametrize("mode", [(), ("--seeds", "1")])
+def test_an_unwritable_out_path_exits_one_before_running(mode, monkeypatch,
+                                                         tmp_path, capsys):
+    _refuse_to_run(monkeypatch)
+    missing = tmp_path / "missing" / "r.csv"
+    assert run_cli(*TINY, *mode, "--out", str(missing)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: ") and str(missing) in err
+    # the sidecar is checked too: here its name is taken by a directory
+    (tmp_path / "r.meta.json").mkdir()
+    assert run_cli(*TINY, *mode, "--out", str(tmp_path / "r.csv")) == 1
+    assert "r.meta.json" in capsys.readouterr().err
+    # and the check leaves no file behind
+    assert [p.name for p in tmp_path.iterdir()] == ["r.meta.json"]
+
+
+def test_an_uncreatable_trace_dir_exits_one_before_running(monkeypatch,
+                                                           tmp_path, capsys):
+    _refuse_to_run(monkeypatch)
+    (tmp_path / "file").write_text("")
+    assert run_cli(*TINY, "--trace-dir", str(tmp_path / "file" / "tr")) == 1
+    assert capsys.readouterr().err.startswith("simulate: ")
+
+
+def test_an_existing_out_file_survives_a_failed_run(monkeypatch, tmp_path):
+    out = tmp_path / "r.csv"
+    out.write_text("kept\n")
+
+    def fail(*args, **kwargs):
+        raise EngineError("boom")
+
+    monkeypatch.setattr(mmwsim.cli, "run_simulation", fail)
+    assert run_cli(*TINY, "--out", str(out)) == 1
+    assert out.read_text() == "kept\n"
 
 
 def test_help_mentions_the_study_axes(capsys):

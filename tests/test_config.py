@@ -207,6 +207,40 @@ def test_ue_site_distance_starts_at_the_pathloss_validity_floor():
         min_ue_site_distance=10.0).min_ue_site_distance == 10.0
 
 
+@pytest.mark.parametrize("names,bad,rule", [
+    (("carrier_frequency", "bandwidth", "inter_site_distance", "bs_tx_power",
+      "rb_bandwidth", "azimuth_3db_beamwidth_deg",
+      "elevation_3db_beamwidth_deg", "shannon_efficiency",
+      "spectral_efficiency_cap"), 0, "must be > 0"),
+    (("n_site_rings", "ue_velocity", "noise_figure", "shadowing_sigma_los_db",
+      "shadowing_sigma_nlos_db", "depol_coherence_time",
+      "n_strongest_interferers", "seed"), -1, "must be >= 0"),
+    (("ues_per_sector", "n_rx", "csi_period_tti", "n_tti",
+      "coherence_bandwidth_rb", "vertical_panels", "elements_per_panel"), 0,
+     "must be >= 1"),
+])
+def test_lower_bounds_name_the_field(names, bad, rule):
+    for name in names:
+        with pytest.raises(ScenarioError, match=f"^{name}: {rule}$"):
+            ScenarioConfig(**{name: bad})
+
+
+def test_antenna_counts_and_ue_height_stay_in_the_models_range():
+    # vertical_panels = 0 used to run every TTI and then fail in the KPIs,
+    # elements_per_panel = -1 with a math domain error
+    for name, bad in (("vertical_panels", 0), ("elements_per_panel", -1)):
+        with pytest.raises(ScenarioError, match=f"{name}: must be >= 1"):
+            _apply_overrides(preset("small"), [f"{name}={bad}"])
+    # below 1.5 m a UE height ran silently, with a LOS breakpoint distance
+    # of 0 or less at 1 m and below
+    for bad in (0.5, 1.0, 1.4, 22.6):
+        with pytest.raises(ScenarioError, match="ue_height: must lie in"):
+            preset("small").replace(ue_height=bad)
+    for good in (1.5, 22.5):
+        assert preset("small").replace(ue_height=good).ue_height == good
+    assert ScenarioConfig(vertical_panels=1, elements_per_panel=1)
+
+
 INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
               if f.type is int]
 

@@ -9,9 +9,9 @@ the oracles here compare raw bits, not values within a tolerance.
 import numpy as np
 import pytest
 
+import mmwsim.channel as channel
 import mmwsim.engine as engine
 from mmwsim import preset
-from mmwsim.channel import _ChannelBank
 
 
 def _bits(a):
@@ -112,19 +112,19 @@ def test_demand_is_dense_only_where_a_full_table_is_read(monkeypatch):
 def test_a_static_group_mixes_each_block_once(monkeypatch):
     # 42 UEs in four blocks of ten and one of two
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 10 * 9 * 50 * 16 * 8)
-    calls = []
-    real = _ChannelBank.current
+    mixed = []
+    real = channel.mix_taps
 
-    def current(bank, links):
-        calls.append(links)
-        return real(bank, links)
+    def mix_taps(taps, kernel, out=None):
+        mixed.append(len(taps))
+        return real(taps, kernel, out)
 
-    monkeypatch.setattr(_ChannelBank, "current", current)
+    monkeypatch.setattr(channel, "mix_taps", mix_taps)
     cfg = preset("small").replace(ues_per_sector=2, n_tti=4, ue_velocity=0.0)
     engine._run_lanes([cfg.replace(scheduler=s, ue_polarization=p)
                        for p in ("LPOL", "XPOL") for s in ("RR", "PF")])
-    assert len(calls) == 5
-    assert len({(s.start, s.stop) for s in calls}) == 5
+    # one mix per block and run, of the block's 10 or 2 UEs' 9 links each
+    assert sorted(mixed) == [18] + [90] * 4
 
 
 def test_a_frozen_bank_keeps_no_sinusoids_and_never_moves():
@@ -136,7 +136,9 @@ def test_a_frozen_bank_keeps_no_sinusoids_and_never_moves():
     h = bank.current(slice(None))
     ports = {pol: port.copy() for pol, port in bank.port.items()}
     bank.advance()
-    assert np.array_equal(bank.current(slice(None)), h)
+    # the same array, not a copy, whatever buffer the caller offers
+    assert bank.current(slice(None)) is h
+    assert bank.current(slice(0, len(bank.taps)), np.empty(h.size)) is h
     for pol, port in ports.items():
         assert np.array_equal(bank.port[pol], port)
 

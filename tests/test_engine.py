@@ -7,8 +7,11 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +380,14 @@ def test_emit_csv_empty_table_is_header_only(tmp_path):
     emit_csv(ResultsTable(records=[]), out)
     assert out.read_text(encoding="utf-8") \
         == ",".join(RESULT_COLUMNS) + "\n"
+
+
+def test_importing_mmwsim_loads_no_pool_and_no_numpy_random():
+    # both load on first use, so they stay out of every run's set-up time
+    src = Path(mmwsim.engine.__file__).parent.parent
+    code = ("import sys, mmwsim; print(sorted(m for m in sys.modules if "
+            "m.startswith(('concurrent', 'numpy.random'))))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
