@@ -11,18 +11,17 @@ kernel. LOS links add a rank-one Rician specular term.
 
 ``_ChannelBank`` is the one fading implementation the engine runs: it
 draws every link's sinusoids, array phases and specular term from the
-link's keyed fading stream (:mod:`mmwsim.streams`), advances them TTI by
-TTI, and assembles the per-link channel one slice of links at a time.
-At f_d = 0 the bank is static: it still takes every draw, which fixes the
-stream layout, but makes no rotations, drops its sinusoids once they are
-summed into taps, never advances, and mixes each link slice only once.
+link's keyed fading stream (:mod:`mmwsim.streams`), rotates them TTI by
+TTI, and sums and mixes them into the channel of a slice of links when
+the slice is read. At f_d = 0 the bank is static: it still takes every
+draw, which fixes the stream layout, but makes no rotations, keeps only
+its sinusoids' sums, never advances, and mixes each link slice only once.
 
-The bank's three bulk steps (drawing and building the sinusoids, rotating
-them, and summing them into taps) run over contiguous link ranges, one per
-CPU the process may run on, on a thread pool made and shut down in each
-call. The work is elementwise numpy, which releases the GIL, and every
-link draws from its own keyed stream, so each link goes through the same
-operations whatever the split and the bank is the same to the last bit.
+The bank builds and rotates its sinusoids over contiguous link ranges,
+one per CPU of the process's share, on a thread pool made and shut down
+in each call. The work is elementwise numpy, which releases the GIL, every
+link draws from its own keyed stream, and a slice's sums are per-row
+reductions, so each link gets the same bits whatever the split.
 """
 
 import math
@@ -47,6 +46,8 @@ N_SINUSOIDS = 12
 # the channel bank turns stream draws into phasors this many links at a
 # time: about a megabyte of angles per pass at paper scale
 _PHASOR_CHUNK = 32
+# the channel bank couples this many links to the receive ports at a time
+_COUPLING_CHUNK = 1024
 
 
 class ChannelModelError(ValueError):
@@ -128,14 +129,6 @@ def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-def initial_phasors(phase, out=None):
-    """Complex128 initial phasors of sum-of-sinusoids sequences with phases
-    ``phase``, into ``out`` if given: the first result of ``sinusoids``."""
-    out = unit_phasor(phase, out)
-    out /= math.sqrt(N_SINUSOIDS)
-    return out
-
-
 def sinusoids(f_d, theta, phase, out=(None, None, None)):
     """Complex128 initial phasors and per-TTI rotations of sum-of-sinusoids
     sequences from the Doppler angles ``theta`` and phases ``phase`` (equal
@@ -145,7 +138,8 @@ def sinusoids(f_d, theta, phase, out=(None, None, None)):
     phasors (complex128), the Doppler phase steps (float64) and the
     rotations (complex128); missing ones are allocated."""
     state0, omega, step = out
-    state0 = initial_phasors(phase, state0)
+    state0 = unit_phasor(phase, state0)
+    state0 /= math.sqrt(N_SINUSOIDS)
     omega = np.cos(theta, out=omega)
     omega *= 2.0 * math.pi * f_d
     omega *= TTI_DURATION
@@ -168,9 +162,8 @@ def mix_taps(taps, kernel, out=None):
     lead = rows.shape[:-1]
     rows = rows.reshape(-1, n_taps)
     n = rows.shape[0]
-    if out is None:
-        out = np.empty(n * n_rb, dtype=kern.dtype)
-    out = out[:n * n_rb].reshape(n, n_rb)
+    out = np.empty((n, n_rb), kern.dtype) if out is None \
+        else _front(out, (n, n_rb))
     step = max(2, SERIAL_GEMM_MNK // kern.size)
     for lo in range(0, n, step):
         # a one-row product runs as a gemv, whose bits differ from a
@@ -178,6 +171,12 @@ def mix_taps(taps, kernel, out=None):
         lo = max(min(lo, n - 2), 0)
         np.dot(rows[lo:lo + step], kern, out=out[lo:lo + step])
     return np.moveaxis(out.reshape(lead + (n_rb,)), -1, 1)
+
+
+def _front(buf, shape):
+    """The front of the flat buffer ``buf`` as a C-contiguous array of
+    ``shape``: ``np.empty(shape)`` without the allocation."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def depolarization_coherence(f_d, depol_coherence_time):
@@ -197,11 +196,21 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
+# the processes that share this process's CPUs: 1, or a sweep pool's size
+_n_workers = 1
+
+
+def share_cpus(n_workers):
+    """Pool initializer: this is one of ``n_workers`` sweep processes."""
+    global _n_workers
+    _n_workers = n_workers
+
+
 def _link_parts(n_links):
     """Contiguous slices of ``range(n_links)`` made of whole
-    ``_PHASOR_CHUNK``s, as even as chunks allow, at most one per CPU."""
+    ``_PHASOR_CHUNK``s, as even as chunks allow, one per CPU of the share."""
     n_chunks = -(-n_links // _PHASOR_CHUNK)
-    n_parts = max(1, min(n_chunks, _cpu_count()))
+    n_parts = max(1, min(n_chunks, _cpu_count() // _n_workers))
     edges = [n_chunks * i // n_parts * _PHASOR_CHUNK
              for i in range(n_parts)] + [n_links]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -211,11 +220,10 @@ def _in_parts(work, jobs):
     """Call ``work(*job)`` for every job: the first on the calling thread,
     the others on a thread pool that is shut down before this returns.
 
-    A worker thread must not allocate large arrays. glibc gives each
-    thread its own malloc arena, and what a worker frees there stays part
-    of the process's memory, so scratch is allocated by the caller and
-    passed in. The first exception, in job order, is raised here once
-    every job has ended.
+    A worker thread must not allocate large arrays: glibc gives each thread
+    its own malloc arena, and what a worker frees there stays part of the
+    process's memory, so the caller allocates and passes in the scratch.
+    The first exception, in job order, is raised once every job has ended.
     """
     # imported here, so that importing mmwsim does not load the pool
     from concurrent.futures import ThreadPoolExecutor
@@ -234,13 +242,12 @@ class _ChannelBank:
     per tap and antenna pair) advanced by phasor recurrence; LOS links add
     a rank-one specular term carrying K/(K+1) of the power. Two extra
     sequences per link drive the cross-polar leakage phase and the
-    depolarization phase wander. The recurrence never stores the time
-    axis: the bank's sinusoid state is rotated in place, and each TTI's
-    tap sums and specular terms are written over the last ones, so memory
-    stays flat however long the run is and ``advance`` allocates only a
-    few values per link. A static bank (f_d = 0) keeps only the summed
-    taps, and each link slice's channel: its ``state``, ``step`` and
-    ``rice_step`` are None.
+    depolarization phase wander. The bank keeps only what the recurrence
+    carries: the sinusoids ``state``, rotated in place by ``step``, the
+    specular phasors and per-link constants; a slice's taps and specular
+    term are built when it is read. A static bank (f_d = 0) keeps each
+    sequence's ``sums`` and each link slice's channel instead: its
+    ``state``, ``step`` and ``rice_step`` are None.
 
     Only the receive-port coupling depends on the receiver polarization:
     the bank keeps one ``port[pol]`` array for each polarization it is
@@ -252,21 +259,23 @@ class _ChannelBank:
         self.n_rx, self.n_tx = cfg.n_rx, cfg.n_tx
         self.kernel = freq_mixing_kernel(cfg.n_rb, cfg.coherence_bandwidth_rb)
         self.n_taps = self.kernel.shape[0]
-        n_scatter = self.n_taps * self.n_rx * self.n_tx
-        self.n_scatter = n_scatter
-        n_links = links.n_links
+        self.n_scatter = self.n_taps * self.n_rx * self.n_tx
+        self.n_links = n_links = links.n_links
 
-        seq_shape = (n_scatter + 2, N_SINUSOIDS)
-        state0 = np.empty((n_links,) + seq_shape, dtype=np.complex64)
-        a_rx = np.empty((n_links, self.n_rx), dtype=np.complex64)
-        a_tx = np.empty((n_links, self.n_tx), dtype=np.complex64)
-        rice_state = np.empty(n_links, dtype=np.complex64)
-        # at f_d = 0 every rotation would be exactly 1: none are made
-        step = rice_step = None
-        scratch_types = (np.complex128,)
-        if f_d != 0:
-            step = np.empty_like(state0)
-            rice_step = np.empty(n_links, dtype=np.complex64)
+        seq_shape = (self.n_scatter + 2, N_SINUSOIDS)
+        self.a_rx = np.empty((n_links, self.n_rx), dtype=np.complex64)
+        self.a_tx = np.empty((n_links, self.n_tx), dtype=np.complex64)
+        self.rice_state = np.empty(n_links, dtype=np.complex64)
+        # at f_d = 0 every rotation would be exactly 1: none are made, and
+        # each chunk's phasors are summed as they are built
+        self.state = self.step = self.rice_step = self.sums = None
+        if f_d == 0:
+            self.sums = np.empty((n_links, seq_shape[0]), dtype=np.complex64)
+            scratch_types = (np.complex128, np.complex64)
+        else:
+            self.state = np.empty((n_links,) + seq_shape, dtype=np.complex64)
+            self.step = np.empty_like(self.state)
+            self.rice_step = np.empty(n_links, dtype=np.complex64)
             scratch_types = (np.complex128, np.float64, np.complex128)
 
         # Each link's stream holds, in order: the Doppler angles of every
@@ -275,7 +284,7 @@ class _ChannelBank:
         # draws happen for every link so the stream layout does not depend
         # on the LOS outcome. uniform(0, 2 pi) is 0.0 + 2 pi * random(), so
         # one random() call per link, scaled by 2 pi, gives every angle.
-        n_ang = state0[0].size
+        n_ang = math.prod(seq_shape)
         edges = np.cumsum([n_ang, n_ang, self.n_rx, self.n_tx, 1])
 
         def build(part, angles, scratch):
@@ -292,28 +301,26 @@ class _ChannelBank:
                     ang, edges, axis=1)
                 phase = phase.reshape((-1,) + seq_shape)
                 bufs = [buf[:n] for buf in scratch]
-                if step is None:
-                    state0[chunk] = initial_phasors(phase, bufs[0])
+                if self.step is None:
+                    phasors = unit_phasor(phase, bufs[0])
+                    phasors /= math.sqrt(N_SINUSOIDS)
+                    bufs[1][...] = phasors
+                    bufs[1].sum(axis=-1, out=self.sums[chunk])
                 else:
-                    state0[chunk], step[chunk] = sinusoids(
+                    self.state[chunk], self.step[chunk] = sinusoids(
                         f_d, theta.reshape((-1,) + seq_shape), phase, bufs)
-                    rice_step[chunk] = unit_phasor(
+                    self.rice_step[chunk] = unit_phasor(
                         2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
                         * TTI_DURATION)
-                a_rx[chunk] = unit_phasor(rx)
-                a_tx[chunk] = unit_phasor(tx)
-                rice_state[chunk] = unit_phasor(rice[:, 0])
+                self.a_rx[chunk] = unit_phasor(rx)
+                self.a_tx[chunk] = unit_phasor(tx)
+                self.rice_state[chunk] = unit_phasor(rice[:, 0])
 
         chunk_shape = (_PHASOR_CHUNK,) + seq_shape
         _in_parts(build, [
             (part, np.empty((_PHASOR_CHUNK, edges[-1] + 1)),
              [np.empty(chunk_shape, dtype=t) for t in scratch_types])
             for part in _link_parts(n_links)])
-
-        # the bank owns the running state: state0 is rotated in place
-        self.state, self.step = state0, step
-        self.rice_state, self.rice_step = rice_state, rice_step
-        self.a_rx, self.a_tx = a_rx, a_tx
 
         k = 10.0 ** (cfg.rician_k_db / 10.0)
         c_scat = np.where(links.los, math.sqrt(1.0 / (k + 1.0)), 1.0)
@@ -326,76 +333,78 @@ class _ChannelBank:
         self.alpha_dep = depolarization_coherence(
             f_d, cfg.depol_coherence_time)
         self.port_parity = np.arange(self.n_tx) % 2
-        self.port = dict.fromkeys(polarizations)
-        # the present TTI's tap sums, leakage and wander phasors per link
-        self.seq = np.empty(state0.shape[:-1], dtype=state0.dtype)
-        self.taps = self.seq[:, :n_scatter]
-        self.spec = np.empty((n_links, self.n_rx, self.n_tx),
-                             dtype=np.complex64)
-        self._refresh()
-        # a static bank's terms are final: it keeps no sinusoids, and keeps
-        # its channel as one array per link slice
+        self.port = {pol: np.empty((n_links, self.n_tx), dtype=np.complex64)
+                     for pol in polarizations}
+        self._couple()
+        # a static bank keeps its channel as one array per link slice
         self._static = {}
-        if step is None:
-            self.state = None
 
     def coherent_fraction_sq(self, pol):
         """Coherent power fraction at the receiver's slant (1 for LPOL)."""
         rho = math.radians(POL_SLANT_DEG[pol])
-        return math.cos(rho) ** 2 \
-            + math.sin(rho) ** 2 * self.alpha_dep ** 2
+        return math.cos(rho) ** 2 + math.sin(rho) ** 2 * self.alpha_dep ** 2
 
-    def _refresh(self):
-        """Per-link terms of the present TTI, for every link at once, written
-        in place into ``seq`` (whose first ``n_scatter`` columns are
-        ``taps``) and ``spec``."""
-        seq = self.seq
+    def _sums(self, links, seqs, out=None):
+        """The sums of the sequences ``seqs`` of ``links``: a static bank's
+        ``sums``, or the sinusoids summed now, into ``out`` if given."""
+        if self.state is None:
+            return self.sums[links, seqs]
+        return self.state[links, seqs].sum(axis=-1, out=out)
 
-        def add_up(part):
-            self.state[part].sum(axis=-1, out=seq[part])
+    def _couple(self):
+        """Write every link's receive-port coupling into ``port`` from its
+        leakage and wander sequences, ``_COUPLING_CHUNK`` links at a time."""
+        for lo in range(0, self.n_links, _COUPLING_CHUNK):
+            chunk = slice(lo, lo + _COUPLING_CHUNK)
+            leak, wander = self._sums(chunk, slice(-2, None)).T
+            leak = leak / np.maximum(np.abs(leak), 1e-30)
+            depol = self.alpha_dep \
+                * (wander / np.maximum(np.abs(wander), 1e-30))
+            for pol, port in self.port.items():
+                coup = port_coupling_series(
+                    self.cfg, POL_SLANT_DEG[pol], leak, depol)   # (n, 2)
+                port[chunk] = coup.astype(np.complex64)[:, self.port_parity]
 
-        _in_parts(add_up, [(part,) for part in _link_parts(len(seq))])
-        np.multiply((self.w_spec * self.rice_state)[:, None, None]
-                    * self.a_rx[:, :, None], self.a_tx[:, None, :],
-                    out=self.spec)
+    def buffers(self, n):
+        """Flat complex64 buffers for ``current`` on up to ``n`` links: the
+        channel ``h``, the tap sums and the specular terms."""
+        size = n * self.n_rx * self.n_tx
+        return {k: np.empty(size * m, dtype=np.complex64) for k, m in
+                (("h", self.cfg.n_rb), ("taps", self.n_taps), ("spec", 1))}
 
-        leak = seq[:, -2]
-        leak = leak / np.maximum(np.abs(leak), 1e-30)
-        wander = seq[:, -1]
-        depol = self.alpha_dep * (wander / np.maximum(np.abs(wander), 1e-30))
-        for pol in self.port:
-            coup = port_coupling_series(self.cfg, POL_SLANT_DEG[pol], leak,
-                                        depol)   # (n_links, 2)
-            self.port[pol] = coup.astype(np.complex64)[:, self.port_parity]
-
-    def current(self, links, out=None):
+    def current(self, links, buffers=None):
         """The present TTI's channel on the link slice ``links`` before the
-        receive-port coupling: (n, n_rb, n_rx, n_tx), RB axis innermost in
-        memory, in the front of the flat complex64 buffer ``out`` if one is
-        given. ``h * port[pol][links, None, None, :]`` is the channel a
-        ``pol`` receiver sees. A static bank mixes a slice into a new array,
-        not ``out``, once, and returns that array on every later call."""
-        key = links.indices(len(self.taps))
+        receive-port coupling, (n, n_rb, n_rx, n_tx) with the RB axis
+        innermost in memory: a ``pol`` receiver sees ``h * port[pol][links,
+        None, None, :]``. It is built in the front of the flat ``buffers``
+        (made if not given); a static bank mixes a slice into a new array
+        once, and returns it on every later call."""
+        key = links.indices(self.n_links)
         if key in self._static:
             return self._static[key]
-        taps = self.taps[links].reshape(-1, self.n_taps, self.n_rx, self.n_tx)
-        h = mix_taps(taps, self.kernel, None if self.step is None else out)
+        n = len(range(*key))
+        buffers = buffers or self.buffers(n)
+        taps = self._sums(links, slice(self.n_scatter),
+                          _front(buffers["taps"], (n, self.n_scatter)))
+        h = mix_taps(taps.reshape(n, self.n_taps, self.n_rx, self.n_tx),
+                     self.kernel, None if self.state is None else buffers["h"])
+        spec = _front(buffers["spec"], (n, self.n_rx, self.n_tx))
+        rice = self.w_spec[links] * self.rice_state[links]
+        np.multiply(rice[:, None, None] * self.a_rx[links, :, None],
+                    self.a_tx[links, None, :], out=spec)
         np.multiply(self.w_scat[links, None, None, None], h, out=h)
-        h += self.spec[links, None, :, :]
-        if self.step is None:
+        h += spec[:, None, :, :]
+        if self.state is None:
             self._static[key] = h
         return h
 
     def advance(self):
-        """Rotate every sinusoid by its per-TTI phase step; at f_d = 0 the
-        bank is static and this does nothing."""
+        """Rotate every sinusoid and specular phasor by its per-TTI step and
+        recouple the ports; a static bank (f_d = 0) does nothing."""
         if self.step is None:
             return
-
-        def rotate(part):
-            state = self.state[part]
-            state *= self.step[part]
-
-        _in_parts(rotate, [(part,) for part in _link_parts(len(self.state))])
+        _in_parts(lambda part: np.multiply(
+            self.state[part], self.step[part], out=self.state[part]),
+            [(part,) for part in _link_parts(self.n_links)])
         self.rice_state *= self.rice_step
-        self._refresh()
+        self._couple()

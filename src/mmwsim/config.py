@@ -159,10 +159,10 @@ class ScenarioConfig:
                      "vertical_panels", "elements_per_panel",
                      "coherence_bandwidth_rb"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
-        # the UMa model's UE heights; at 1 m or below the LOS breakpoint
-        # distance 4 (h_bs - 1)(h_ut - 1) fc / c would not even be positive
-        _require(1.5 <= self.ue_height <= 22.5, "ue_height",
-                 "must lie in TR 38.901's UMa range [1.5, 22.5] m")
+        # TR 38.901 UMa's h_UT <= 13 m case, which the pathloss and LOS
+        # models implement; at 1 m or below the breakpoint is not positive
+        _require(1.5 <= self.ue_height <= 13.0, "ue_height",
+                 "must lie in TR 38.901's UMa range [1.5, 13] m")
         _require(self.bs_height > self.ue_height, "bs_height",
                  "must exceed ue_height")
         _require(self.n_tx in (1, 2, 4), "n_tx", "must be 1, 2 or 4")

@@ -50,12 +50,12 @@ polarization. Each TTI the bank advances once, and each block's channel
 is mixed once; only the receive-port coupling, a few milliseconds a TTI,
 is applied per polarization, cell by cell as each lane precodes, so no
 coupled copy of a block is kept. At f_d = 0 the channel cannot change,
-and only the bank knows it: it keeps no sinusoids and mixes each block
-once per run. A lane keeps only per-UE and per-cell arrays: interference
-covariance, precoders, CSI rates, precoder map, throughput averages,
-round-robin cursors and granted bits. Lanes of one polarization share the
-isotropic TTI-0 bootstrap and, at every precoder update, the candidate
-products of selection.
+and only the bank knows it: it keeps only its sinusoids' sums and mixes
+each block once per run. A lane keeps only per-UE and per-cell arrays:
+interference covariance, precoders, CSI rates, precoder map, throughput
+averages, round-robin cursors and granted bits. Lanes of one polarization
+share the isotropic TTI-0 bootstrap and, at every precoder update, the
+candidate products of selection.
 ``run_simulation`` is the one-lane case, and every lane's record equals
 it.
 
@@ -85,12 +85,10 @@ row count), keeping every gemm small enough that OpenBLAS runs it on
 the calling thread, and replaying ``np.add.reduceat``'s additions in its
 own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
 and ``np.linalg.inv`` are kept as they are, because their stacked or
-re-associated forms change bits. The link layer runs on one thread.
-numpy's stacked ``matmul`` and ``np.linalg.inv`` do release the GIL, but
-splitting them over two threads did not pay: two stacked products of
-tiny matrices took longer side by side than one after the other, and
-``inv`` gained little. The channel bank's elementwise work is what runs
-on threads (see :mod:`mmwsim.channel`).
+re-associated forms change bits. The link layer runs on one thread:
+two stacked products of tiny matrices took longer side by side than one
+after the other, and ``inv`` gained little. The channel bank's
+elementwise work is what runs on threads (see :mod:`mmwsim.channel`).
 """
 
 import hashlib
@@ -107,8 +105,8 @@ import numpy as np
 
 from ._version import __version__
 from .antenna import combined_gain
-from .channel import SERIAL_GEMM_MNK, _ChannelBank, doppler_frequency, \
-    los_probability, pathloss_uma
+from .channel import SERIAL_GEMM_MNK, _ChannelBank, _front, \
+    doppler_frequency, los_probability, pathloss_uma, share_cpus
 from .config import TTI_DURATION, expand_sweep, scenario_to_text
 from .deployment import build_hex_layout, drop_ues, dump_layout_csv
 from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
@@ -261,12 +259,6 @@ def _build_linkset(cfg, gain_db, los):
         los=los[cell_arr, ue_arr])
 
 
-def _front(buf, shape):
-    """The front of the flat buffer ``buf`` as a C-contiguous array of
-    ``shape``: ``np.empty(shape)`` without the allocation."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
 def _stacked_matmul(a, p):
     """``a @ p`` where each matrix of ``p`` is shared by a stack of ``a``.
 
@@ -415,7 +407,7 @@ class _Group:
         n_keep = self.links.n_keep
         work = self._work()
         for block in self.blocks:
-            h = self.bank.current(block.links, work["h"])
+            h = self.bank.current(block.links, work)
             ports = {pol: self.bank.port[pol][block.links, None, None, :]
                      for pol in pols}
             for pol, port in ports.items():
@@ -433,17 +425,15 @@ class _Group:
                     h, ports[lane.pol], p, block, ue[lo:hi], rb[lo:hi], work)
 
     def _work(self):
-        """Flat complex64 buffers with room for any block's channel ``h``,
-        precoded links ``b``, their conjugates ``bh`` and their products
-        ``g``; a pair path's arrays fit too, since its pairs are some of
-        the block's (ue, rb) entries."""
-        cfg = self.cfg
-        n = max(b.links.stop - b.links.start for b in self.blocks) \
-            * cfg.n_rb * cfg.n_rx
-        cols = {"h": cfg.n_tx, "b": self.max_rank, "bh": self.max_rank,
-                "g": cfg.n_rx}
-        return {k: np.empty(n * m, dtype=np.complex64)
-                for k, m in cols.items()}
+        """Flat complex64 buffers with room for any block's bank buffers
+        (see ``_ChannelBank.buffers``), precoded links ``b``, their
+        conjugates ``bh`` and their products ``g``; a pair path's arrays
+        fit too, since its pairs are some of the block's (ue, rb) entries."""
+        n_links = max(b.links.stop - b.links.start for b in self.blocks)
+        n = n_links * self.cfg.n_rb * self.cfg.n_rx
+        cols = {"b": self.max_rank, "bh": self.max_rank, "g": self.cfg.n_rx}
+        return {**self.bank.buffers(n_links), **{
+            k: np.empty(n * m, dtype=np.complex64) for k, m in cols.items()}}
 
     def rate_table(self, lane):
         """Per-(ue, rb) bits of ``lane`` from the measured channel."""
@@ -882,7 +872,8 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
         from concurrent.futures.process import BrokenProcessPool
         pool = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"))
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=share_cpus, initargs=(workers,))
         try:
             results = list(pool.map(_run_group, tasks))
         except BrokenProcessPool as exc:

@@ -232,11 +232,13 @@ def test_antenna_counts_and_ue_height_stay_in_the_models_range():
         with pytest.raises(ScenarioError, match=f"{name}: must be >= 1"):
             _apply_overrides(preset("small"), [f"{name}={bad}"])
     # below 1.5 m a UE height ran silently, with a LOS breakpoint distance
-    # of 0 or less at 1 m and below
-    for bad in (0.5, 1.0, 1.4, 22.6):
+    # of 0 or less at 1 m and below; above 13 m the UMa breakpoint's
+    # environment height and the LOS probability take height terms that
+    # the models leave out
+    for bad in (0.5, 1.0, 1.4, 13.5, 22.5):
         with pytest.raises(ScenarioError, match="ue_height: must lie in"):
             preset("small").replace(ue_height=bad)
-    for good in (1.5, 22.5):
+    for good in (1.5, 13.0):
         assert preset("small").replace(ue_height=good).ue_height == good
     assert ScenarioConfig(vertical_panels=1, elements_per_panel=1)
 

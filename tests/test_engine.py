@@ -328,6 +328,34 @@ def test_forked_sweep_after_a_threaded_bank_finishes(monkeypatch, alarm):
     assert parallel.records == serial.records
 
 
+def test_sweep_workers_share_the_cpus_for_bank_threads(monkeypatch, alarm):
+    monkeypatch.setattr(mmwsim.channel, "_cpu_count", lambda: 4)
+
+    def report_parts(cfgs, trace_dir=None):
+        raise RuntimeError(f"{len(mmwsim.channel._link_parts(10**4))} parts")
+
+    # forked workers inherit the patched engine and CPU count
+    monkeypatch.setattr(mmwsim.engine, "_run_lanes", report_parts)
+    alarm(60)
+    kwargs = dict(velocities=[0.0], schedulers=["RR"],
+                  polarizations=["LPOL"], seeds=[1, 2])
+    for workers, parts in ((2, 2), (1, 4)):
+        _, failures = run_sweep(tiny_config(), parallelism=workers, **kwargs)
+        assert len(failures) == 2
+        assert all(f.endswith(f"RuntimeError: {parts} parts")
+                   for f in failures)
+    # the pool set the share in its workers only
+    assert mmwsim.channel._n_workers == 1
+
+
+def test_a_bank_uses_its_workers_share_of_the_cpus(monkeypatch):
+    monkeypatch.setattr(mmwsim.channel, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(mmwsim.channel, "_n_workers", 1)
+    for workers, parts in ((1, 4), (2, 2), (3, 1), (4, 1), (8, 1)):
+        mmwsim.channel.share_cpus(workers)
+        assert len(mmwsim.channel._link_parts(10**4)) == parts
+
+
 def _record(sched, pol, vel, seed, tp=1e6):
     return KpiRecord(scheduler=sched, polarization=pol, velocity_kmph=vel,
                      seed=seed, avg_ue_throughput_bps=tp,

@@ -1,12 +1,14 @@
 """Block-bounded working memory: the link layer's per-TTI steps allocate a
 bounded multiple of the UE-block budget ``_BLOCK_BYTES`` whatever the
-network size, the channel bank's ``advance`` only a few values per link,
+network size, the channel bank keeps only its rotating sinusoids and a
+few values per link, its ``advance`` allocates a bounded chunk's worth,
 and the budget partitions the work without changing a bit."""
 
 import tracemalloc
 
 import numpy as np
 
+import mmwsim.channel as channel
 import mmwsim.engine as engine
 from mmwsim import preset
 
@@ -62,13 +64,12 @@ def test_select_measure_and_advance_stay_within_the_block_budget():
     assert lane.pairs is None
     assert _traced_peak(group.measure, [lane]) < bound
     assert _traced_peak(group.select, [lane]) < bound
-    # advance writes the tap sums over the last ones: it allocates a few
-    # values per link, far less than one tap-sum array
-    tap_sums = group.links.n_links * (group.bank.n_scatter + 2) \
-        * np.dtype(np.complex64).itemsize
-    peak = _traced_peak(group.bank.advance)
-    assert peak < bound
-    assert peak < tap_sums / 4
+    # advance couples the ports one chunk of links at a time, into the
+    # bank's own arrays: 275 bytes per chunk link measured (282 KB here,
+    # where coupling all 5,670 links at once took 1.2 MB)
+    assert group.links.n_links > 4 * channel._COUPLING_CHUNK
+    assert _traced_peak(group.bank.advance) \
+        < 300 * channel._COUPLING_CHUNK
 
 
 def test_select_picks_the_same_precoders_whatever_the_chunk_size(
@@ -105,11 +106,26 @@ def test_select_picks_the_same_precoders_whatever_the_chunk_size(
 
 def test_advance_rewrites_the_banks_own_arrays():
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=2)
-    bank = engine._Group(cfg, ["LPOL"]).bank
-    arrays = bank.seq, bank.taps, bank.spec, bank.rice_state
+    bank = engine._Group(cfg, ["LPOL", "XPOL"]).bank
+    arrays = bank.state, bank.rice_state, bank.port["LPOL"], bank.port["XPOL"]
+    want = bank.state * bank.step, bank.rice_state * bank.rice_step
     bank.advance()
-    assert all(a is b for a, b in zip(
-        arrays, (bank.seq, bank.taps, bank.spec, bank.rice_state)))
+    assert all(a is b for a, b in zip(arrays, (
+        bank.state, bank.rice_state, bank.port["LPOL"], bank.port["XPOL"])))
+    assert np.array_equal(bank.state, want[0])
+    assert np.array_equal(bank.rice_state, want[1])
+
+
+def test_a_moving_bank_keeps_only_its_sinusoids_and_a_few_values_a_link():
+    cfg = preset("small").replace(ue_velocity=120.0)
+    bank = engine._Group(cfg, ["LPOL", "XPOL"]).bank
+    arrays = [a for a in vars(bank).values() if isinstance(a, np.ndarray)]
+    arrays += bank.port.values()
+    # the rotating phasors, plus about 120 bytes a link: the array
+    # phasors, the specular phasor and its step, the two weights and the
+    # two port couplings; no tap sums or specular terms are kept
+    assert sum(a.nbytes for a in arrays) <= bank.state.nbytes \
+        + bank.step.nbytes + 256 * bank.n_links
 
 
 def test_a_buffered_channel_equals_a_fresh_one_bit_for_bit():
@@ -117,9 +133,10 @@ def test_a_buffered_channel_equals_a_fresh_one_bit_for_bit():
     group = engine._Group(cfg, ["LPOL"])
     work = group._work()
     for block in group.blocks:
-        # a dirty buffer, as the last block leaves it
-        work["h"][:] = np.nan
-        h = group.bank.current(block.links, work["h"])
+        # dirty buffers, as the last block leaves them
+        for buf in work.values():
+            buf[:] = np.nan
+        h = group.bank.current(block.links, work)
         assert np.shares_memory(h, work["h"])
         fresh = group.bank.current(block.links)
         assert np.array_equal(np.ascontiguousarray(h).view(np.uint8),

@@ -164,13 +164,13 @@ def test_chunked_bank_setup_matches_the_per_link_loop(n_rx, n_tx, f_d, seed):
            "rice_state": bank.rice_state, "rice_step": bank.rice_step}
     if f_d == 0:
         # a frozen bank makes no rotations, where the loop's are exactly 1,
-        # and keeps its initial phasors only summed into taps
+        # and keeps its initial phasors only summed, chunk by chunk
         assert got.pop("step") is got.pop("rice_step") is None
         assert np.all(want.pop("step") == 1)
         assert np.all(want.pop("rice_step") == 1)
         assert got.pop("state0") is None
-        got["taps"] = bank.taps
-        want["taps"] = want.pop("state0").sum(axis=-1)[:, :bank.n_scatter]
+        got["sums"] = bank.sums
+        want["sums"] = want.pop("state0").sum(axis=-1)
     for name, value in want.items():
         assert got[name].dtype == value.dtype, name
         assert np.array_equal(got[name], value), name
