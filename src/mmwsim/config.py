@@ -153,12 +153,14 @@ class ScenarioConfig:
         for name in ("n_site_rings", "ue_velocity", "noise_figure",
                      "shadowing_sigma_los_db", "shadowing_sigma_nlos_db",
                      "depol_coherence_time", "n_strongest_interferers",
-                     "seed"):
+                     "seed", "front_back_ratio_db", "sla_v_db"):
             _require(getattr(self, name) >= 0, name, "must be >= 0")
         for name in ("ues_per_sector", "n_rx", "csi_period_tti", "n_tti",
                      "vertical_panels", "elements_per_panel",
                      "coherence_bandwidth_rb"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
+        _require(self.shannon_efficiency <= 1, "shannon_efficiency",
+                 "must be <= 1, the Shannon bound")
         # TR 38.901 UMa's h_UT <= 13 m case, which the pathloss and LOS
         # models implement; at 1 m or below the breakpoint is not positive
         _require(1.5 <= self.ue_height <= 13.0, "ue_height",

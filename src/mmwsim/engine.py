@@ -2,8 +2,9 @@
 
 One run wires the other modules into the per-TTI loop:
 
-    channel -> link adaptation -> scheduling -> throughput accounting
-            -> average-throughput update -> CSI for the next TTI
+    channel -> scheduling on the CSI of t-1 -> one pass over UE blocks
+    (interference, rates as the CSI of t, precoder choice)
+    -> throughput accounting -> average-throughput update
 
 Each UE attaches once, to the cell with the strongest wideband power (ties
 to the lowest cell id), and keeps its drop position: velocity enters the
@@ -37,39 +38,39 @@ the ``SeedSequence`` -> ``PCG64`` state numpy would give each key. The
 fading model is the channel bank of :mod:`mmwsim.channel`; this module
 holds the link set it runs on and the link kernels that read its channel.
 
-The link layer is streamed over contiguous UE blocks, and precoder
-selection over UE chunks of the same byte budget, so per-link and
-per-candidate arrays exist for one block or chunk at a time; only per-UE
-results span the network.
+The link layer is one pass a TTI over contiguous UE blocks
+(``_Group.measure``). For each block it mixes the channel once, couples
+each polarization's serving links, and then, lane by lane, computes the
+interference covariances, the rates and, when precoders are updated, the
+codebook choice, whose candidate products the lanes of one polarization
+share. Per-link, per-(UE, RB) and per-candidate arrays so exist for one
+block at a time, in buffers made once per group; only per-UE and per-cell
+results span the network, and scheduling, accounting and the average
+throughput stay network-wide.
 
 Sweep points that differ only in scheduler and polarization (the points
 of one (velocity, seed)) run in lockstep as lanes of one group. The group
 is built once: layout, drop, gains, link set, channel bank, UE blocks,
-the link kernels with their codebook, and one serving channel per
-polarization. Each TTI the bank advances once, and each block's channel
-is mixed once; only the receive-port coupling, a few milliseconds a TTI,
-is applied per polarization, cell by cell as each lane precodes, so no
-coupled copy of a block is kept. At f_d = 0 the channel cannot change,
-and only the bank knows it: it keeps only its sinusoids' sums and mixes
-each block once per run. A lane keeps only per-UE and per-cell arrays:
-interference covariance, precoders, CSI rates, precoder map, throughput
-averages, round-robin cursors and granted bits. Lanes of one polarization
-share the isotropic TTI-0 bootstrap and, at every precoder update, the
-candidate products of selection.
-``run_simulation`` is the one-lane case, and every lane's record equals
-it.
+the link kernels with their codebook, and the block buffers. Each TTI the
+bank advances once and each block's channel is mixed once; only the
+receive-port coupling is applied per polarization, cell by cell as each
+lane precodes, so no coupled copy of a block is kept. At f_d = 0 the
+channel cannot change, and only the bank knows it: it keeps only its
+sinusoids' sums and mixes each block once per run. A lane keeps per-UE
+and per-cell arrays (precoders, CSI rates, precoder map, throughput
+averages, round-robin cursors, granted bits) and one block's
+interference covariances. Lanes of one polarization share the isotropic
+TTI-0 bootstrap, each keeping its own copy. ``run_simulation`` is the
+one-lane case, and every lane's record equals it.
 
 Each lane measures only its demand: the (UE, RB) pairs something reads
 after the TTI's grants. Accounting and the allocation trace read the
-grants, one pair per active cell and RB; a precoder update after the TTI
-reads the ``select_rb`` rows of every UE; proportional fair's next
-``schedule`` reads every rate. So a proportional-fair lane before its
-last TTI and the TTI-0 bootstrap get the full tables, and every other
-lane gets covariances at its pairs only and rates at its grants only
-(``_Group.pair_interference`` and ``granted_rates``). Every step of the
-link layer is per matrix or elementwise, so a subset of pairs gets the
-bits the full tables give it; the entries outside the demand are not
-written, and nothing reads them.
+grants, a precoder update after the TTI reads every UE's ``select_rb``
+rows, and proportional fair's next ``schedule`` reads every rate. So a
+proportional-fair lane before its last TTI and the bootstrap get every
+pair, and every other lane gets covariances at its pairs and rates at its
+grants only. Every step is per matrix or elementwise, so a subset of
+pairs gets the bits the whole block gives it; nothing reads the others.
 
 Rewrites of the link layer must keep every KPI bit-identical, not merely
 close. Proportional-fair scheduling turns a last-bit change in one rate
@@ -177,13 +178,9 @@ class _UeBlock:
     cells: list               # (cell id, block-local link indices) per cell
 
 
-def _ue_blocks(cfg, links):
-    """Contiguous UE blocks of about ``_BLOCK_BYTES`` of per-link channel
-    matrices each."""
+def _ue_blocks(links, step):
+    """Contiguous UE blocks of ``step`` UEs each, the last one shorter."""
     n_ues, n_keep = links.serving.shape[0], links.n_keep
-    ue_bytes = n_keep * cfg.n_rb * cfg.n_rx * cfg.n_tx \
-        * np.dtype(np.complex64).itemsize
-    step = max(1, _BLOCK_BYTES // ue_bytes)
     blocks = []
     for lo in range(0, n_ues, step):
         hi = min(lo + step, n_ues)
@@ -259,8 +256,9 @@ def _build_linkset(cfg, gain_db, los):
         los=los[cell_arr, ue_arr])
 
 
-def _stacked_matmul(a, p):
-    """``a @ p`` where each matrix of ``p`` is shared by a stack of ``a``.
+def _stacked_matmul(a, p, out=None):
+    """``a @ p`` where each matrix of ``p`` is shared by a stack of ``a``,
+    into the C-contiguous ``out`` if given.
 
     ``a`` is (..., n_mat, m, n) and ``p`` is (..., n, k), the leading axes
     broadcast against each other. The n_mat matrices are stacked into one
@@ -271,8 +269,10 @@ def _stacked_matmul(a, p):
     gemm's, so they keep one product each.
     """
     if a.shape[-2] == 1:
-        return a @ p[..., None, :, :]
-    rows = a.reshape(a.shape[:-3] + (-1, a.shape[-1])) @ p
+        return np.matmul(a, p[..., None, :, :], out=out)
+    if out is not None:
+        out = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
+    rows = np.matmul(a.reshape(a.shape[:-3] + (-1, a.shape[-1])), p, out=out)
     return rows.reshape(rows.shape[:-2] + a.shape[-3:-1] + p.shape[-1:])
 
 
@@ -331,16 +331,23 @@ def _segment_sums(g, n):
     return total
 
 
+def _by_pol(lanes):
+    """``lanes`` by polarization, in order."""
+    pols = dict.fromkeys(lane.pol for lane in lanes)
+    return {pol: [lane for lane in lanes if lane.pol == pol] for pol in pols}
+
+
 class _Group:
     """The shared part of a run, built once for all the lanes of a group.
 
     A group's lanes are runs whose configs differ only in ``scheduler`` and
     ``ue_polarization``; under common random numbers they share the layout,
-    drop, gains, link set, counted UEs, channel bank, UE blocks and link
-    kernels, and each polarization's serving channel ``h_serv[pol]``. The
-    link kernels (covariance assembly, rate measurement and precoder
-    selection) hold the group's codebook; a lane passes its own self-noise
-    factor ``sn_scale`` to ``rates`` and ``select``.
+    drop, gains, link set, counted UEs, channel bank, UE blocks, the link
+    kernels with their codebook, and the block buffers: ``work`` and each
+    polarization's serving channel ``h_serv[pol]`` of one block. A block
+    holds about ``_BLOCK_BYTES`` of per-link channel matrices, and at most
+    that many of complex128 candidate covariances in precoder selection,
+    whose stacked candidate products stay on the calling thread.
     """
 
     def __init__(self, cfg, polarizations):
@@ -375,10 +382,17 @@ class _Group:
         self.iso = (math.sqrt(p_rb / cfg.n_tx)
                     * np.eye(cfg.n_tx, self.max_rank)).astype(np.complex64)
 
-        self.blocks = _ue_blocks(cfg, links)
+        n_sel, n_rx, n_tx = len(self.select_rb), cfg.n_rx, cfg.n_tx
+        step = max(1, min(
+            _BLOCK_BYTES // (links.n_keep * cfg.n_rb * n_rx * n_tx * 8),
+            _BLOCK_BYTES // (len(self.cand) * n_sel * n_rx * n_rx * 16),
+            SERIAL_GEMM_MNK // (n_sel * n_rx * n_tx * self.max_rank)))
+        self.blocks = _ue_blocks(links, step)
+        self.block_ues = min(step, n_ues)
+        self.work = self._work()
         # the serving channel keeps the channel bank's RB-innermost layout
         self.h_serv = {pol: np.empty(
-            (n_ues, cfg.n_rx, cfg.n_tx, cfg.n_rb),
+            (self.block_ues, n_rx, n_tx, cfg.n_rb),
             dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
 
         # the non-empty serving cells, each with its UE ids in ascending order
@@ -386,122 +400,119 @@ class _Group:
         self.active_ues = [np.flatnonzero(links.serving == c)
                            for c in self.active]
 
-    def measure(self, lanes, psched=None):
-        """Fill ``h_serv`` and each lane's ``r_int`` for the present TTI,
-        block by block, under each lane's own ``psched`` unless one
-        ``psched`` is given for all of them.
+    def measure(self, lanes, select=False, bootstrap=False, gains=None):
+        """One pass over the UE blocks: measure ``lanes`` at the present TTI
+        and, with ``select``, pick their precoders.
 
-        A lane whose ``pairs`` is None gets every (ue, rb) entry; any other
-        lane gets only its ``pairs``. Each block's channel is mixed once
-        (at f_d = 0 the bank mixes it once per run), and only its serving
-        links are coupled to each polarization's ports here; the rest are
-        coupled cell by cell, so no coupled copy of the block exists.
-
-        Every block and lane writes its block-sized arrays into one set of
-        buffers (``_work``), allocated once per call. Arrays made and freed
-        block by block would be freed to the top of the heap, which glibc
-        hands back to the kernel once it outgrows its trim threshold, and
-        the next block would fault every page in again.
+        Each block's channel is mixed once, and each polarization's serving
+        links are coupled into ``h_serv``. Then, lane by lane, the block's
+        interference covariances go into the lane's ``r_int`` and its rates
+        into its ``csi_rates`` (see ``interference`` and ``rates``). With
+        ``select``, each polarization's candidate products are made once a
+        block, and each of its lanes picks its ``p_own`` rows. The
+        bootstrap precodes isotropically and rates the precoders it picks;
+        a TTI rates those it granted with, then picks. ``gains`` (n_ues,),
+        if given, takes each UE's mean serving gain at ``lanes[0].pol``.
         """
-        pols = dict.fromkeys(lane.pol for lane in lanes)
+        by_pol = _by_pol(lanes)
+        # equal-power identity precoding everywhere
+        psched = np.broadcast_to(self.iso, (self.n_cells, self.cfg.n_rb)
+                                 + self.iso.shape) if bootstrap else None
         n_keep = self.links.n_keep
-        work = self._work()
         for block in self.blocks:
-            h = self.bank.current(block.links, work)
-            ports = {pol: self.bank.port[pol][block.links, None, None, :]
-                     for pol in pols}
-            for pol, port in ports.items():
-                self.h_serv[pol][block.ues] = h[::n_keep] * port[::n_keep]
-            for lane in lanes:
-                p = lane.psched if psched is None else psched
-                if lane.pairs is None:
-                    lane.r_int[block.ues] = self.interference(
-                        h, ports[lane.pol], p, block, work)
-                    continue
-                ue, rb = lane.pairs
-                lo, hi = np.searchsorted(ue, [block.ues.start,
-                                              block.ues.stop])
-                lane.r_int[ue[lo:hi], rb[lo:hi]] = self.pair_interference(
-                    h, ports[lane.pol], p, block, ue[lo:hi], rb[lo:hi], work)
+            n = block.ues.stop - block.ues.start
+            h = self.bank.current(block.links, self.work)
+            for pol, same in by_pol.items():
+                port = self.bank.port[pol][block.links, None, None, :]
+                h_serv = np.multiply(h[::n_keep], port[::n_keep],
+                                     out=self.h_serv[pol][:n])
+                if gains is not None and pol == lanes[0].pol:
+                    gains[block.ues] = [np.mean(abs(x) ** 2) for x in h_serv]
+                for lane in same:
+                    self.interference(lane, h, port, block, psched)
+                    if not bootstrap:
+                        self.rates(lane, block, h_serv)
+                if select:
+                    self.select(same, block, h_serv)
+                for lane in same if bootstrap else ():
+                    self.rates(lane, block, h_serv)
+
+    def bootstrap(self, lanes):
+        """The CSI bootstrap: each lane's first precoders and CSI rates. It
+        precodes isotropically, whatever the scheduler, so the first lane
+        of each polarization measures, and the others take copies."""
+        by_pol = _by_pol(lanes)
+        self.measure([same[0] for same in by_pol.values()], select=True,
+                     bootstrap=True)
+        for first, *rest in by_pol.values():
+            for lane in rest:
+                lane.p_own[:] = first.p_own
+                lane.csi_rates[:] = first.csi_rates
 
     def _work(self):
-        """Flat complex64 buffers with room for any block's bank buffers
-        (see ``_ChannelBank.buffers``), precoded links ``b``, their
-        conjugates ``bh`` and their products ``g``; a pair path's arrays
-        fit too, since its pairs are some of the block's (ue, rb) entries."""
+        """Flat complex64 buffers, of even sizes, with room for any block's
+        bank buffers (see ``_ChannelBank.buffers``), precoded links ``b``,
+        their conjugates ``bh`` and products ``g``, or its candidates in
+        selection, whose complex128 arrays then take a view of ``bh``."""
+        cfg = self.cfg
         n_links = max(b.links.stop - b.links.start for b in self.blocks)
-        n = n_links * self.cfg.n_rb * self.cfg.n_rx
-        cols = {"b": self.max_rank, "bh": self.max_rank, "g": self.cfg.n_rx}
+        n_sel = self.block_ues * len(self.cand) * len(self.select_rb) \
+            * cfg.n_rx
+        n = max(n_links * cfg.n_rb * cfg.n_rx, n_sel)
+        sizes = {"b": n * self.max_rank, "g": n * cfg.n_rx,
+                 "bh": max(n, 2 * n_sel) * max(cfg.n_rx, self.max_rank)}
         return {**self.bank.buffers(n_links), **{
-            k: np.empty(n * m, dtype=np.complex64) for k, m in cols.items()}}
+            k: np.empty(m + m % 2, np.complex64) for k, m in sizes.items()}}
 
-    def rate_table(self, lane):
-        """Per-(ue, rb) bits of ``lane`` from the measured channel."""
-        h_serv = self.h_serv[lane.pol]
-        return np.concatenate([
-            self.rates(h_serv[b.ues], lane.r_int[b.ues], lane.p_own[b.ues],
-                       lane.sn_scale)
-            for b in self.blocks])
-
-    def granted_rates(self, lane):
-        """Bits of ``lane``'s grants, (active cell, rb), from the measured
-        channel: the ``rate_table`` entries at the granted pairs."""
-        ue, rb = lane.rb_to_ue, np.arange(self.cfg.n_rb)
-        h = self.h_serv[lane.pol][ue, rb]
-        return self._bits(h @ lane.p_own[ue], lane.r_int[ue, rb],
-                          lane.sn_scale)
-
-    def isotropic_psched(self):
-        """Equal-power identity precoding everywhere (TTI-0 bootstrap)."""
-        p = np.zeros((self.n_cells, self.cfg.n_rb, self.cfg.n_tx,
-                      self.max_rank), dtype=np.complex64)
-        p[:, :] = self.iso
-        return p
-
-    def interference(self, h, port, psched, block, work):
-        """Per-(ue, rb) interference covariance of one UE block, own-cell
-        signal excluded.
+    def interference(self, lane, h, port, block, psched=None):
+        """Write ``lane``'s per-(ue, rb) interference covariances of one UE
+        block, own-cell signal excluded, into the front of its ``r_int``:
+        every entry, or its ``pairs`` only, leaving the others as they are.
 
         ``h * port`` is the block's per-link channel, with ``port`` the
-        receive-port coupling (n, 1, 1, n_tx), and ``psched`` maps
-        (cell, rb) to the scaled precoder in use. The links of one cell are
-        coupled and precoded as one stacked product per RB. The block-sized
-        arrays are written into the ``_work`` buffers ``work``.
+        receive-port coupling (n, 1, 1, n_tx), and ``psched`` (the lane's
+        own unless given) maps (cell, rb) to the scaled precoder in use.
+        The links of one cell are coupled and precoded as one stacked
+        product per RB; a pair's links one matrix at a time, at its RB,
+        which gives the rows of the stacked product to the last bit.
         """
-        b = _front(work["b"], h.shape[:-1] + (self.max_rank,))
-        for c, idx in block.cells:
-            h_c = h[idx]
-            h_c *= port[idx]
-            b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
-                                     psched[c]).swapaxes(0, 1)
-        return self._covariance(b, work)
-
-    def pair_interference(self, h, port, psched, block, ue, rb, work):
-        """``interference`` at the (ue, rb) pairs of one block only, to the
-        last bit: each pair's links are gathered at its RB, coupled and
-        precoded one matrix at a time, which gives the rows of the stacked
-        product."""
+        psched = lane.psched if psched is None else psched
+        r_int = lane.r_int[:block.ues.stop - block.ues.start]
+        b = self.work["b"]
+        if lane.pairs is None:
+            b = _front(b, h.shape[:-1] + (self.max_rank,))
+            for c, idx in block.cells:
+                h_c = h[idx]
+                h_c *= port[idx]
+                b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
+                                         psched[c]).swapaxes(0, 1)
+            self._covariance(b, r_int)
+            return
+        ue, rb = lane.pairs
+        lo, hi = np.searchsorted(ue, [block.ues.start, block.ues.stop])
+        ue, rb = ue[lo:hi], rb[lo:hi]
         n_keep = self.links.n_keep
         link = (ue - block.ues.start)[:, None] * n_keep + np.arange(n_keep)
         h_p = h[link, rb[:, None]]
         h_p *= port[link, 0]
         cell = self.links.cell[block.links][link]
         b = np.matmul(h_p, psched[cell, rb[:, None]], out=_front(
-            work["b"], h_p.shape[:-1] + (self.max_rank,)))
-        return self._covariance(b.reshape((-1,) + b.shape[2:]), work)
+            b, h_p.shape[:-1] + (self.max_rank,)))
+        r_int[ue - block.ues.start, rb] = self._covariance(
+            b.reshape((-1,) + b.shape[2:]))
 
-    def _covariance(self, b, work):
+    def _covariance(self, b, out=None):
         """Interference covariance per UE from its precoded links ``b``,
         ``n_keep`` consecutive ones per UE, serving link first. Because a
         UE's own hypothetical grant replaces whatever its serving cell is
         transmitting, the serving link's contribution is subtracted from
         the segmented sum over each UE's link group."""
-        bh = np.conjugate(b, out=_front(work["bh"], b.shape))
+        bh = np.conjugate(b, out=_front(self.work["bh"], b.shape))
         g = np.matmul(b, bh.swapaxes(-1, -2), out=_front(
-            work["g"], b.shape[:-1] + b.shape[-2:-1]))
+            self.work["g"], b.shape[:-1] + b.shape[-2:-1]))
         total = _segment_sums(g, self.links.n_keep)
-        total -= g[::self.links.n_keep]
-        return total
+        return np.subtract(total, g[::self.links.n_keep],
+                           out=total if out is None else out)
 
     def _with_noise(self, cov, sn_scale):
         """Scale by the self-noise factor, add thermal noise, go double."""
@@ -510,67 +521,67 @@ class _Group:
         out[..., idx, idx] += self.noise
         return out
 
-    def rates(self, h_serv, r_int, p_own, sn_scale):
-        """Per-(ue, rb) truncated-Shannon bits for one RB grant."""
-        return self._bits(_stacked_matmul(h_serv, p_own), r_int, sn_scale)
-
-    def _bits(self, eff, r_int, sn_scale):
-        """Bits of grants with precoded channel ``eff`` and interference
-        covariance ``r_int``, one per matrix."""
+    def rates(self, lane, block, h_serv):
+        """Write ``lane``'s truncated-Shannon bits for one RB grant of the
+        UEs of ``block`` into its ``csi_rates``: whole rows, or its grants
+        only when it has ``pairs``."""
+        lo, hi = block.ues.start, block.ues.stop
+        r_int = lane.r_int[:hi - lo]
+        if lane.pairs is None:
+            ue, rb = slice(lo, hi), slice(None)
+            eff = _stacked_matmul(h_serv, lane.p_own[ue])
+        else:
+            cell, rb = np.nonzero((lane.rb_to_ue >= lo)
+                                  & (lane.rb_to_ue < hi))
+            ue = lane.rb_to_ue[cell, rb]
+            eff = h_serv[ue - lo, rb] @ lane.p_own[ue]
+            r_int = r_int[ue - lo, rb]
         own = eff @ eff.conj().swapaxes(-1, -2)
-        cov = self._with_noise(r_int + own, sn_scale)
+        cov = self._with_noise(r_int + own, lane.sn_scale)
         sinr = mmse_sinr_from_covariance(eff, cov)
         cfg = self.cfg
-        return sinr_to_rate(sinr, cfg.rb_bandwidth, TTI_DURATION,
-                            cfg.shannon_efficiency,
-                            cfg.spectral_efficiency_cap).sum(axis=-1)
+        lane.csi_rates[ue, rb] = sinr_to_rate(
+            sinr, cfg.rb_bandwidth, TTI_DURATION, cfg.shannon_efficiency,
+            cfg.spectral_efficiency_cap).sum(axis=-1)
 
-    def select(self, lanes):
-        """Wideband codebook choice per UE from a decimated RB sample: set
-        each lane's ``p_own`` from its interference covariance. The lanes
-        are of one polarization, so they share ``h_serv``, ``sn_scale`` and
-        every candidate product.
-
-        UEs are taken in even chunks, sized so that the largest array of a
-        chunk, the complex128 (ue, entry, rb, rx, rx) covariances of every
-        candidate, holds at most ``_BLOCK_BYTES``, and so that the stacked
-        candidate products stay on the calling thread. Every step is per
-        UE and per matrix, so the chunks change no bit.
-        """
-        h_serv = self.h_serv[lanes[0].pol]
-        sn_scale = lanes[0].sn_scale
-        n_ues, n_sel = len(h_serv), len(self.select_rb)
-        n_rx, n_tx = self.cfg.n_rx, self.cfg.n_tx
-        cov_bytes = len(self.cand) * n_sel * n_rx * n_rx \
-            * np.dtype(np.complex128).itemsize
-        step = max(1, min(_BLOCK_BYTES // cov_bytes, SERIAL_GEMM_MNK
-                          // (n_sel * n_rx * n_tx * self.max_rank)))
-        n_chunks = -(-n_ues // step)
-        edges = [n_ues * i // n_chunks for i in range(n_chunks + 1)]
-        idx = [np.empty(n_ues, dtype=np.intp) for _ in lanes]
-        for lo, hi in zip(edges, edges[1:]):
-            eff, own = self._candidates(h_serv[lo:hi, self.select_rb])
-            for i, lane in zip(idx, lanes):
-                i[lo:hi] = self._best_entry(
-                    eff, own, lane.r_int[lo:hi, self.select_rb], sn_scale)
-        for lane, i in zip(lanes, idx):
-            lane.p_own = self.cand[i]
+    def select(self, lanes, block, h_serv):
+        """Wideband codebook choice per UE of ``block`` from a decimated RB
+        sample: set the block's rows of each lane's ``p_own`` from its
+        ``r_int``. The lanes are of one polarization, so they share the
+        block's serving channel ``h_serv``, ``sn_scale`` and every candidate
+        product. Every step is per UE and per matrix."""
+        n = block.ues.stop - block.ues.start
+        eff, own = self._candidates(h_serv[:, self.select_rb])
+        for lane in lanes:
+            lane.p_own[block.ues] = self.cand[self._best_entry(
+                eff, own, lane.r_int[:n, self.select_rb], lane.sn_scale)]
 
     def _candidates(self, h_sel):
         """Every codebook entry's precoded channel and its own covariance,
-        axes (ue, entry, rb, rx, ...)."""
+        in the ``b`` and ``g`` buffers, axes (ue, entry, rb, rx, ...) over
+        (entry, rb, ue) memory order, as numpy gave the per-matrix form."""
         n_ues, n_sel, n_rx, n_tx = h_sel.shape
         rows = h_sel.swapaxes(0, 1).reshape(1, -1, n_rx, n_tx)
-        eff = _stacked_matmul(rows, self.cand).reshape(
-            -1, n_sel, n_ues, n_rx, self.max_rank)
-        # axes (ue, entry, rb, rx, layer) over (entry, rb, ue) memory order,
-        # the layout numpy gave the per-matrix form
-        eff = eff.transpose(2, 0, 1, 3, 4)
-        return eff, eff @ eff.conj().swapaxes(-1, -2)
+        shape = (len(self.cand), n_sel * n_ues, n_rx)
+        eff = _stacked_matmul(rows, self.cand, _front(
+            self.work["b"], shape + (self.max_rank,)))
+        eff_h = np.conjugate(eff, out=_front(self.work["bh"], eff.shape))
+        own = np.matmul(eff, eff_h.swapaxes(-1, -2), out=_front(
+            self.work["g"], shape + (n_rx,)))
+        return [a.reshape(len(self.cand), n_sel, n_ues, n_rx, -1)
+                .transpose(2, 0, 1, 3, 4) for a in (eff, own)]
 
     def _best_entry(self, eff, own, r_sel, sn_scale):
-        base = self._with_noise(r_sel, sn_scale)
-        sinr = mmse_sinr_from_covariance(eff, base[:, None] + sn_scale * own)
+        """Each UE's best entry. The complex128 arrays take the ``bh``
+        buffer over (entry, ue, rb) memory order, the layout numpy gives
+        ``base[:, None] + sn_scale * own``, which orders the MMSE sums."""
+        n_ues, n_cand, n_sel, n_rx = own.shape[:4]
+        cov, prod = (_front(self.work["bh"].view(np.complex128),
+                            (n_cand, n_ues, n_sel, n_rx, m))
+                     .transpose(1, 0, 2, 3, 4) for m in (n_rx, self.max_rank))
+        np.multiply(own, sn_scale, out=cov)
+        cov += self._with_noise(r_sel, sn_scale)[:, None]
+        sinr = mmse_sinr_from_covariance(eff, cov, prod)
         score = np.log2(1.0 + sinr).sum(axis=(2, 3))
         best = score.max(axis=1, keepdims=True)
         return np.argmax(score >= best - _SELECT_MARGIN, axis=1)
@@ -578,22 +589,25 @@ class _Group:
 
 class _Lane:
     """One run of a group: its link feedback and scheduler state, all
-    per-UE or per-cell arrays."""
+    per-UE or per-cell arrays, and its interference covariances of one
+    UE block."""
 
     def __init__(self, cfg, group):
         n_ues, n_cells = len(group.xy), group.n_cells
         self.cfg = cfg
         self.pol = cfg.ue_polarization
         self.sn_scale = 1.0 / group.bank.coherent_fraction_sq(self.pol)
-        self.r_int = np.empty((n_ues, cfg.n_rb, cfg.n_rx, cfg.n_rx),
+        self.r_int = np.empty((group.block_ues, cfg.n_rb, cfg.n_rx, cfg.n_rx),
                               dtype=np.complex64)
-        self.p_own = self.csi_rates = None    # set by the CSI bootstrap
+        # filled by the CSI bootstrap, then rewritten in place block by block
+        self.p_own = np.empty((n_ues, cfg.n_tx, group.max_rank),
+                              dtype=np.complex64)
+        self.csi_rates = np.empty((n_ues, cfg.n_rb))
         # the (ue, rb) pairs measured this TTI, or None for all of them
         self.pairs = None
         # empty cells stay silent: only the active cells' rows are written
-        self.psched = np.zeros(
-            (n_cells, cfg.n_rb, cfg.n_tx, group.max_rank),
-            dtype=np.complex64)
+        self.psched = np.zeros((n_cells, cfg.n_rb, cfg.n_tx, group.max_rank),
+                               dtype=np.complex64)
         # rb_to_ue[i, rb]: the UE that active cell i grants rb to
         self.rb_to_ue = np.empty((len(group.active), cfg.n_rb), dtype=int)
         self.avg = np.full(n_ues, cfg.pf_initial_throughput_bits)
@@ -614,6 +628,8 @@ class _Lane:
                 raise EngineError(f"tti {t} cell {c}: {exc}") from exc
         self.psched[group.active] = self.p_own[self.rb_to_ue]
         self.pairs = self.demand(t, group)
+        if self.pairs is not None:
+            self.csi_rates.fill(np.nan)    # only the grants are measured
 
     def demand(self, t, group):
         """The (ue, rb) pairs, sorted by UE, whose covariance is read after
@@ -632,17 +648,10 @@ class _Lane:
             read[:, group.select_rb] = True
         return np.nonzero(read)
 
-    def account(self, group):
-        """Count this TTI's granted bits and refresh the CSI rates.
-
-        A lane measured at its ``pairs`` only keeps its granted rates, the
-        only entries of ``csi_rates`` anything reads after this TTI."""
+    def account(self):
+        """Count this TTI's granted bits from ``csi_rates``, which hold
+        the grants' rates (only those, for a lane measured at ``pairs``)."""
         rbs = np.arange(self.cfg.n_rb)
-        if self.pairs is None:
-            self.csi_rates = group.rate_table(self)
-        else:
-            self.csi_rates = np.full((len(self.avg), self.cfg.n_rb), np.nan)
-            self.csi_rates[self.rb_to_ue, rbs] = group.granted_rates(self)
         # each UE has one serving cell, so its grants add up in RB order
         # whatever order the cells come in
         granted = np.zeros(len(self.avg))
@@ -673,9 +682,6 @@ def _run_lanes(cfgs, trace_dir=None):
     cfg = cfgs[0]
     group = _Group(cfg, list(dict.fromkeys(c.ue_polarization for c in cfgs)))
     lanes = [_Lane(c, group) for c in cfgs]
-    by_pol = {}
-    for lane in lanes:
-        by_pol.setdefault(lane.pol, []).append(lane)
     links = group.links
 
     for c in cfgs:
@@ -685,7 +691,7 @@ def _run_lanes(cfgs, trace_dir=None):
                  links.n_links)
 
     with ExitStack() as stack:
-        alloc_trace = chan_trace = None
+        alloc_trace = chan_trace = gains = None
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
             dump_layout_csv(group.layout, os.path.join(trace_dir, "sites.csv"),
@@ -700,17 +706,10 @@ def _run_lanes(cfgs, trace_dir=None):
                 open(os.path.join(trace_dir, "channel.csv"), "w",
                      encoding="utf-8"))
             chan_trace.write("tti,ue_id,serving_cell,mean_gain_db\n")
+            gains = np.empty(len(group.xy), dtype=np.float32)
 
-        # the bootstrap precodes isotropically, whatever the scheduler, so
-        # lanes of one polarization share its CSI
         try:
-            group.measure([same[0] for same in by_pol.values()],
-                          group.isotropic_psched())
-            for first, *rest in by_pol.values():
-                group.select([first])
-                first.csi_rates = group.rate_table(first)
-                for lane in rest:
-                    lane.p_own, lane.csi_rates = first.p_own, first.csi_rates
+            group.bootstrap(lanes)
         except Exception as exc:
             raise EngineError(
                 f"tti 0 (csi bootstrap): {type(exc).__name__}: {exc}"
@@ -722,12 +721,9 @@ def _run_lanes(cfgs, trace_dir=None):
                     group.bank.advance()
                 for lane in lanes:
                     lane.schedule(t, group)
-                group.measure(lanes)
+                group.measure(lanes, select=_selects(cfg, t), gains=gains)
                 for lane in lanes:
-                    lane.account(group)
-                if _selects(cfg, t):
-                    for same in by_pol.values():
-                        group.select(same)
+                    lane.account()
             except EngineError:
                 raise
             except Exception as exc:
@@ -741,10 +737,8 @@ def _run_lanes(cfgs, trace_dir=None):
                         alloc_trace.write(
                             f"{t},{c},{rb},{u},"
                             f"{lane.csi_rates[u, rb]:.6g}\n")
-                h_serv = group.h_serv[lane.pol]
                 for u in group.counted:
-                    mg = 10.0 * math.log10(
-                        max(np.mean(np.abs(h_serv[u]) ** 2), 1e-300))
+                    mg = 10.0 * math.log10(max(gains[u], 1e-300))
                     chan_trace.write(
                         f"{t},{u},{links.serving[u]},{mg:.6g}\n")
 

@@ -72,15 +72,19 @@ def stack_codebook(codebook, n_tx):
     return padded, ranks
 
 
-def mmse_sinr_from_covariance(effective, covariance):
+def mmse_sinr_from_covariance(effective, covariance, out=None):
     """Per-layer MMSE SINR given the total covariance (signal included).
 
     ``effective``: (..., n_rx, n_layers) precoded channel columns, power
     applied. ``covariance``: (..., n_rx, n_rx) = noise + interference + own
     signal. Uses u = a^H R^-1 a, sinr = u / (1 - u); zero columns give 0.
+    ``out``, complex128 of ``effective``'s shape, may take the products
+    (R^-1 a)^* a, even in ``covariance``'s memory; its layout orders sums.
     """
-    inv = np.linalg.inv(covariance)
-    u = (effective.conj() * (inv @ effective)).sum(axis=-2).real
+    prod = np.matmul(np.linalg.inv(covariance), effective, out=out)
+    # b^* a has the real part of a^* b, bit for bit
+    prod = np.multiply(np.conjugate(prod, out=prod), effective, out=prod)
+    u = prod.sum(axis=-2).real
     u = np.clip(u, 0.0, 1.0 - 1e-15)
     return u / (1.0 - u)
 

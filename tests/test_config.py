@@ -214,7 +214,8 @@ def test_ue_site_distance_starts_at_the_pathloss_validity_floor():
       "spectral_efficiency_cap"), 0, "must be > 0"),
     (("n_site_rings", "ue_velocity", "noise_figure", "shadowing_sigma_los_db",
       "shadowing_sigma_nlos_db", "depol_coherence_time",
-      "n_strongest_interferers", "seed"), -1, "must be >= 0"),
+      "n_strongest_interferers", "seed", "front_back_ratio_db", "sla_v_db"),
+     -1, "must be >= 0"),
     (("ues_per_sector", "n_rx", "csi_period_tti", "n_tti",
       "coherence_bandwidth_rb", "vertical_panels", "elements_per_panel"), 0,
      "must be >= 1"),
@@ -223,6 +224,23 @@ def test_lower_bounds_name_the_field(names, bad, rule):
     for name in names:
         with pytest.raises(ScenarioError, match=f"^{name}: {rule}$"):
             ScenarioConfig(**{name: bad})
+
+
+def test_model_caps_reject_values_that_would_be_silently_wrong():
+    # an efficiency above 1 rated links above the Shannon bound, and a
+    # negative front-to-back ratio or side-lobe level turned the pattern's
+    # attenuation caps into gains
+    for bad in (1.0 + 1e-9, 1.5):
+        with pytest.raises(ScenarioError,
+                           match="^shannon_efficiency: must be <= 1"):
+            preset("small").replace(shannon_efficiency=bad)
+    for name in ("front_back_ratio_db", "sla_v_db"):
+        with pytest.raises(ScenarioError, match=f"^{name}: must be >= 0$"):
+            _apply_overrides(preset("small"), [f"{name}=-0.5"])
+    cfg = preset("small").replace(shannon_efficiency=1.0,
+                                  front_back_ratio_db=0.0, sla_v_db=0.0)
+    assert (cfg.shannon_efficiency, cfg.front_back_ratio_db,
+            cfg.sla_v_db) == (1.0, 0.0, 0.0)
 
 
 def test_antenna_counts_and_ue_height_stay_in_the_models_range():

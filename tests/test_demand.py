@@ -12,34 +12,11 @@ import pytest
 import mmwsim.channel as channel
 import mmwsim.engine as engine
 from mmwsim import preset
+from mmwsim.link import build_codebook
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)
-
-
-def _check_pairs(group, lane, t):
-    """The lane's pair-path covariances and granted rates equal the dense
-    tables at the same pairs, bit for bit."""
-    cfg = lane.cfg
-    ue, rb = lane.pairs
-    read = np.zeros((len(lane.avg), cfg.n_rb), dtype=bool)
-    read[ue, rb] = True
-    grants = lane.rb_to_ue, np.arange(cfg.n_rb)
-    assert read[grants].all()
-    if engine._selects(cfg, t):
-        assert read[:, group.select_rb].all()
-    pair_r_int = lane.r_int.copy()
-    pair_rates = group.granted_rates(lane)
-
-    lane.pairs = None
-    group.measure([lane])
-    dense_rates = group.rate_table(lane)[grants]
-    assert np.array_equal(_bits(lane.r_int[ue, rb]),
-                          _bits(pair_r_int[ue, rb]))
-    assert np.array_equal(_bits(dense_rates), _bits(pair_rates))
-    lane.r_int[:] = pair_r_int
-    lane.pairs = ue, rb
 
 
 @pytest.mark.parametrize("velocity", [0.0, 120.0])
@@ -50,36 +27,64 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
     cfg = preset("small").replace(
         n_tx=n_tx, n_rx=n_rx, ues_per_sector=1, n_strongest_interferers=4,
         ue_velocity=velocity, seed=3, n_tti=4, csi_period_tti=2)
-    ue_bytes = 5 * cfg.n_rb * n_rx * n_tx * 8
+    # a UE's channel matrices and its candidate covariances in selection
+    ue_bytes = max(5 * cfg.n_rb * n_rx * n_tx * 8,
+                   len(build_codebook(n_tx)) * 5 * n_rx * n_rx * 16)
     # 21 UEs in blocks of 4: five full blocks and an uneven last one
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
-    real_demand = engine._Lane.demand
-    real_measure, real_account = engine._Group.measure, engine._Lane.account
-    tti, checked = {}, []
+    real_schedule, real_account = engine._Lane.schedule, engine._Lane.account
+    real_interference = engine._Group.interference
+    dense, tti, r_int, rates, checked = [True], {}, {}, {}, []
 
-    def demand(lane, t, group):
-        tti[lane] = t
-        return real_demand(lane, t, group)
+    def schedule(lane, t, group):
+        tti[lane.cfg.scheduler] = t
+        real_schedule(lane, t, group)
+        if dense[0]:
+            lane.pairs = None
 
-    def measure(group, lanes, psched=None):
-        for lane in lanes:
-            if lane.pairs is not None:
-                lane.r_int[:] = np.nan   # nothing may read an unmeasured pair
-        real_measure(group, lanes, psched)
+    def interference(group, lane, h, port, block, psched=None):
+        """Each block's covariances at the lane's pairs equal the dense
+        block's; nothing may read an unmeasured pair."""
+        real_interference(group, lane, h, port, block, psched)
+        lo, hi = block.ues.start, block.ues.stop
+        key = lane.cfg.scheduler, tti.get(lane.cfg.scheduler), lo
+        if dense[0]:
+            r_int[key] = lane.r_int[:hi - lo].copy()
+        elif lane.pairs is not None:
+            ue, rb = lane.pairs
+            read = np.zeros((hi - lo, cfg.n_rb), dtype=bool)
+            inside = (ue >= lo) & (ue < hi)
+            read[ue[inside] - lo, rb[inside]] = True
+            assert np.array_equal(_bits(lane.r_int[:hi - lo][read]),
+                                  _bits(r_int[key][read]))
+            lane.r_int[:hi - lo][~read] = np.nan
 
-    def account(lane, group):
-        if lane.pairs is not None:
-            _check_pairs(group, lane, tti[lane])
-            checked.append((lane.cfg.scheduler, tti[lane]))
-        real_account(lane, group)
+    def account(lane):
+        """The granted rates equal the dense table's at the grants."""
+        t = tti[lane.cfg.scheduler]
+        key = lane.cfg.scheduler, t
+        grants = lane.rb_to_ue, np.arange(cfg.n_rb)
+        if dense[0]:
+            rates[key] = lane.csi_rates.copy()
+        elif lane.pairs is not None:
+            ue, rb = lane.pairs
+            read = np.zeros((len(lane.avg), cfg.n_rb), dtype=bool)
+            read[ue, rb] = True
+            assert read[grants].all()
+            if engine._selects(cfg, t):
+                assert read[:, ::engine._SELECT_RB_STRIDE].all()
+            assert np.array_equal(_bits(lane.csi_rates[grants]),
+                                  _bits(rates[key][grants]))
+            checked.append(key)
+        real_account(lane)
 
-    cfgs = [cfg.replace(scheduler=s) for s in ("RR", "PF")]
-    monkeypatch.setattr(engine._Lane, "demand", lambda *args: None)
-    dense = engine._run_lanes(cfgs)
-    monkeypatch.setattr(engine._Lane, "demand", demand)
-    monkeypatch.setattr(engine._Group, "measure", measure)
+    monkeypatch.setattr(engine._Lane, "schedule", schedule)
+    monkeypatch.setattr(engine._Group, "interference", interference)
     monkeypatch.setattr(engine._Lane, "account", account)
-    assert engine._run_lanes(cfgs) == dense
+    cfgs = [cfg.replace(scheduler=s) for s in ("RR", "PF")]
+    want = engine._run_lanes(cfgs)
+    dense[0] = False
+    assert engine._run_lanes(cfgs) == want
     # round robin takes the pair path every TTI (with the select rows after
     # TTI 1), proportional fair on its last TTI only
     assert checked == [("RR", 0), ("RR", 1), ("RR", 2), ("RR", 3), ("PF", 3)]
@@ -153,18 +158,39 @@ def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
         calls.append("products")
         return real_candidates(group, h_sel)
 
-    def select(group, lanes):
+    def select(group, lanes, block, h_serv):
         calls.append(len(lanes))
-        return real_select(group, lanes)
+        return real_select(group, lanes, block, h_serv)
 
     monkeypatch.setattr(engine._Group, "_candidates", candidates)
     monkeypatch.setattr(engine._Group, "select", select)
-    # 42 UEs fit one select chunk; CSI TTIs: the bootstrap, then after TTIs
-    # 1 and 3 but not after the last one, 5
+    # 42 UEs in two blocks; CSI TTIs: the bootstrap, then after TTIs 1 and
+    # 3 but not after the last one, 5
     cfg = preset("small").replace(ues_per_sector=2, n_tti=6, csi_period_tti=2,
                                   ue_velocity=120.0)
     engine._run_lanes([cfg.replace(scheduler=s, ue_polarization=p)
                        for p in ("LPOL", "XPOL") for s in ("RR", "PF")])
-    # the bootstrap selects once per polarization, for its shared CSI; then
-    # each polarization's two lanes select on one set of products
-    assert calls == [1, "products"] * 2 + [2, "products"] * 4
+    # in each block, the bootstrap selects once per polarization, for its
+    # shared CSI; then each polarization's two lanes select on one set of
+    # products
+    assert calls == [1, "products"] * 2 * 2 + [2, "products"] * 2 * 2 * 2
+
+
+def test_lanes_keep_their_own_arrays_after_the_bootstrap():
+    cfg = preset("small").replace(ues_per_sector=2, n_tti=3,
+                                  ue_velocity=120.0)
+    group = engine._Group(cfg, ["LPOL"])
+    lanes = [engine._Lane(cfg.replace(scheduler=s), group)
+             for s in ("RR", "PF")]
+    group.bootstrap(lanes)
+    first, other = lanes
+    assert np.array_equal(_bits(other.p_own), _bits(first.p_own))
+    assert np.array_equal(_bits(other.csi_rates), _bits(first.csi_rates))
+    kept = other.p_own.copy(), other.csi_rates.copy()
+    group.bank.advance()
+    first.schedule(0, group)
+    group.measure([first], select=True)
+    assert not np.array_equal(first.p_own, kept[0])
+    assert not np.array_equal(first.csi_rates, kept[1], equal_nan=True)
+    assert np.array_equal(_bits(other.p_own), _bits(kept[0]))
+    assert np.array_equal(_bits(other.csi_rates), _bits(kept[1]))

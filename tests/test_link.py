@@ -103,7 +103,7 @@ def _group(n_keep=1, **changes):
                      n_keep=n_keep, serving=np.zeros(1, dtype=int),
                      amplitude=np.ones(n_keep),
                      los=np.zeros(n_keep, dtype=bool))
-    (block,) = _ue_blocks(cfg, links)
+    (block,) = _ue_blocks(links, 1)
     return _Group(cfg, ("LPOL",)), block
 
 
@@ -116,11 +116,15 @@ def test_compute_sinr_with_one_interferer_scalar_case():
     psched = np.array([3.0, math.sqrt(2.0)], dtype=np.complex64) \
         .reshape(2, 1, 1, 1)            # (cell, rb, tx, layer)
     port = np.ones((2, 1, 1, 1), np.complex64)   # uncoupled receive port
-    r_int = group.interference(h, port, psched, block, group._work())
+    lane = SimpleNamespace(pairs=None, psched=psched, sn_scale=1.0,
+                           r_int=np.empty((1, 1, 1, 1), np.complex64),
+                           p_own=np.ones((1, 1, 1), np.complex64),
+                           csi_rates=np.empty((1, 1)))
+    group.interference(lane, h, port, block)
     # the serving cell's own transmission is left out
-    assert r_int.ravel() == pytest.approx([2.0 * group.noise], rel=1e-5)
-    bits = group.rates(h[:1], r_int, np.ones((1, 1, 1), np.complex64), 1.0)
-    assert bits.ravel() == pytest.approx(
+    assert lane.r_int.ravel() == pytest.approx([2.0 * group.noise], rel=1e-5)
+    group.rates(lane, block, h[:1])
+    assert lane.csi_rates.ravel() == pytest.approx(
         [sinr_to_rate(4.0 / 3.0, group.cfg.rb_bandwidth, TTI_DURATION)],
         rel=1e-5)
 
@@ -128,14 +132,14 @@ def test_compute_sinr_with_one_interferer_scalar_case():
 def _select(h):
     """Codebook index and rank the engine picks for one 4x4 channel, given
     in units where the full-power SNR of a unit entry is 1e4."""
-    group, _ = _group()
+    group, block = _group()
     p_rb = group.cfg.bs_tx_power / group.cfg.n_rb
     scale = 100.0 * math.sqrt(group.noise / p_rb)
-    group.h_serv["LPOL"] = (scale * np.asarray(h)).astype(
-        np.complex64).reshape(1, 1, 4, 4)
-    lane = SimpleNamespace(pol="LPOL", sn_scale=1.0,
-                           r_int=np.zeros((1, 1, 4, 4), np.complex64))
-    group.select([lane])
+    h_serv = (scale * np.asarray(h)).astype(np.complex64).reshape(1, 1, 4, 4)
+    lane = SimpleNamespace(sn_scale=1.0,
+                           r_int=np.zeros((1, 1, 4, 4), np.complex64),
+                           p_own=np.empty((1, 4, 4), np.complex64))
+    group.select([lane], block, h_serv)
     (p_own,) = lane.p_own
     idx = [np.array_equal(c, p_own) for c in group.cand].index(True)
     # the rank is the number of non-zero columns of the padded entry

@@ -15,7 +15,8 @@ import mmwsim.engine as engine
 from mmwsim import preset
 from mmwsim.channel import freq_mixing_kernel, mix_taps
 from mmwsim.config import TTI_DURATION
-from mmwsim.link import mmse_sinr_from_covariance, sinr_to_rate
+from mmwsim.link import build_codebook, mmse_sinr_from_covariance, \
+    sinr_to_rate
 
 
 def mix_taps_oracle(kernel, taps, tap_axis=1):
@@ -106,7 +107,9 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
         n_tx=n_tx, n_rx=n_rx, ues_per_sector=1, n_strongest_interferers=4,
         ue_velocity=120.0, seed=3)
     n_keep = 5
-    ue_bytes = n_keep * cfg.n_rb * n_rx * n_tx * 8
+    # a UE's channel matrices and its candidate covariances in selection
+    ue_bytes = max(n_keep * cfg.n_rb * n_rx * n_tx * 8,
+                   len(build_codebook(n_tx)) * 5 * n_rx * n_rx * 16)
     # 21 UEs in blocks of 4: five full blocks and an uneven last one
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
     group, lanes = _link_layer(cfg, ("LPOL", "XPOL"))
@@ -118,28 +121,42 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
     rng = np.random.default_rng(n_tx * 10 + n_rx)
     cand = group.cand
     for lane in lanes:
-        lane.p_own = cand[rng.integers(0, len(cand), links.serving.shape[0])]
+        lane.p_own[:] = cand[rng.integers(0, len(cand),
+                                          links.serving.shape[0])]
         lane.psched = cand[rng.integers(0, len(cand), (group.n_cells,
                                                         cfg.n_rb))]
         idle = int(links.cell[1])   # an interferer silent as if it had no UEs
         lane.psched[idle] = 0.0
 
+    # the pass rates every block of every lane: record the block's serving
+    # channel, covariances and bits as it does
+    seen = []
+    real_rates = engine._Group.rates
+
+    def rates(group, lane, block, h_serv):
+        real_rates(group, lane, block, h_serv)
+        n = block.ues.stop - block.ues.start
+        seen.append((h_serv.copy(), lane.r_int[:n].copy(),
+                     lane.csi_rates[block.ues].copy()))
+
+    monkeypatch.setattr(engine._Group, "rates", rates)
     for tti in range(2):
         if tti:
             bank.advance()
-        group.measure(lanes)
-        for lane in lanes:
+        seen.clear()
+        p_own = [lane.p_own.copy() for lane in lanes]
+        group.measure(lanes, select=True)
+        for i, lane in enumerate(lanes):
+            # block by block, one lane after the other
+            got = [np.concatenate(a) for a in zip(*seen[i::len(lanes)])]
             h = bank.current(slice(None)) \
                 * bank.port[lane.pol][:, None, None, :]
             h_serv = h[::n_keep]
             r_int = interference_oracle(links, h, lane.psched)
-            assert np.array_equal(group.h_serv[lane.pol], h_serv)
-            assert np.array_equal(lane.r_int, r_int)
-            assert np.array_equal(
-                group.rate_table(lane),
-                rates_oracle(group, h_serv, r_int, lane.p_own,
-                             lane.sn_scale))
-            group.select([lane])
+            assert np.array_equal(got[0], h_serv)
+            assert np.array_equal(got[1], r_int)
+            assert np.array_equal(got[2], rates_oracle(
+                group, h_serv, r_int, p_own[i], lane.sn_scale))
             assert np.array_equal(
                 lane.p_own,
                 cand[select_oracle(group, h_serv, r_int, lane.sn_scale)])
@@ -147,11 +164,13 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
-    group, (lane,) = _link_layer(cfg, ("LPOL",))
-    group.measure([lane], group.isotropic_psched())
-    group.select([lane])
-    whole = lane.p_own
-    # three UEs per chunk: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
-    monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", 3 * 5 * 4 * 4 * 4)
-    group.select([lane])
-    assert np.array_equal(lane.p_own, whole)
+    p_own = []
+    for gemm_mnk in (engine.SERIAL_GEMM_MNK, 3 * 5 * 4 * 4 * 4):
+        # three UEs per block: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
+        monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", gemm_mnk)
+        group, lanes = _link_layer(cfg, ("LPOL",))
+        group.bootstrap(lanes)
+        p_own.append((len(group.blocks), lanes[0].p_own))
+    (n_whole, whole), (n_small, small) = p_own
+    assert (n_whole, n_small) == (2, 14)
+    assert np.array_equal(whole.view(np.uint8), small.view(np.uint8))

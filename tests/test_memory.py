@@ -1,6 +1,7 @@
 """Block-bounded working memory: the link layer's per-TTI steps allocate a
 bounded multiple of the UE-block budget ``_BLOCK_BYTES`` whatever the
-network size, the channel bank keeps only its rotating sinusoids and a
+network size, no array outside the channel bank spans the network's
+(UE, RB) pairs, the channel bank keeps only its rotating sinusoids and a
 few values per link, its ``advance`` allocates a bounded chunk's worth,
 and the budget partitions the work without changing a bit."""
 
@@ -12,8 +13,9 @@ import mmwsim.channel as channel
 import mmwsim.engine as engine
 from mmwsim import preset
 
-# select's chunk holds its candidate covariances, their inverses and a few
-# products of the same size: about five and a half budgets at most
+# a TTI's transients above the group's block buffers, mostly a block's
+# inverses in precoder selection and its rate temporaries: 2.8 MiB
+# measured at 630 UEs
 _PEAK_BUDGETS = 6
 
 
@@ -41,11 +43,7 @@ def _lanes(cfg, schedulers):
     group = engine._Group(cfg, [cfg.ue_polarization])
     lanes = [engine._Lane(cfg.replace(scheduler=s), group)
              for s in schedulers]
-    group.measure(lanes[:1], group.isotropic_psched())
-    group.select(lanes[:1])
-    lanes[0].csi_rates = group.rate_table(lanes[0])
-    for lane in lanes[1:]:
-        lane.p_own, lane.csi_rates = lanes[0].p_own, lanes[0].csi_rates
+    group.bootstrap(lanes)
     group.bank.advance()
     for lane in lanes:
         lane.schedule(0, group)
@@ -56,14 +54,13 @@ def test_select_measure_and_advance_stay_within_the_block_budget():
     cfg = preset("small").replace(ues_per_sector=30, ue_velocity=120.0,
                                   scheduler="PF", n_tti=3, seed=2)
     group, (lane,) = _lanes(cfg, ["PF"])
-    n_ues = len(group.xy)
-    assert -(-n_ues // (engine._BLOCK_BYTES // _cov_bytes(group))) >= 4
+    assert len(group.blocks) >= 4
     bound = _PEAK_BUDGETS * engine._BLOCK_BYTES
 
     # a proportional-fair lane before its last TTI measures full tables
     assert lane.pairs is None
     assert _traced_peak(group.measure, [lane]) < bound
-    assert _traced_peak(group.select, [lane]) < bound
+    assert _traced_peak(group.measure, [lane], True) < bound
     # advance couples the ports one chunk of links at a time, into the
     # bank's own arrays: 275 bytes per chunk link measured (282 KB here,
     # where coupling all 5,670 links at once took 1.2 MB)
@@ -72,36 +69,70 @@ def test_select_measure_and_advance_stay_within_the_block_budget():
         < 300 * channel._COUPLING_CHUNK
 
 
+def test_no_group_or_lane_array_spans_the_network():
+    cfg = preset("small").replace(ues_per_sector=30, ue_velocity=120.0,
+                                  n_tti=3, csi_period_tti=1, seed=2)
+    group, lanes = _lanes(cfg, ["RR", "PF"])
+
+    def tti():
+        group.measure(lanes, select=True)
+        for lane in lanes:
+            lane.account()
+        group.bank.advance()
+        for lane in lanes:
+            lane.schedule(1, group)
+
+    # one TTI, a precoder update included, stays within the block budget
+    assert _traced_peak(tti) < _PEAK_BUDGETS * engine._BLOCK_BYTES
+    # between TTIs, only the bank holds per-link arrays; every other array
+    # is per UE, per cell or per block
+    matrix = max(cfg.n_rx, cfg.n_tx) ** 2 * np.dtype(np.complex64).itemsize
+    network = len(group.xy) * cfg.n_rb * matrix
+    for owner in (group, *lanes):
+        for name, value in vars(owner).items():
+            values = value.values() if isinstance(value, dict) else [value]
+            for a in values:
+                if name != "bank" and isinstance(a, np.ndarray):
+                    assert a.nbytes < network, name
+
+
 def test_select_picks_the_same_precoders_whatever_the_chunk_size(
         monkeypatch):
     cfg = preset("small").replace(ue_velocity=120.0, ue_polarization="XPOL",
                                   n_tti=3, csi_period_tti=1, seed=4)
-    group, lanes = _lanes(cfg, ["RR", "PF"])
-    group.measure(lanes)
-    sizes = []
-    real = engine._Group._candidates
+    group = engine._Group(cfg, ["XPOL"])
+    ue_bytes = max(_cov_bytes(group), group.links.n_keep * cfg.n_rb
+                   * cfg.n_rx * cfg.n_tx * np.dtype(np.complex64).itemsize)
+    want = None
+    # one UE a block, uneven blocks, and the whole network in one block
+    for per_block in (None, 1, 4, 13, 300):
+        if per_block is not None:
+            monkeypatch.setattr(engine, "_BLOCK_BYTES", per_block * ue_bytes)
+        group, lanes = _lanes(cfg, ["RR", "PF"])
+        group.measure(lanes, select=True)
+        got = [lane.p_own.view(np.uint8) for lane in lanes]
+        if want is None:
+            # 105 UEs in blocks of 36
+            assert len(group.blocks) == 3
+            assert not np.array_equal(got[0], got[1])
+            want = got
+            continue
+        assert max(b.ues.stop - b.ues.start for b in group.blocks) \
+            == min(per_block, len(group.xy))
+        for p_own, w in zip(got, want):
+            assert np.array_equal(p_own, w)
 
-    def candidates(self, h_sel):
-        sizes.append(len(h_sel))
-        return real(self, h_sel)
 
-    monkeypatch.setattr(engine._Group, "_candidates", candidates)
-    group.select(lanes)
-    want = [lane.p_own for lane in lanes]
-    # 105 UEs of 51 a budget: three even chunks, no short tail
-    assert sizes == [35, 35, 35]
-    assert not np.array_equal(want[0], want[1])
-
-    # one UE a chunk, uneven chunks, and one chunk capped only by the gemm
-    for per_chunk in (1, 4, 13, 300):
-        sizes.clear()
-        monkeypatch.setattr(engine, "_BLOCK_BYTES",
-                            per_chunk * _cov_bytes(group))
-        group.select(lanes)
-        assert max(sizes) <= per_chunk and sum(sizes) == len(group.xy)
-        for lane, p_own in zip(lanes, want):
-            assert np.array_equal(lane.p_own.view(np.uint8),
-                                  p_own.view(np.uint8))
+def test_blocks_of_one_ue_and_odd_sizes_match_whole_blocks(monkeypatch):
+    # 7 RBs, 3 receive ports and five links a UE: a one-UE block's buffers
+    # hold odd counts of complex64 values, which selection views as
+    # complex128
+    cfg = preset("small").replace(n_tx=2, n_rx=3, n_rb=7, ues_per_sector=1,
+                                  n_strongest_interferers=4, n_tti=3,
+                                  csi_period_tti=1, ue_velocity=120.0)
+    want = engine.run_simulation(cfg)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
+    assert engine.run_simulation(cfg) == want
 
 
 def test_advance_rewrites_the_banks_own_arrays():
@@ -131,7 +162,7 @@ def test_a_moving_bank_keeps_only_its_sinusoids_and_a_few_values_a_link():
 def test_a_buffered_channel_equals_a_fresh_one_bit_for_bit():
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=2)
     group = engine._Group(cfg, ["LPOL"])
-    work = group._work()
+    work = group.work
     for block in group.blocks:
         # dirty buffers, as the last block leaves them
         for buf in work.values():
