@@ -12,16 +12,18 @@ kernel. LOS links add a rank-one Rician specular term.
 ``_ChannelBank`` is the one fading implementation the engine runs: it
 draws every link's sinusoids, array phases and specular term from the
 link's keyed fading stream (:mod:`mmwsim.streams`), rotates them TTI by
-TTI, and sums and mixes them into the channel of a slice of links when
-the slice is read. At f_d = 0 the bank is static: it still takes every
-draw, which fixes the stream layout, but makes no rotations, keeps only
-its sinusoids' sums, never advances, and mixes each link slice only once.
+TTI, and, when a slice of links is read, sums and mixes them into its
+channel or into its receive-port coupling. At f_d = 0 the bank is static:
+it still takes every draw, which fixes the stream layout, but makes no
+rotations, keeps only its sinusoids' sums, never advances, and mixes each
+link slice only once.
 
-The bank builds and rotates its sinusoids over contiguous link ranges,
-one per CPU of the process's share, on a thread pool made and shut down
-in each call. The work is elementwise numpy, which releases the GIL, every
-link draws from its own keyed stream, and a slice's sums are per-row
-reductions, so each link gets the same bits whatever the split.
+The bank builds its sinusoids over contiguous link ranges, one per CPU
+this process may run on, on a thread pool made and shut down in the
+build. The work is elementwise numpy, which releases the GIL, and every
+link draws from its own keyed stream, so each link gets the same bits
+whatever the split. A slice's sums are per-row reductions and its
+coupling is elementwise, so a slice gets the rows the whole bank gives.
 """
 
 import math
@@ -46,8 +48,6 @@ N_SINUSOIDS = 12
 # the channel bank turns stream draws into phasors this many links at a
 # time: about a megabyte of angles per pass at paper scale
 _PHASOR_CHUNK = 32
-# the channel bank couples this many links to the receive ports at a time
-_COUPLING_CHUNK = 1024
 
 
 class ChannelModelError(ValueError):
@@ -165,11 +165,15 @@ def mix_taps(taps, kernel, out=None):
     out = np.empty((n, n_rb), kern.dtype) if out is None \
         else _front(out, (n, n_rb))
     step = max(2, SERIAL_GEMM_MNK // kern.size)
-    for lo in range(0, n, step):
-        # a one-row product runs as a gemv, whose bits differ from a
-        # gemm's: end on two rows, recomputing one row identically
-        lo = max(min(lo, n - 2), 0)
-        np.dot(rows[lo:lo + step], kern, out=out[lo:lo + step])
+    # a one-row product runs as a gemv, whose bits differ from a gemm's:
+    # issue a lone row twice, and end on two rows, recomputing one row
+    # identically
+    if n == 1:
+        out[:] = np.dot(np.repeat(rows, 2, axis=0), kern)[:1]
+    else:
+        for lo in range(0, n, step):
+            lo = min(lo, n - 2)
+            np.dot(rows[lo:lo + step], kern, out=out[lo:lo + step])
     return np.moveaxis(out.reshape(lead + (n_rb,)), -1, 1)
 
 
@@ -196,21 +200,11 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
-# the processes that share this process's CPUs: 1, or a sweep pool's size
-_n_workers = 1
-
-
-def share_cpus(n_workers):
-    """Pool initializer: this is one of ``n_workers`` sweep processes."""
-    global _n_workers
-    _n_workers = n_workers
-
-
 def _link_parts(n_links):
     """Contiguous slices of ``range(n_links)`` made of whole
-    ``_PHASOR_CHUNK``s, as even as chunks allow, one per CPU of the share."""
+    ``_PHASOR_CHUNK``s, as even as chunks allow, one per CPU."""
     n_chunks = -(-n_links // _PHASOR_CHUNK)
-    n_parts = max(1, min(n_chunks, _cpu_count() // _n_workers))
+    n_parts = max(1, min(n_chunks, _cpu_count()))
     edges = [n_chunks * i // n_parts * _PHASOR_CHUNK
              for i in range(n_parts)] + [n_links]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -244,17 +238,17 @@ class _ChannelBank:
     sequences per link drive the cross-polar leakage phase and the
     depolarization phase wander. The bank keeps only what the recurrence
     carries: the sinusoids ``state``, rotated in place by ``step``, the
-    specular phasors and per-link constants; a slice's taps and specular
-    term are built when it is read. A static bank (f_d = 0) keeps each
-    sequence's ``sums`` and each link slice's channel instead: its
-    ``state``, ``step`` and ``rice_step`` are None.
+    specular phasors and per-link constants; a slice's taps, specular
+    term and port coupling are built when it is read. A static bank
+    (f_d = 0) keeps each sequence's ``sums`` and each link slice's channel
+    instead: its ``state``, ``step`` and ``rice_step`` are None.
 
     Only the receive-port coupling depends on the receiver polarization:
-    the bank keeps one ``port[pol]`` array for each polarization it is
-    built for, and ``current`` returns the channel before that coupling.
+    ``current`` returns the channel before it, and ``coupling`` gives it
+    for either polarization.
     """
 
-    def __init__(self, cfg, links, f_d, polarizations):
+    def __init__(self, cfg, links, f_d):
         self.cfg = cfg
         self.n_rx, self.n_tx = cfg.n_rx, cfg.n_tx
         self.kernel = freq_mixing_kernel(cfg.n_rb, cfg.coherence_bandwidth_rb)
@@ -333,9 +327,6 @@ class _ChannelBank:
         self.alpha_dep = depolarization_coherence(
             f_d, cfg.depol_coherence_time)
         self.port_parity = np.arange(self.n_tx) % 2
-        self.port = {pol: np.empty((n_links, self.n_tx), dtype=np.complex64)
-                     for pol in polarizations}
-        self._couple()
         # a static bank keeps its channel as one array per link slice
         self._static = {}
 
@@ -351,19 +342,19 @@ class _ChannelBank:
             return self.sums[links, seqs]
         return self.state[links, seqs].sum(axis=-1, out=out)
 
-    def _couple(self):
-        """Write every link's receive-port coupling into ``port`` from its
-        leakage and wander sequences, ``_COUPLING_CHUNK`` links at a time."""
-        for lo in range(0, self.n_links, _COUPLING_CHUNK):
-            chunk = slice(lo, lo + _COUPLING_CHUNK)
-            leak, wander = self._sums(chunk, slice(-2, None)).T
-            leak = leak / np.maximum(np.abs(leak), 1e-30)
-            depol = self.alpha_dep \
-                * (wander / np.maximum(np.abs(wander), 1e-30))
-            for pol, port in self.port.items():
-                coup = port_coupling_series(
-                    self.cfg, POL_SLANT_DEG[pol], leak, depol)   # (n, 2)
-                port[chunk] = coup.astype(np.complex64)[:, self.port_parity]
+    def coupling(self, pol, links):
+        """The present TTI's receive-port coupling of a ``pol`` receiver on
+        the link slice ``links``, (n, n_tx) complex64, from each link's
+        leakage and wander sequences."""
+        leak, wander = self._sums(links, slice(-2, None)).T
+        leak = leak / np.maximum(np.abs(leak), 1e-30)
+        depol = self.alpha_dep * (wander / np.maximum(np.abs(wander), 1e-30))
+        coup = port_coupling_series(
+            self.cfg, POL_SLANT_DEG[pol], leak, depol)   # (n, 2)
+        # indexing the port axis leaves it outermost in memory; the
+        # engine's products take C-contiguous rows
+        return np.ascontiguousarray(
+            coup.astype(np.complex64)[:, self.port_parity])
 
     def buffers(self, n):
         """Flat complex64 buffers for ``current`` on up to ``n`` links: the
@@ -375,10 +366,10 @@ class _ChannelBank:
     def current(self, links, buffers=None):
         """The present TTI's channel on the link slice ``links`` before the
         receive-port coupling, (n, n_rb, n_rx, n_tx) with the RB axis
-        innermost in memory: a ``pol`` receiver sees ``h * port[pol][links,
-        None, None, :]``. It is built in the front of the flat ``buffers``
-        (made if not given); a static bank mixes a slice into a new array
-        once, and returns it on every later call."""
+        innermost in memory: a ``pol`` receiver sees ``h * coupling(pol,
+        links)[:, None, None]``. It is built in the front of the flat
+        ``buffers`` (made if not given); a static bank mixes a slice into a
+        new array once, and returns it on every later call."""
         key = links.indices(self.n_links)
         if key in self._static:
             return self._static[key]
@@ -399,12 +390,9 @@ class _ChannelBank:
         return h
 
     def advance(self):
-        """Rotate every sinusoid and specular phasor by its per-TTI step and
-        recouple the ports; a static bank (f_d = 0) does nothing."""
+        """Rotate every sinusoid and specular phasor by its per-TTI step, in
+        place; a static bank (f_d = 0) does nothing."""
         if self.step is None:
             return
-        _in_parts(lambda part: np.multiply(
-            self.state[part], self.step[part], out=self.state[part]),
-            [(part,) for part in _link_parts(self.n_links)])
+        self.state *= self.step
         self.rice_state *= self.rice_step
-        self._couple()

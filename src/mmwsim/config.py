@@ -9,7 +9,7 @@ the bandwidth and ``pf_initial_throughput_bits`` from the RB rate cap. A
 given value is pinned and kept; a derived one follows its sources through
 ``replace``, ``--set`` and saved files, which record it only as a comment.
 The receiver slant is no key at all: it is read off the polarization
-(``ue_pol_slant_deg``).
+(``POL_SLANT_DEG``).
 
 Every float field takes only real numbers, stored as ``float`` (``4`` is
 cast to ``4.0``; ``"4"`` and ``True`` are rejected), and they must be
@@ -192,11 +192,6 @@ class ScenarioConfig:
         _require(self.pf_initial_throughput_bits > 0,
                  "pf_initial_throughput_bits", "must be > 0")
         return self
-
-    @property
-    def ue_pol_slant_deg(self):
-        """Receiver slant implied by the polarization, degrees."""
-        return POL_SLANT_DEG[self.ue_polarization]
 
     def replace(self, **changes):
         """Copy with fields changed.

@@ -39,8 +39,9 @@ fading model is the channel bank of :mod:`mmwsim.channel`; this module
 holds the link set it runs on and the link kernels that read its channel.
 
 The link layer is one pass a TTI over contiguous UE blocks
-(``_Group.measure``). For each block it mixes the channel once, couples
-each polarization's serving links, and then, lane by lane, computes the
+(``_Group.measure``). For each block it mixes the channel once; for each
+polarization it reads the block's receive-port coupling from the bank,
+couples the serving links, and then, lane by lane, computes the
 interference covariances, the rates and, when precoders are updated, the
 codebook choice, whose candidate products the lanes of one polarization
 share. Per-link, per-(UE, RB) and per-candidate arrays so exist for one
@@ -53,12 +54,12 @@ of one (velocity, seed)) run in lockstep as lanes of one group. The group
 is built once: layout, drop, gains, link set, channel bank, UE blocks,
 the link kernels with their codebook, and the block buffers. Each TTI the
 bank advances once and each block's channel is mixed once; only the
-receive-port coupling is applied per polarization, cell by cell as each
-lane precodes, so no coupled copy of a block is kept. At f_d = 0 the
-channel cannot change, and only the bank knows it: it keeps only its
-sinusoids' sums and mixes each block once per run. A lane keeps per-UE
-and per-cell arrays (precoders, CSI rates, precoder map, throughput
-averages, round-robin cursors, granted bits) and one block's
+receive-port coupling is made per polarization, one block at a time, and
+applied cell by cell as each lane precodes, so no coupled copy of a block
+is kept. At f_d = 0 the channel cannot change, and only the bank knows it:
+it keeps only its sinusoids' sums and mixes each block once per run. A
+lane keeps per-UE and per-cell arrays (precoders, CSI rates, precoder map,
+throughput averages, round-robin cursors, granted bits) and one block's
 interference covariances. Lanes of one polarization share the isotropic
 TTI-0 bootstrap, each keeping its own copy. ``run_simulation`` is the
 one-lane case, and every lane's record equals it.
@@ -88,8 +89,8 @@ own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
 and ``np.linalg.inv`` are kept as they are, because their stacked or
 re-associated forms change bits. The link layer runs on one thread:
 two stacked products of tiny matrices took longer side by side than one
-after the other, and ``inv`` gained little. The channel bank's
-elementwise work is what runs on threads (see :mod:`mmwsim.channel`).
+after the other, and ``inv`` gained little. Only the channel bank's
+build runs on threads (see :mod:`mmwsim.channel`).
 """
 
 import hashlib
@@ -107,7 +108,7 @@ import numpy as np
 from ._version import __version__
 from .antenna import combined_gain
 from .channel import SERIAL_GEMM_MNK, _ChannelBank, _front, \
-    doppler_frequency, los_probability, pathloss_uma, share_cpus
+    doppler_frequency, los_probability, pathloss_uma
 from .config import TTI_DURATION, expand_sweep, scenario_to_text
 from .deployment import build_hex_layout, drop_ues, dump_layout_csv
 from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
@@ -343,14 +344,15 @@ class _Group:
     A group's lanes are runs whose configs differ only in ``scheduler`` and
     ``ue_polarization``; under common random numbers they share the layout,
     drop, gains, link set, counted UEs, channel bank, UE blocks, the link
-    kernels with their codebook, and the block buffers: ``work`` and each
-    polarization's serving channel ``h_serv[pol]`` of one block. A block
-    holds about ``_BLOCK_BYTES`` of per-link channel matrices, and at most
-    that many of complex128 candidate covariances in precoder selection,
-    whose stacked candidate products stay on the calling thread.
+    kernels with their codebook, and the block buffers: ``work`` and the
+    serving channel ``h_serv`` of one block, which each polarization
+    rewrites in turn. A block holds about ``_BLOCK_BYTES`` of per-link
+    channel matrices, and at most that many of complex128 candidate
+    covariances in precoder selection, whose stacked candidate products
+    stay on the calling thread.
     """
 
-    def __init__(self, cfg, polarizations):
+    def __init__(self, cfg):
         self.cfg = cfg
         self.layout = build_hex_layout(
             cfg.n_site_rings, cfg.inter_site_distance, cfg.azimuth_offset_deg)
@@ -370,7 +372,7 @@ class _Group:
             raise EngineError("no UEs attached to the collected cells")
 
         f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
-        self.bank = _ChannelBank(cfg, links, f_d, polarizations)
+        self.bank = _ChannelBank(cfg, links, f_d)
 
         self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
         padded, ranks = stack_codebook(build_codebook(cfg.n_tx), cfg.n_tx)
@@ -391,9 +393,8 @@ class _Group:
         self.block_ues = min(step, n_ues)
         self.work = self._work()
         # the serving channel keeps the channel bank's RB-innermost layout
-        self.h_serv = {pol: np.empty(
-            (self.block_ues, n_rx, n_tx, cfg.n_rb),
-            dtype=np.complex64).transpose(0, 3, 1, 2) for pol in polarizations}
+        self.h_serv = np.empty((self.block_ues, n_rx, n_tx, cfg.n_rb),
+                               dtype=np.complex64).transpose(0, 3, 1, 2)
 
         # the non-empty serving cells, each with its UE ids in ascending order
         self.active = np.unique(links.serving)
@@ -404,10 +405,11 @@ class _Group:
         """One pass over the UE blocks: measure ``lanes`` at the present TTI
         and, with ``select``, pick their precoders.
 
-        Each block's channel is mixed once, and each polarization's serving
-        links are coupled into ``h_serv``. Then, lane by lane, the block's
-        interference covariances go into the lane's ``r_int`` and its rates
-        into its ``csi_rates`` (see ``interference`` and ``rates``). With
+        Each block's channel is mixed once. For each polarization, the
+        bank gives the block's coupling, and the serving links are coupled
+        into ``h_serv``. Then, lane by lane, the block's interference
+        covariances go into the lane's ``r_int`` and its rates into its
+        ``csi_rates`` (see ``interference`` and ``rates``). With
         ``select``, each polarization's candidate products are made once a
         block, and each of its lanes picks its ``p_own`` rows. The
         bootstrap precodes isotropically and rates the precoders it picks;
@@ -423,9 +425,9 @@ class _Group:
             n = block.ues.stop - block.ues.start
             h = self.bank.current(block.links, self.work)
             for pol, same in by_pol.items():
-                port = self.bank.port[pol][block.links, None, None, :]
+                port = self.bank.coupling(pol, block.links)[:, None, None]
                 h_serv = np.multiply(h[::n_keep], port[::n_keep],
-                                     out=self.h_serv[pol][:n])
+                                     out=self.h_serv[:n])
                 if gains is not None and pol == lanes[0].pol:
                     gains[block.ues] = [np.mean(abs(x) ** 2) for x in h_serv]
                 for lane in same:
@@ -680,7 +682,7 @@ def _run_lanes(cfgs, trace_dir=None):
     polarization, in lockstep over one shared group; return their records
     in ``cfgs`` order. ``trace_dir`` traces the first lane."""
     cfg = cfgs[0]
-    group = _Group(cfg, list(dict.fromkeys(c.ue_polarization for c in cfgs)))
+    group = _Group(cfg)
     lanes = [_Lane(c, group) for c in cfgs]
     links = group.links
 
@@ -866,8 +868,7 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
         from concurrent.futures.process import BrokenProcessPool
         pool = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=share_cpus, initargs=(workers,))
+            mp_context=multiprocessing.get_context("fork"))
         try:
             results = list(pool.map(_run_group, tasks))
         except BrokenProcessPool as exc:

@@ -82,8 +82,12 @@ def mmse_sinr_from_covariance(effective, covariance, out=None):
     (R^-1 a)^* a, even in ``covariance``'s memory; its layout orders sums.
     """
     prod = np.matmul(np.linalg.inv(covariance), effective, out=out)
-    # b^* a has the real part of a^* b, bit for bit
-    prod = np.multiply(np.conjugate(prod, out=prod), effective, out=prod)
+    # b^* a has the real part of a^* b, bit for bit. Both factors are cast
+    # to complex128 and neither is overwritten: otherwise numpy multiplies
+    # a lone element without its vector loop's fused multiply-add, and a
+    # one-element product's bits would depend on its shape
+    prod = np.multiply(np.conjugate(prod), effective.astype(np.complex128),
+                       out=prod)
     u = prod.sum(axis=-2).real
     u = np.clip(u, 0.0, 1.0 - 1e-15)
     return u / (1.0 - u)

@@ -107,7 +107,7 @@ def test_criterion_04_fading_statistics():
                      los=np.zeros(n_links, dtype=bool))
     mean_power = None
     for f_d in (0.0, 100.0, 1000.0, 3113.0):
-        bank = _ChannelBank(cfg, links, f_d, ("LPOL",))
+        bank = _ChannelBank(cfg, links, f_d)
         # the bank's channel before the port coupling is the scattered one
         h0 = bank.current(slice(None)).ravel().astype(complex)
         bank.advance()

@@ -123,13 +123,12 @@ def test_polarization_coupling_draws_reproducibly():
                      n_keep=1, serving=np.zeros(3, dtype=int),
                      amplitude=np.ones(3), los=np.zeros(3, dtype=bool))
     cfg = preset("small").replace(n_rb=6, ue_polarization="XPOL")
-    a = _ChannelBank(cfg, links, 100.0, ("XPOL",)).port["XPOL"]
-    b = _ChannelBank(cfg, links, 100.0, ("XPOL",)).port["XPOL"]
+    a, b, other = (
+        _ChannelBank(c, links, 100.0).coupling("XPOL", slice(None))
+        for c in (cfg, cfg, cfg.replace(seed=2)))
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
-    assert not np.array_equal(
-        a, _ChannelBank(cfg.replace(seed=2), links, 100.0,
-                        ("XPOL",)).port["XPOL"])
+    assert not np.array_equal(a, other)
 
 
 def test_port_coupling_series_lpol_ignores_depolarization():

@@ -126,20 +126,20 @@ def test_sos_process_recurrence_matches_direct_evaluation():
         bank.advance()
 
 
-def _bank(f_d, n_links=6, los=False, amplitude=1.0,
-          polarizations=("LPOL", "XPOL"), **changes):
+def _bank(f_d, n_links=6, los=False, amplitude=1.0, **changes):
     """The engine's channel bank over ``n_links`` links of one cell."""
     links = _Linkset(cell=np.zeros(n_links, dtype=int),
                      ue=np.arange(n_links), n_keep=1,
                      serving=np.zeros(n_links, dtype=int),
                      amplitude=np.full(n_links, amplitude),
                      los=np.full(n_links, los))
-    return _ChannelBank(ScenarioConfig(**changes), links, f_d, polarizations)
+    return _ChannelBank(ScenarioConfig(**changes), links, f_d)
 
 
 def _channel(bank, pol):
     """Every link's channel as a ``pol`` receiver sees it."""
-    return bank.current(slice(None)) * bank.port[pol][:, None, None, :]
+    return bank.current(slice(None)) \
+        * bank.coupling(pol, slice(None))[:, None, None]
 
 
 def test_generate_fading_shapes_and_static_limit():
@@ -187,17 +187,19 @@ def test_assemble_channel_applies_amplitude_and_port_coupling():
         assert np.allclose(_channel(loud, pol), 10.0 * _channel(quiet, pol),
                            rtol=1e-5)
         # the +/- slant port pair's coupling repeats over the tx ports
-        assert np.array_equal(quiet.port[pol][:, 2:], quiet.port[pol][:, :2])
+        port = quiet.coupling(pol, slice(None))
+        assert np.array_equal(port[:, 2:], port[:, :2])
     # polarization only scales each port
-    assert not np.allclose(quiet.port["XPOL"], quiet.port["LPOL"])
+    assert not np.allclose(quiet.coupling("XPOL", slice(None)),
+                           quiet.coupling("LPOL", slice(None)))
 
 
 def test_one_bank_serves_both_polarizations_bit_for_bit():
-    # a sweep group builds one bank for both polarizations: each receiver
-    # must see exactly the channel a bank of its own gives it
+    # a sweep group reads one bank for both polarizations: each receiver
+    # must see exactly the channel a bank read for it alone gives it
     both = _bank(3113.19, los=True, n_rb=4, n_rx=2, n_tx=4)
-    alone = {pol: _bank(3113.19, los=True, n_rb=4, n_rx=2, n_tx=4,
-                        polarizations=(pol,)) for pol in ("LPOL", "XPOL")}
+    alone = {pol: _bank(3113.19, los=True, n_rb=4, n_rx=2, n_tx=4)
+             for pol in ("LPOL", "XPOL")}
     for _ in range(3):
         for pol, bank in alone.items():
             assert np.array_equal(_channel(both, pol), _channel(bank, pol))
@@ -205,6 +207,24 @@ def test_one_bank_serves_both_polarizations_bit_for_bit():
                 == bank.coherent_fraction_sq(pol)
             bank.advance()
         both.advance()
+
+
+@pytest.mark.parametrize("f_d", [0.0, 3113.19])
+def test_a_slice_couples_as_the_whole_bank_does(f_d):
+    bank = _bank(f_d, n_links=101, los=True, n_rb=2, n_rx=2, n_tx=4)
+    for tti in range(3):
+        if tti:
+            bank.advance()
+        for pol in ("LPOL", "XPOL"):
+            whole = bank.coupling(pol, slice(None))
+            assert whole.shape == (101, 4) and whole.dtype == np.complex64
+            # odd slice lengths, each at an odd offset and at the end
+            for n in (1, 7, 33):
+                for lo in (5, 101 - n):
+                    got = bank.coupling(pol, slice(lo, lo + n))
+                    assert np.array_equal(got.view(np.uint32),
+                                          whole[lo:lo + n].view(np.uint32)), \
+                        (pol, n, lo, tti)
 
 
 _BANK_ARRAYS = ("state", "step", "a_rx", "a_tx", "rice_state", "rice_step",
@@ -236,8 +256,9 @@ def test_bank_split_over_threads_is_bit_identical(monkeypatch, n_links, f_d):
         for name in _BANK_ARRAYS:
             assert np.array_equal(getattr(bank, name), getattr(one, name)), \
                 name
-        for pol, port in one.port.items():
-            assert np.array_equal(bank.port[pol], port), pol
+        for pol in ("LPOL", "XPOL"):
+            assert np.array_equal(bank.coupling(pol, slice(None)),
+                                  one.coupling(pol, slice(None))), pol
         assert np.array_equal(bank.current(slice(None)),
                               one.current(slice(None)))
 
@@ -280,10 +301,13 @@ def test_bank_threads_end_with_the_call(monkeypatch):
     before = threading.active_count()
     bank = _bank(3113.19, n_links=97)
     assert threading.active_count() == before
+    n_started = len(started)
     bank.advance()
-    assert threading.active_count() == before
-    # build and advance, each in three parts
-    assert parts == [3, 3]
+    bank.coupling("XPOL", slice(None))
+    # only the build is split, in three parts: rotating and coupling
+    # start no thread
+    assert len(started) == n_started
+    assert parts == [3]
 
 
 def test_an_error_in_a_bank_part_reaches_the_caller(monkeypatch):

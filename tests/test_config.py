@@ -9,6 +9,7 @@ import pytest
 
 import mmwsim
 from mmwsim.cli import _apply_overrides
+from mmwsim.config import POL_SLANT_DEG
 from mmwsim import (DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES,
                     ScenarioConfig, ScenarioError, expand_sweep,
                     load_scenario, parse_scenario, preset, save_scenario,
@@ -21,7 +22,6 @@ def test_defaults_are_valid_and_derive_dependent_fields():
     assert cfg.n_rb == 50
     # one RB at the spectral-efficiency cap: 1e-3 * 180e3 * 7.4
     assert cfg.pf_initial_throughput_bits == pytest.approx(1332.0)
-    assert cfg.ue_pol_slant_deg == 0.0
     assert cfg.scheduler == "RR"
     assert cfg.ue_polarization == "LPOL"
 
@@ -34,9 +34,7 @@ def test_n_rb_scales_with_bandwidth():
 
 
 def test_polarization_implies_rx_slant():
-    assert ScenarioConfig(ue_polarization="XPOL").ue_pol_slant_deg == 90.0
-    cfg = ScenarioConfig()
-    assert cfg.replace(ue_polarization="XPOL").ue_pol_slant_deg == 90.0
+    assert POL_SLANT_DEG == {"LPOL": 0.0, "XPOL": 90.0}
     # the slant is no key of its own
     with pytest.raises(ScenarioError, match="unknown key 'ue_pol_slant_deg'"):
         parse_scenario("ue_polarization = XPOL\nue_pol_slant_deg = 90\n")
@@ -158,8 +156,6 @@ def test_expand_sweep_axes_default_to_base_values():
         assert p.ue_velocity == 60.0
         assert p.seed == 9
     assert [p.ue_polarization for p in points] == ["LPOL", "XPOL"]
-    # slant follows the swept polarization
-    assert [p.ue_pol_slant_deg for p in points] == [0.0, 90.0]
 
 
 def test_expand_sweep_rejects_negative_velocity():
@@ -325,7 +321,6 @@ DERIVED_CASES = [
     ("n_rb", {"bandwidth": 20e6}, 100),
     ("pf_initial_throughput_bits", {"spectral_efficiency_cap": 5.0},
      pytest.approx(1e-3 * 180e3 * 5.0)),
-    ("ue_pol_slant_deg", {"ue_polarization": "XPOL"}, 90.0),
 ]
 
 

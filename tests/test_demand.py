@@ -134,19 +134,20 @@ def test_a_static_group_mixes_each_block_once(monkeypatch):
 
 def test_a_frozen_bank_keeps_no_sinusoids_and_never_moves():
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=0.0)
-    group = engine._Group(cfg, ("LPOL", "XPOL"))
+    group = engine._Group(cfg)
     bank = group.bank
     assert bank.state is None and bank.step is None \
         and bank.rice_step is None
     h = bank.current(slice(None))
-    ports = {pol: port.copy() for pol, port in bank.port.items()}
+    ports = {pol: bank.coupling(pol, slice(None))
+             for pol in ("LPOL", "XPOL")}
     bank.advance()
     # the same array, not a copy, whatever buffer the caller offers
     assert bank.current(slice(None)) is h
     assert bank.current(slice(0, bank.n_links),
                         bank.buffers(bank.n_links)) is h
     for pol, port in ports.items():
-        assert np.array_equal(bank.port[pol], port)
+        assert np.array_equal(bank.coupling(pol, slice(None)), port)
 
 
 def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
@@ -179,7 +180,7 @@ def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
 def test_lanes_keep_their_own_arrays_after_the_bootstrap():
     cfg = preset("small").replace(ues_per_sector=2, n_tti=3,
                                   ue_velocity=120.0)
-    group = engine._Group(cfg, ["LPOL"])
+    group = engine._Group(cfg)
     lanes = [engine._Lane(cfg.replace(scheduler=s), group)
              for s in ("RR", "PF")]
     group.bootstrap(lanes)

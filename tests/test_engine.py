@@ -311,12 +311,12 @@ def test_an_interrupted_sweep_ends_its_own_workers(monkeypatch):
 
 
 def test_forked_sweep_after_a_threaded_bank_finishes(monkeypatch, alarm):
-    # the run builds and advances its channel bank on two threads; the
-    # sweep then forks workers from the same process, which must neither
-    # inherit a running thread nor a lock held by one
+    # the run builds its channel bank on two threads; the sweep then forks
+    # workers from the same process, which must neither inherit a running
+    # thread nor a lock held by one
     monkeypatch.setattr(mmwsim.channel, "_cpu_count", lambda: 2)
     cfg = tiny_config(ues_per_sector=6, n_tti=3, ue_velocity=120.0)
-    group = mmwsim.engine._Group(cfg, ("LPOL",))
+    group = mmwsim.engine._Group(cfg)
     assert len(mmwsim.channel._link_parts(group.links.n_links)) == 2
     alarm(120)
     run_simulation(cfg)
@@ -326,34 +326,6 @@ def test_forked_sweep_after_a_threaded_bank_finishes(monkeypatch, alarm):
     serial, _ = run_sweep(cfg, parallelism=1, **kwargs)
     assert failures == []
     assert parallel.records == serial.records
-
-
-def test_sweep_workers_share_the_cpus_for_bank_threads(monkeypatch, alarm):
-    monkeypatch.setattr(mmwsim.channel, "_cpu_count", lambda: 4)
-
-    def report_parts(cfgs, trace_dir=None):
-        raise RuntimeError(f"{len(mmwsim.channel._link_parts(10**4))} parts")
-
-    # forked workers inherit the patched engine and CPU count
-    monkeypatch.setattr(mmwsim.engine, "_run_lanes", report_parts)
-    alarm(60)
-    kwargs = dict(velocities=[0.0], schedulers=["RR"],
-                  polarizations=["LPOL"], seeds=[1, 2])
-    for workers, parts in ((2, 2), (1, 4)):
-        _, failures = run_sweep(tiny_config(), parallelism=workers, **kwargs)
-        assert len(failures) == 2
-        assert all(f.endswith(f"RuntimeError: {parts} parts")
-                   for f in failures)
-    # the pool set the share in its workers only
-    assert mmwsim.channel._n_workers == 1
-
-
-def test_a_bank_uses_its_workers_share_of_the_cpus(monkeypatch):
-    monkeypatch.setattr(mmwsim.channel, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(mmwsim.channel, "_n_workers", 1)
-    for workers, parts in ((1, 4), (2, 2), (3, 1), (4, 1), (8, 1)):
-        mmwsim.channel.share_cpus(workers)
-        assert len(mmwsim.channel._link_parts(10**4)) == parts
 
 
 def _record(sched, pol, vel, seed, tp=1e6):

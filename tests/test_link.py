@@ -104,7 +104,7 @@ def _group(n_keep=1, **changes):
                      amplitude=np.ones(n_keep),
                      los=np.zeros(n_keep, dtype=bool))
     (block,) = _ue_blocks(links, 1)
-    return _Group(cfg, ("LPOL",)), block
+    return _Group(cfg), block
 
 
 def test_compute_sinr_with_one_interferer_scalar_case():

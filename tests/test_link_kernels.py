@@ -19,10 +19,13 @@ from mmwsim.link import build_codebook, mmse_sinr_from_covariance, \
     sinr_to_rate
 
 
-def mix_taps_oracle(kernel, taps, tap_axis=1):
+def mix_taps_oracle(kernel, taps):
+    """Each row of the taps mixed as a gemm of two rows or more mixes it:
+    the taps are stacked twice, since a one-row product would run as a
+    gemv, whose bits differ."""
     kern = kernel.astype(taps.real.dtype)
-    out = np.tensordot(taps, kern, axes=([tap_axis], [0]))
-    return np.moveaxis(out, -1, tap_axis)
+    out = np.tensordot(np.concatenate([taps, taps]), kern, axes=([1], [0]))
+    return np.moveaxis(out[:len(taps)], -1, 1)
 
 
 def interference_oracle(links, h, psched):
@@ -59,7 +62,8 @@ def select_oracle(group, h_serv, r_int, sn_scale):
 @pytest.mark.parametrize("n_rx,n_tx", [(1, 1), (1, 4), (2, 2), (4, 4)])
 @pytest.mark.parametrize("n_links", [1, 2, 75, 300])
 def test_mix_taps_matches_tensordot(n_rb, n_rx, n_tx, n_links):
-    # 75 links x 16 ports leaves a one-row tail after 109-row chunks
+    # 75 links x 16 ports leaves a one-row tail after 109-row chunks, and
+    # one link of 1 x 1 ports is a lone row
     kernel = freq_mixing_kernel(n_rb, 5)
     rng = np.random.default_rng(n_links)
     shape = (n_links, kernel.shape[0], n_rx, n_tx)
@@ -94,7 +98,7 @@ def test_segment_sums_match_reduceat_bit_for_bit():
 def _link_layer(cfg, polarizations):
     """The engine's shared group for ``cfg`` and one lane per polarization,
     built as a run builds them."""
-    group = engine._Group(cfg, polarizations)
+    group = engine._Group(cfg)
     return group, [engine._Lane(cfg.replace(ue_polarization=pol), group)
                    for pol in polarizations]
 
@@ -150,7 +154,7 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
             # block by block, one lane after the other
             got = [np.concatenate(a) for a in zip(*seen[i::len(lanes)])]
             h = bank.current(slice(None)) \
-                * bank.port[lane.pol][:, None, None, :]
+                * bank.coupling(lane.pol, slice(None))[:, None, None]
             h_serv = h[::n_keep]
             r_int = interference_oracle(links, h, lane.psched)
             assert np.array_equal(got[0], h_serv)

@@ -2,14 +2,13 @@
 bounded multiple of the UE-block budget ``_BLOCK_BYTES`` whatever the
 network size, no array outside the channel bank spans the network's
 (UE, RB) pairs, the channel bank keeps only its rotating sinusoids and a
-few values per link, its ``advance`` allocates a bounded chunk's worth,
-and the budget partitions the work without changing a bit."""
+few values per link, its ``advance`` rotates them in place, and the budget
+partitions the work without changing a bit."""
 
 import tracemalloc
 
 import numpy as np
 
-import mmwsim.channel as channel
 import mmwsim.engine as engine
 from mmwsim import preset
 
@@ -40,7 +39,7 @@ def _traced_peak(call, *args):
 def _lanes(cfg, schedulers):
     """A group and its lanes after the CSI bootstrap and the first TTI's
     grants, one lane per scheduler."""
-    group = engine._Group(cfg, [cfg.ue_polarization])
+    group = engine._Group(cfg)
     lanes = [engine._Lane(cfg.replace(scheduler=s), group)
              for s in schedulers]
     group.bootstrap(lanes)
@@ -61,12 +60,8 @@ def test_select_measure_and_advance_stay_within_the_block_budget():
     assert lane.pairs is None
     assert _traced_peak(group.measure, [lane]) < bound
     assert _traced_peak(group.measure, [lane], True) < bound
-    # advance couples the ports one chunk of links at a time, into the
-    # bank's own arrays: 275 bytes per chunk link measured (282 KB here,
-    # where coupling all 5,670 links at once took 1.2 MB)
-    assert group.links.n_links > 4 * channel._COUPLING_CHUNK
-    assert _traced_peak(group.bank.advance) \
-        < 300 * channel._COUPLING_CHUNK
+    # advance rotates the bank's own arrays in place: no array is made
+    assert _traced_peak(group.bank.advance) < 1024
 
 
 def test_no_group_or_lane_array_spans_the_network():
@@ -100,7 +95,7 @@ def test_select_picks_the_same_precoders_whatever_the_chunk_size(
         monkeypatch):
     cfg = preset("small").replace(ue_velocity=120.0, ue_polarization="XPOL",
                                   n_tti=3, csi_period_tti=1, seed=4)
-    group = engine._Group(cfg, ["XPOL"])
+    group = engine._Group(cfg)
     ue_bytes = max(_cov_bytes(group), group.links.n_keep * cfg.n_rb
                    * cfg.n_rx * cfg.n_tx * np.dtype(np.complex64).itemsize)
     want = None
@@ -124,44 +119,50 @@ def test_select_picks_the_same_precoders_whatever_the_chunk_size(
 
 
 def test_blocks_of_one_ue_and_odd_sizes_match_whole_blocks(monkeypatch):
-    # 7 RBs, 3 receive ports and five links a UE: a one-UE block's buffers
-    # hold odd counts of complex64 values, which selection views as
-    # complex128
-    cfg = preset("small").replace(n_tx=2, n_rx=3, n_rb=7, ues_per_sector=1,
-                                  n_strongest_interferers=4, n_tti=3,
-                                  csi_period_tti=1, ue_velocity=120.0)
-    want = engine.run_simulation(cfg)
+    cfgs = [
+        # 7 RBs, 3 receive ports and five links a UE: a one-UE block's
+        # buffers hold odd counts of complex64 values, which selection
+        # views as complex128
+        preset("small").replace(n_tx=2, n_rx=3, n_rb=7, ues_per_sector=1,
+                                n_strongest_interferers=4, n_tti=3,
+                                csi_period_tti=1, ue_velocity=120.0),
+        # one antenna, one RB and one link a UE: a one-UE block's rate
+        # products hold a single element
+        preset("small").replace(n_tx=1, n_rx=1, n_rb=1, ues_per_sector=1,
+                                n_strongest_interferers=0, scheduler="RR",
+                                ue_velocity=0.0, seed=5, n_tti=3),
+    ]
+    want = [engine.run_simulation(cfg) for cfg in cfgs]
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
-    assert engine.run_simulation(cfg) == want
+    assert [engine.run_simulation(cfg) for cfg in cfgs] == want
 
 
 def test_advance_rewrites_the_banks_own_arrays():
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=2)
-    bank = engine._Group(cfg, ["LPOL", "XPOL"]).bank
-    arrays = bank.state, bank.rice_state, bank.port["LPOL"], bank.port["XPOL"]
+    bank = engine._Group(cfg).bank
+    arrays = bank.state, bank.rice_state
     want = bank.state * bank.step, bank.rice_state * bank.rice_step
     bank.advance()
-    assert all(a is b for a, b in zip(arrays, (
-        bank.state, bank.rice_state, bank.port["LPOL"], bank.port["XPOL"])))
+    assert all(a is b for a, b in zip(arrays, (bank.state, bank.rice_state)))
     assert np.array_equal(bank.state, want[0])
     assert np.array_equal(bank.rice_state, want[1])
 
 
 def test_a_moving_bank_keeps_only_its_sinusoids_and_a_few_values_a_link():
     cfg = preset("small").replace(ue_velocity=120.0)
-    bank = engine._Group(cfg, ["LPOL", "XPOL"]).bank
+    bank = engine._Group(cfg).bank
     arrays = [a for a in vars(bank).values() if isinstance(a, np.ndarray)]
-    arrays += bank.port.values()
-    # the rotating phasors, plus about 120 bytes a link: the array
-    # phasors, the specular phasor and its step, the two weights and the
-    # two port couplings; no tap sums or specular terms are kept
+    # the rotating phasors, plus 88 bytes a link (the array phasors, the
+    # specular phasor and its step, and the two weights) and the small
+    # mixing kernel: 93 bytes a link here; no tap sums, specular terms or
+    # port couplings are kept
     assert sum(a.nbytes for a in arrays) <= bank.state.nbytes \
-        + bank.step.nbytes + 256 * bank.n_links
+        + bank.step.nbytes + 96 * bank.n_links
 
 
 def test_a_buffered_channel_equals_a_fresh_one_bit_for_bit():
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=2)
-    group = engine._Group(cfg, ["LPOL"])
+    group = engine._Group(cfg)
     work = group.work
     for block in group.blocks:
         # dirty buffers, as the last block leaves them

@@ -157,7 +157,7 @@ def test_chunked_bank_setup_matches_the_per_link_loop(n_rx, n_tx, f_d, seed):
     n_links = 2 * _PHASOR_CHUNK + 5          # a short last chunk
     cfg = ScenarioConfig(n_rx=n_rx, n_tx=n_tx, n_rb=6, seed=seed)
     links = _links(n_links)
-    bank = _ChannelBank(cfg, links, f_d, ("LPOL",))
+    bank = _ChannelBank(cfg, links, f_d)
     want = _oracle_bank(cfg, links, f_d)
     got = {"state0": bank.state, "step": bank.step,
            "a_rx": bank.a_rx, "a_tx": bank.a_tx,
