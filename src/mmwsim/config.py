@@ -178,6 +178,12 @@ class ScenarioConfig:
         _require(self.min_ue_site_distance >= 10, "min_ue_site_distance",
                  "must be >= 10 m, the validity floor of the UMa pathloss "
                  "model")
+        # past a site hexagon's inradius only its corners are left to drop
+        # UEs in, and their area, so the drop's acceptance rate, goes to 0
+        _require(self.min_ue_site_distance <= self.inter_site_distance / 2,
+                 "min_ue_site_distance",
+                 "must be <= inter_site_distance / 2, the inradius of a "
+                 "site's hexagon")
 
         if "n_rb" not in self._pinned:
             # LTE-style 90% occupancy: 10 MHz -> 50 RBs of 180 kHz

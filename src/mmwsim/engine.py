@@ -88,16 +88,15 @@ the calling thread, and replaying ``np.add.reduceat``'s additions in its
 own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
 and ``np.linalg.inv`` are kept as they are, because their stacked or
 re-associated forms change bits. The link layer runs on one thread:
-two stacked products of tiny matrices took longer side by side than one
-after the other, and ``inv`` gained little. Only the channel bank's
-build runs on threads (see :mod:`mmwsim.channel`).
+both release the GIL, yet two stacked products of tiny matrices took
+longer side by side than one after the other, and ``inv`` gained little.
+Only the channel bank's build runs on threads (see :mod:`mmwsim.channel`).
 """
 
 import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import numbers
 import os
 from contextlib import ExitStack
@@ -110,7 +109,8 @@ from .antenna import combined_gain
 from .channel import SERIAL_GEMM_MNK, _ChannelBank, _front, \
     doppler_frequency, los_probability, pathloss_uma
 from .config import TTI_DURATION, expand_sweep, scenario_to_text
-from .deployment import build_hex_layout, drop_ues, dump_layout_csv
+from .deployment import SECTORS_PER_SITE, build_hex_layout, drop_ues, \
+    dump_layout_csv
 from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
     spectral_efficiency
 from .link import build_codebook, mmse_sinr_from_covariance, noise_power_w, \
@@ -200,11 +200,9 @@ def _wideband_gain_db(cfg, layout, xy):
     Shadowing is drawn per link from the (seed, cell, ue)-keyed stream, so
     it is identical across velocities, polarizations and schedulers.
     """
-    n_cells = len(layout.sectors)
-    n_ues = len(xy)
-    site_xy = np.array([[layout.sector_site(c).x, layout.sector_site(c).y]
-                        for c in range(n_cells)])
-    bore = np.array([s.boresight_deg for s in layout.sectors])
+    bore = layout.boresight_deg
+    n_cells, n_ues = len(bore), len(xy)
+    site_xy = layout.site_xy[np.arange(n_cells) // SECTORS_PER_SITE]
 
     dx = xy[None, :, 0] - site_xy[:, 0, None]
     dy = xy[None, :, 1] - site_xy[:, 1, None]
@@ -356,7 +354,7 @@ class _Group:
         self.cfg = cfg
         self.layout = build_hex_layout(
             cfg.n_site_rings, cfg.inter_site_distance, cfg.azimuth_offset_deg)
-        self.n_cells = len(self.layout.sectors)
+        self.n_cells = len(self.layout.boresight_deg)
         self.xy, self.drop_cell = drop_ues(
             self.layout, cfg, _rng(cfg.seed, DROP_STREAM))
         n_ues = len(self.xy)
@@ -366,8 +364,8 @@ class _Group:
 
         self.counted = np.arange(n_ues)
         if not cfg.collect_all_sectors:
-            center = [s.cell_id for s in self.layout.sectors if s.site_id == 0]
-            self.counted = np.flatnonzero(np.isin(links.serving, center))
+            # the center site's cells are 0..SECTORS_PER_SITE-1
+            self.counted = np.flatnonzero(links.serving < SECTORS_PER_SITE)
         if self.counted.size == 0:
             raise EngineError("no UEs attached to the collected cells")
 
@@ -864,6 +862,7 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
     if workers > 1:
         # imported here: only a parallel sweep needs the process pool, and
         # importing it adds about twenty modules to every import of mmwsim
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         pool = ProcessPoolExecutor(

@@ -203,6 +203,16 @@ def test_ue_site_distance_starts_at_the_pathloss_validity_floor():
         min_ue_site_distance=10.0).min_ue_site_distance == 10.0
 
 
+def test_ue_site_distance_stops_at_the_site_hexagons_inradius():
+    # past isd/2 only the hexagon's corners are left, and the drop's
+    # rejection sampling would run almost without end
+    assert preset("small").replace(
+        min_ue_site_distance=250.0).min_ue_site_distance == 250.0
+    with pytest.raises(ScenarioError, match="^min_ue_site_distance: must be "
+                       "<= inter_site_distance / 2"):
+        preset("small").replace(min_ue_site_distance=250.1)
+
+
 @pytest.mark.parametrize("names,bad,rule", [
     (("carrier_frequency", "bandwidth", "inter_site_distance", "bs_tx_power",
       "rb_bandwidth", "azimuth_3db_beamwidth_deg",

@@ -13,14 +13,14 @@ from mmwsim.engine import _build_linkset
 @pytest.mark.parametrize("rings,n_sites", [(0, 1), (1, 7), (2, 19), (3, 37)])
 def test_ring_counts(rings, n_sites):
     layout = build_hex_layout(rings, 500.0, 60.0)
-    assert len(layout.sites) == n_sites
-    assert len(layout.sectors) == 3 * n_sites
+    assert layout.site_xy.shape == (n_sites, 2)
+    assert layout.boresight_deg.shape == (3 * n_sites,)
 
 
 def test_center_site_and_ring_distances():
     layout = build_hex_layout(2, 500.0, 60.0)
-    assert (layout.sites[0].x, layout.sites[0].y) == (0.0, 0.0)
-    pos = np.array([[s.x, s.y] for s in layout.sites])
+    pos = layout.site_xy
+    assert pos[0].tolist() == [0.0, 0.0]
     d_center = np.hypot(pos[:, 0], pos[:, 1])
     # ring 1 = sites 1..6 at exactly one ISD from the center
     assert np.allclose(d_center[1:7], 500.0)
@@ -33,22 +33,22 @@ def test_center_site_and_ring_distances():
 
 def test_sector_ids_and_boresights():
     layout = build_hex_layout(1, 500.0, 60.0)
-    for sec in layout.sectors:
-        assert sec.cell_id == 3 * sec.site_id + (sec.cell_id % 3)
-        expected = (60.0 + 120.0 * (sec.cell_id % 3)) % 360.0
-        assert sec.boresight_deg == expected
-    assert layout.sector_site(5).site_id == 1
+    # cell_id = 3 * site_id + sector, so cell 5 is sector 2 of site 1
+    for cell_id, bore in enumerate(layout.boresight_deg.tolist()):
+        assert bore == (60.0 + 120.0 * (cell_id % 3)) % 360.0
+    rad = math.radians(layout.boresight_deg[5])
+    x, y = layout.site_xy[1] + 100.0 * np.array([math.cos(rad), math.sin(rad)])
+    assert [c for c in range(21) if sector_contains(layout, c, x, y)] == [5]
 
 
 def test_sector_contains_splits_the_site_hexagon():
     layout = build_hex_layout(0, 500.0, 60.0)
     # a point 100 m along each boresight belongs to exactly that sector
-    for sec in layout.sectors:
-        rad = math.radians(sec.boresight_deg)
+    for cell_id, bore in enumerate(layout.boresight_deg.tolist()):
+        rad = math.radians(bore)
         x, y = 100.0 * math.cos(rad), 100.0 * math.sin(rad)
-        owners = [s.cell_id for s in layout.sectors
-                  if sector_contains(layout, s.cell_id, x, y)]
-        assert owners == [sec.cell_id]
+        owners = [c for c in range(3) if sector_contains(layout, c, x, y)]
+        assert owners == [cell_id]
     # far outside the hexagon belongs to nobody
     assert not any(sector_contains(layout, c, 5000.0, 0.0) for c in range(3))
 
@@ -58,15 +58,15 @@ def test_drop_ues_population_and_geometry():
     layout = build_hex_layout(cfg.n_site_rings, cfg.inter_site_distance,
                               cfg.azimuth_offset_deg)
     xy, drop_cell = drop_ues(layout, cfg, np.random.default_rng(3))
-    n_ues = len(layout.sectors) * cfg.ues_per_sector
+    n_ues = len(layout.boresight_deg) * cfg.ues_per_sector
     assert xy.shape == (n_ues, 2)
     # sector-major ids
     assert drop_cell.tolist() == [u // cfg.ues_per_sector
                                   for u in range(n_ues)]
     for (x, y), cell in zip(xy, drop_cell):
         assert sector_contains(layout, cell, x, y)
-        site = layout.sector_site(cell)
-        assert math.hypot(x - site.x, y - site.y) >= cfg.min_ue_site_distance
+        sx, sy = layout.site_xy[cell // 3]
+        assert math.hypot(x - sx, y - sy) >= cfg.min_ue_site_distance
 
 
 def test_drop_ues_is_deterministic_per_rng_seed():
@@ -78,8 +78,10 @@ def test_drop_ues_is_deterministic_per_rng_seed():
 
 
 def test_drop_ues_rejects_impossible_exclusion_radius():
-    layout = build_hex_layout(0, 500.0, 60.0)
-    cfg = preset("small").replace(min_ue_site_distance=300.0,  # > isd/sqrt(3)
+    # the config's own 500 m spacing allows 60 m; the layout's 100 m
+    # spacing does not, its hexagons' inradius being 50 m
+    layout = build_hex_layout(0, 100.0, 60.0)
+    cfg = preset("small").replace(min_ue_site_distance=60.0,
                                   ues_per_sector=1)
     with pytest.raises(DeploymentError, match="no room"):
         drop_ues(layout, cfg, np.random.default_rng(0))

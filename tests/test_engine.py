@@ -383,10 +383,12 @@ def test_emit_csv_empty_table_is_header_only(tmp_path):
 
 
 def test_importing_mmwsim_loads_no_pool_and_no_numpy_random():
-    # both load on first use, so they stay out of every run's set-up time
+    # multiprocessing, concurrent.futures and numpy.random load on first
+    # use, so they stay out of every run's set-up time
     src = Path(mmwsim.engine.__file__).parent.parent
     code = ("import sys, mmwsim; print(sorted(m for m in sys.modules if "
-            "m.startswith(('concurrent', 'numpy.random'))))")
+            "m.startswith(('multiprocessing', 'concurrent', "
+            "'numpy.random'))))")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
