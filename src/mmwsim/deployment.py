@@ -92,7 +92,7 @@ def drop_ues(layout, cfg, rng):
     Points are rejection-sampled from the hexagon's circumscribed disk until
     they land in the wedge, at least ``min_ue_site_distance`` from the site.
     That distance may not exceed the hexagon's inradius, isd/2, past which
-    only its corners, of vanishing area, are left to land in. UE ids run
+    only its corners, whose area shrinks to 0, are left to land in. UE ids run
     sector-major: cell 0 gets 0..k-1, etc. Returns ``(xy, drop_cell)``,
     indexed by UE id: the (n_ues, 2) positions and the sector whose region
     contained each drop point.

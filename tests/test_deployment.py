@@ -78,13 +78,15 @@ def test_drop_ues_is_deterministic_per_rng_seed():
 
 
 def test_drop_ues_rejects_impossible_exclusion_radius():
-    # the config's own 500 m spacing allows 60 m; the layout's 100 m
-    # spacing does not, its hexagons' inradius being 50 m
+    # the config's own 500 m spacing allows both radii; the layout's
+    # 100 m spacing, whose hexagons have a 50 m inradius, allows only 50 m
     layout = build_hex_layout(0, 100.0, 60.0)
-    cfg = preset("small").replace(min_ue_site_distance=60.0,
+    cfg = preset("small").replace(min_ue_site_distance=50.0,
                                   ues_per_sector=1)
+    drop_ues(layout, cfg, np.random.default_rng(0))
     with pytest.raises(DeploymentError, match="no room"):
-        drop_ues(layout, cfg, np.random.default_rng(0))
+        drop_ues(layout, cfg.replace(min_ue_site_distance=50.1),
+                 np.random.default_rng(0))
 
 
 def test_assign_serving_cell_strongest_wins_ties_to_lowest_id():
