@@ -369,7 +369,7 @@ class _ChannelBank:
         innermost in memory: a ``pol`` receiver sees ``h * coupling(pol,
         links)[:, None, None]``. It is built in the front of the flat
         ``buffers`` (made if not given); a static bank mixes a slice into a
-        new array once, and returns it on every later call."""
+        new array once, and returns it, read-only, on every later call."""
         key = links.indices(self.n_links)
         if key in self._static:
             return self._static[key]
@@ -386,6 +386,7 @@ class _ChannelBank:
         np.multiply(self.w_scat[links, None, None, None], h, out=h)
         h += spec[:, None, :, :]
         if self.state is None:
+            h.flags.writeable = False
             self._static[key] = h
         return h
 

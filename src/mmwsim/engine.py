@@ -132,10 +132,10 @@ _SELECT_RB_STRIDE = 10
 # the lowest rank, then the lowest entry index)
 _SELECT_MARGIN = 1e-12
 # a UE block holds about this many bytes of per-link channel matrices, and
-# a chunk of precoder selection at most this many bytes of candidate
-# covariances; the per-link and per-candidate arrays of a TTI exist for one
-# block or chunk at a time, never for the whole network
-_BLOCK_BYTES = 2 << 20
+# a chunk of precoder selection at most this many of candidate covariances;
+# a TTI's per-link arrays exist for one block at a time, and the block's
+# buffers come to about four budgets (4.2 MiB at `small` and `paper`)
+_BLOCK_BYTES = 1 << 20
 
 
 def _selects(cfg, t):
@@ -347,7 +347,7 @@ class _Group:
     rewrites in turn. A block holds about ``_BLOCK_BYTES`` of per-link
     channel matrices, and at most that many of complex128 candidate
     covariances in precoder selection, whose stacked candidate products
-    stay on the calling thread.
+    stay on the calling thread; ``work`` comes to about four budgets.
     """
 
     def __init__(self, cfg):

@@ -165,8 +165,9 @@ def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
 
     monkeypatch.setattr(engine._Group, "_candidates", candidates)
     monkeypatch.setattr(engine._Group, "select", select)
-    # 42 UEs in two blocks; CSI TTIs: the bootstrap, then after TTIs 1 and
-    # 3 but not after the last one, 5
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 36 * 9 * 50 * 16 * 8)
+    # 42 UEs in blocks of 36 and 6; CSI TTIs: the bootstrap, then after TTIs
+    # 1 and 3 but not after the last one, 5
     cfg = preset("small").replace(ues_per_sector=2, n_tti=6, csi_period_tti=2,
                                   ue_velocity=120.0)
     engine._run_lanes([cfg.replace(scheduler=s, ue_polarization=p)

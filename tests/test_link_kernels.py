@@ -168,6 +168,8 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
+    # 42 UEs in blocks of 36 and 6
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 36 * 9 * 50 * 16 * 8)
     p_own = []
     for gemm_mnk in (engine.SERIAL_GEMM_MNK, 3 * 5 * 4 * 4 * 4):
         # three UEs per block: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4

@@ -99,10 +99,10 @@ def test_select_picks_the_same_precoders_whatever_the_chunk_size(
     ue_bytes = max(_cov_bytes(group), group.links.n_keep * cfg.n_rb
                    * cfg.n_rx * cfg.n_tx * np.dtype(np.complex64).itemsize)
     want = None
-    # one UE a block, uneven blocks, and the whole network in one block
-    for per_block in (None, 1, 4, 13, 300):
-        if per_block is not None:
-            monkeypatch.setattr(engine, "_BLOCK_BYTES", per_block * ue_bytes)
+    # blocks of 36, one UE a block, uneven blocks, and the whole network in
+    # one block
+    for per_block in (36, 1, 4, 13, 300):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", per_block * ue_bytes)
         group, lanes = _lanes(cfg, ["RR", "PF"])
         group.measure(lanes, select=True)
         got = [lane.p_own.view(np.uint8) for lane in lanes]
@@ -116,6 +116,16 @@ def test_select_picks_the_same_precoders_whatever_the_chunk_size(
             == min(per_block, len(group.xy))
         for p_own, w in zip(got, want):
             assert np.array_equal(p_own, w)
+
+
+def test_a_blocks_buffers_come_to_about_four_budgets():
+    # 630 UEs with the paper geometry per UE: nine links of 50 RBs and 4x4
+    # ports; the channel, precoded links, their conjugates and products
+    # take about a budget each, the tap sums and specular terms the rest
+    group = engine._Group(preset("small").replace(ues_per_sector=30))
+    work = sum(a.nbytes for a in group.work.values())
+    assert work <= 4.5 * 2 ** 20
+    assert work <= 4.5 * engine._BLOCK_BYTES
 
 
 def test_blocks_of_one_ue_and_odd_sizes_match_whole_blocks(monkeypatch):
