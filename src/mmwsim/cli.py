@@ -7,7 +7,9 @@ and writes the results table as CSV (plus a JSON metadata sidecar).
 Exit codes: 0 success, 1 configuration/usage error or an output path that
 cannot be written (checked before anything runs, so no result is lost), 2
 sweep finished with failed points or was stopped by a crashed worker
-process. Set MMWSIM_LOG=info (or debug) for progress logging.
+process. Set MMWSIM_LOG=info for progress logging, or debug to add each
+sweep group's seconds per stage and precoder-selection counters; an
+unknown level is a configuration error.
 """
 
 import argparse
@@ -126,9 +128,13 @@ def main(argv=None):
             raise
         # argparse exits 2 on a usage error; 2 means failed sweep points here
         return 1
-    logging.basicConfig(
-        level=os.environ.get("MMWSIM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = (os.environ.get("MMWSIM_LOG") or "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"simulate: MMWSIM_LOG: unknown level {level.lower()!r} "
+              "(debug, info, warning, error or critical)", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
 
     axis_flags = (args.velocities, args.polarizations, args.schedulers,
                   args.seeds)

@@ -86,11 +86,24 @@ factor into one gemm (each row of a gemm gets the same bits whatever the
 row count), keeping every gemm small enough that OpenBLAS runs it on
 the calling thread, and replaying ``np.add.reduceat``'s additions in its
 own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
-and ``np.linalg.inv`` are kept as they are, because their stacked or
-re-associated forms change bits. The link layer runs on one thread:
-both release the GIL, yet two stacked products of tiny matrices took
-longer side by side than one after the other, and ``inv`` gained little.
-Only the channel bank's build runs on threads (see :mod:`mmwsim.channel`).
+and ``np.linalg.inv`` are kept wherever their results reach a rate or a
+pick, because their stacked or re-associated forms change bits.
+
+Precoder selection is the one stage whose arithmetic is free: only the
+chosen entry's index leaves it. So it screens every codebook entry with
+an elementwise, batch-last Cholesky MMSE in complex128
+(:func:`mmwsim.link.mmse_batch_last`), whose bits differ from the
+per-matrix inverse's, and scores exactly, with the per-matrix own
+covariance and ``inv`` as before, only the entries whose screened score
+is near the UE's best (``_SCREEN_BAND``). The entries it drops are far
+below the exact best, so the pick is the one a whole exact evaluation
+gives; a UE whose exact scores stray from the screened ones is scored
+exactly on every entry.
+
+The link layer runs on one thread: ``matmul`` and ``inv`` release the
+GIL, yet two stacked products of tiny matrices took longer side by side
+than one after the other, and ``inv`` gained little. Only the channel
+bank's build runs on threads (see :mod:`mmwsim.channel`).
 """
 
 import hashlib
@@ -99,6 +112,7 @@ import logging
 import math
 import numbers
 import os
+import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
@@ -113,8 +127,8 @@ from .deployment import SECTORS_PER_SITE, build_hex_layout, drop_ues, \
     dump_layout_csv
 from .kpi import KpiRecord, average_ue_throughput, jain_fairness, \
     spectral_efficiency
-from .link import build_codebook, mmse_sinr_from_covariance, noise_power_w, \
-    sinr_to_rate, stack_codebook
+from .link import build_codebook, mmse_batch_last, mmse_sinr_from_covariance, \
+    noise_power_w, sinr_to_rate, stack_codebook
 from .scheduler import SchedulerError, schedule_pf, schedule_rr, \
     update_average_throughput
 from .streams import DROP_STREAM, LARGE_SCALE_STREAM, keyed_streams
@@ -131,10 +145,19 @@ _SELECT_RB_STRIDE = 10
 # later codebook entries must beat the incumbent by this much (ties keep
 # the lowest rank, then the lowest entry index)
 _SELECT_MARGIN = 1e-12
+# selection scores exactly only the entries whose screened score is within
+# this share of the UE's best screened score (of 1, if that is smaller).
+# Screened and exact scores differed by at most 2.9e-4 of the best over the
+# small trend sweep and a paper-scale bootstrap: the band is 100 times that
+_SCREEN_BAND = 3e-2
+# a selection whose best and runner-up exact scores are closer than this
+# share of the best is counted as a near tie
+_TIE_GAP = 1e-6
 # a UE block holds about this many bytes of per-link channel matrices, and
-# a chunk of precoder selection at most this many of candidate covariances;
-# a TTI's per-link arrays exist for one block at a time, and the block's
-# buffers come to about four budgets (4.2 MiB at `small` and `paper`)
+# at most this many of the selection screen's complex128 covariances (one
+# per codebook entry, sampled RB and UE); a TTI's per-link arrays exist for
+# one block at a time, and the block's buffers come to about four budgets
+# (4.2 MiB at `small` and `paper`)
 _BLOCK_BYTES = 1 << 20
 
 
@@ -143,6 +166,23 @@ def _selects(cfg, t):
     ``csi_period_tti``-th TTI, but not after the last, whose precoders
     nothing would use."""
     return (t + 1) % cfg.csi_period_tti == 0 and t < cfg.n_tti - 1
+
+
+class _Clock:
+    """Seconds per stage, from ``time.perf_counter`` deltas: ``lap(stage)``
+    books the time since the last lap, or since ``start``."""
+
+    def __init__(self):
+        self.seconds = {}
+        self.start()
+
+    def start(self):
+        self.last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self.last
+        self.last = now
 
 
 def _rng(*key):
@@ -345,13 +385,21 @@ class _Group:
     kernels with their codebook, and the block buffers: ``work`` and the
     serving channel ``h_serv`` of one block, which each polarization
     rewrites in turn. A block holds about ``_BLOCK_BYTES`` of per-link
-    channel matrices, and at most that many of complex128 candidate
-    covariances in precoder selection, whose stacked candidate products
-    stay on the calling thread; ``work`` comes to about four budgets.
+    channel matrices, and at most that many of the selection screen's
+    complex128 covariances, and its stacked candidate products stay on
+    the calling thread; ``work`` comes to about four budgets. ``clock``
+    books each stage's seconds and ``select_stats`` counts precoder
+    selection's decisions, exactly scored entries (survivors), fallbacks
+    and near ties, and its largest screen-vs-exact gap among survivors;
+    ``_run_lanes`` logs both at debug level.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self.clock = _Clock()
+        self.select_stats = dict.fromkeys(
+            ("decisions", "survivors", "fallbacks", "near ties"), 0)
+        self.select_stats["screen gap"] = 0.0
         self.layout = build_hex_layout(
             cfg.n_site_rings, cfg.inter_site_distance, cfg.azimuth_offset_deg)
         self.n_cells = len(self.layout.boresight_deg)
@@ -370,7 +418,9 @@ class _Group:
             raise EngineError("no UEs attached to the collected cells")
 
         f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
+        self.clock.start()
         self.bank = _ChannelBank(cfg, links, f_d)
+        self.clock.lap("bank build")
 
         self.noise = noise_power_w(cfg.rb_bandwidth, cfg.noise_figure)
         padded, ranks = stack_codebook(build_codebook(cfg.n_tx), cfg.n_tx)
@@ -419,6 +469,8 @@ class _Group:
         psched = np.broadcast_to(self.iso, (self.n_cells, self.cfg.n_rb)
                                  + self.iso.shape) if bootstrap else None
         n_keep = self.links.n_keep
+        lap = self.clock.lap
+        self.clock.start()
         for block in self.blocks:
             n = block.ues.stop - block.ues.start
             h = self.bank.current(block.links, self.work)
@@ -428,14 +480,18 @@ class _Group:
                                      out=self.h_serv[:n])
                 if gains is not None and pol == lanes[0].pol:
                     gains[block.ues] = [np.mean(abs(x) ** 2) for x in h_serv]
+                lap("channel")
                 for lane in same:
                     self.interference(lane, h, port, block, psched)
+                    lap("interference")
                     if not bootstrap:
                         self.rates(lane, block, h_serv)
+                        lap("rates")
                 if select:
                     self.select(same, block, h_serv)
                 for lane in same if bootstrap else ():
                     self.rates(lane, block, h_serv)
+                    lap("rates")
 
     def bootstrap(self, lanes):
         """The CSI bootstrap: each lane's first precoders and CSI rates. It
@@ -453,14 +509,16 @@ class _Group:
         """Flat complex64 buffers, of even sizes, with room for any block's
         bank buffers (see ``_ChannelBank.buffers``), precoded links ``b``,
         their conjugates ``bh`` and products ``g``, or its candidates in
-        selection, whose complex128 arrays then take a view of ``bh``."""
+        selection, followed in ``b`` by the screen's complex128 whitened
+        columns, while its complex128 covariances take a view of ``bh``."""
         cfg = self.cfg
         n_links = max(b.links.stop - b.links.start for b in self.blocks)
         n_sel = self.block_ues * len(self.cand) * len(self.select_rb) \
             * cfg.n_rx
         n = max(n_links * cfg.n_rb * cfg.n_rx, n_sel)
-        sizes = {"b": n * self.max_rank, "g": n * cfg.n_rx,
-                 "bh": max(n, 2 * n_sel) * max(cfg.n_rx, self.max_rank)}
+        sizes = {"b": max(n, 3 * n_sel + 1) * self.max_rank,
+                 "g": max(n, 2 * n_sel) * cfg.n_rx,
+                 "bh": max(n * self.max_rank, 2 * n_sel * cfg.n_rx)}
         return {**self.bank.buffers(n_links), **{
             k: np.empty(m + m % 2, np.complex64) for k, m in sizes.items()}}
 
@@ -549,42 +607,118 @@ class _Group:
         sample: set the block's rows of each lane's ``p_own`` from its
         ``r_int``. The lanes are of one polarization, so they share the
         block's serving channel ``h_serv``, ``sn_scale`` and every candidate
-        product. Every step is per UE and per matrix."""
+        product. Each lane screens every entry (``_screen``) and scores
+        exactly only the entries near each UE's screened best
+        (``_best_entry``)."""
         n = block.ues.stop - block.ues.start
         eff, own = self._candidates(h_serv[:, self.select_rb])
         for lane in lanes:
+            base = self._with_noise(lane.r_int[:n, self.select_rb],
+                                    lane.sn_scale)
+            screen = self._screen(eff, own, base, lane.sn_scale)
+            self.clock.lap("select screen")
             lane.p_own[block.ues] = self.cand[self._best_entry(
-                eff, own, lane.r_int[:n, self.select_rb], lane.sn_scale)]
+                eff, base, lane.sn_scale, screen)]
+            self.clock.lap("select exact")
 
     def _candidates(self, h_sel):
-        """Every codebook entry's precoded channel and its own covariance,
-        in the ``b`` and ``g`` buffers, axes (ue, entry, rb, rx, ...) over
-        (entry, rb, ue) memory order, as numpy gave the per-matrix form."""
+        """Every codebook entry's precoded channel E, complex64 in the ``b``
+        buffer, axes (ue, entry, rb, rx, layer) over (entry, rb, ue) memory
+        order, as numpy gave the per-matrix form, and the lower triangle of
+        its own covariance E E^H, complex128 with the batch axes last,
+        (rx, rx, entry, rb, ue), in ``g``."""
         n_ues, n_sel, n_rx, n_tx = h_sel.shape
+        n_cand, m = len(self.cand), self.max_rank
         rows = h_sel.swapaxes(0, 1).reshape(1, -1, n_rx, n_tx)
-        shape = (len(self.cand), n_sel * n_ues, n_rx)
         eff = _stacked_matmul(rows, self.cand, _front(
-            self.work["b"], shape + (self.max_rank,)))
-        eff_h = np.conjugate(eff, out=_front(self.work["bh"], eff.shape))
-        own = np.matmul(eff, eff_h.swapaxes(-1, -2), out=_front(
-            self.work["g"], shape + (n_rx,)))
-        return [a.reshape(len(self.cand), n_sel, n_ues, n_rx, -1)
-                .transpose(2, 0, 1, 3, 4) for a in (eff, own)]
+            self.work["b"], (n_cand, n_sel * n_ues, n_rx, m))) \
+            .reshape(n_cand, n_sel, n_ues, n_rx, m).transpose(2, 0, 1, 3, 4)
+        e = self._columns(eff)
+        np.copyto(e, eff.transpose(3, 4, 1, 2, 0))
+        own = _front(self.work["g"].view(np.complex128),
+                     (n_rx, n_rx) + e.shape[2:])
+        for j in range(n_rx):       # column by column
+            e_j = np.conjugate(e[j])
+            col = np.multiply(e[j:, 0], e_j[0], out=own[j:, j])
+            for k in range(1, m):
+                col += e[j:, k] * e_j[k]
+        return eff, own
 
-    def _best_entry(self, eff, own, r_sel, sn_scale):
-        """Each UE's best entry. The complex128 arrays take the ``bh``
-        buffer over (entry, ue, rb) memory order, the layout numpy gives
-        ``base[:, None] + sn_scale * own``, which orders the MMSE sums."""
-        n_ues, n_cand, n_sel, n_rx = own.shape[:4]
-        cov, prod = (_front(self.work["bh"].view(np.complex128),
-                            (n_cand, n_ues, n_sel, n_rx, m))
-                     .transpose(1, 0, 2, 3, 4) for m in (n_rx, self.max_rank))
-        np.multiply(own, sn_scale, out=cov)
-        cov += self._with_noise(r_sel, sn_scale)[:, None]
-        sinr = mmse_sinr_from_covariance(eff, cov, prod)
-        score = np.log2(1.0 + sinr).sum(axis=(2, 3))
+    def _columns(self, eff):
+        """A complex128 (rx, layer, entry, rb, ue) array in the ``b``
+        buffer after the candidates' products ``eff``."""
+        n_ues, n_cand, n_sel, n_rx, m = eff.shape
+        start = eff.size + eff.size % 2
+        return _front(self.work["b"][start:].view(np.complex128),
+                      (n_rx, m, n_cand, n_sel, n_ues))
+
+    def _screen(self, eff, own, base, sn_scale):
+        """Every entry's screened score, (ue, entry): the sum over sampled
+        RBs and layers of -log2(1 - u), with u from ``mmse_batch_last`` on
+        the covariance sn_scale E E^H + ``base``, in the front of ``bh``."""
+        n_rx = own.shape[0]
+        cov = _front(self.work["bh"].view(np.complex128), own.shape)
+        base = np.ascontiguousarray(base.transpose(2, 3, 1, 0))[:, :, None]
+        for j in range(n_rx):       # the lower triangle, column by column
+            col = np.multiply(own[j:, j], sn_scale, out=cov[j:, j])
+            col += base[j:, j]
+        u = mmse_batch_last(eff.transpose(3, 4, 1, 2, 0), cov,
+                            self._columns(eff))
+        u = np.log2(1.0 - np.clip(u, 0.0, 1.0 - 1e-15, out=u), out=u)
+        return -u.sum(axis=(0, 2)).T
+
+    def _best_entry(self, eff, base, sn_scale, screen):
+        """Each UE's best entry by its exact score (``_score``), picked as
+        over every entry.
+
+        Only the entries whose ``screen`` score is within ``_SCREEN_BAND``
+        times max(|best|, 1) of the UE's best are scored exactly; the others
+        score -inf. The screen errs far less than the band, so no entry it
+        drops is within ``_SELECT_MARGIN`` of the exact best. A UE whose
+        exact scores differ from the screened ones by more than a quarter
+        of the band, or whose screen is not finite, is scored exactly on
+        every entry (a fallback).
+        """
+        best = screen.max(axis=1, keepdims=True)
+        scale = np.maximum(abs(best), 1.0)
+        keep = screen >= best - _SCREEN_BAND * scale
+        score = np.full(screen.shape, -np.inf)
+        self._score(score, keep, eff, base, sn_scale)
+        err = np.where(keep, abs(score - screen) / scale, 0.0)
+        off = ~np.isfinite(best[:, 0]) \
+            | ~(err <= _SCREEN_BAND / 4).all(axis=1)
+        self._score(score, off[:, None] & ~keep, eff, base, sn_scale)
+
+        stats = self.select_stats
+        stats["decisions"] += len(score)
+        stats["survivors"] += int(keep.sum())
+        stats["fallbacks"] += int(off.sum())
+        stats["screen gap"] = max(stats["screen gap"], float(err.max()))
+        if score.shape[1] > 1:
+            top = np.sort(score, axis=1)[:, -2:]
+            gap = (top[:, 1] - top[:, 0]) / np.maximum(abs(top[:, 1]), 1.0)
+            stats["near ties"] += int(np.count_nonzero(gap < _TIE_GAP))
+
         best = score.max(axis=1, keepdims=True)
         return np.argmax(score >= best - _SELECT_MARGIN, axis=1)
+
+    def _score(self, score, pairs, eff, base, sn_scale):
+        """Write the exact scores of the (ue, entry) pairs set in ``pairs``
+        into ``score``: complex64 own covariances and a complex128 MMSE per
+        matrix, then the log2 rate sum over the sampled RBs and layers. A
+        pair's arrays are laid out as in a whole (entry, ue, rb) stack, and
+        every step is per matrix or elementwise, so each pair gets the bits
+        it would get there."""
+        ue, entry = np.nonzero(pairs)
+        if ue.size == 0:
+            return
+        eff = eff[ue, entry]
+        own = np.matmul(eff, np.conjugate(eff).swapaxes(-1, -2))
+        cov = np.multiply(own, sn_scale,
+                          out=np.empty(own.shape, np.complex128))
+        cov += base[ue]
+        sinr = mmse_sinr_from_covariance(eff, cov)
+        score[ue, entry] = np.log2(1.0 + sinr).sum(axis=(1, 2))
 
 
 class _Lane:
@@ -715,15 +849,20 @@ def _run_lanes(cfgs, trace_dir=None):
                 f"tti 0 (csi bootstrap): {type(exc).__name__}: {exc}"
             ) from exc
 
+        clock = group.clock
         for t in range(cfg.n_tti):
             try:
+                clock.start()
                 if t > 0:
                     group.bank.advance()
+                clock.lap("advance")
                 for lane in lanes:
                     lane.schedule(t, group)
+                clock.lap("schedule and account")
                 group.measure(lanes, select=_selects(cfg, t), gains=gains)
                 for lane in lanes:
                     lane.account()
+                clock.lap("schedule and account")
             except EngineError:
                 raise
             except Exception as exc:
@@ -742,7 +881,25 @@ def _run_lanes(cfgs, trace_dir=None):
                     chan_trace.write(
                         f"{t},{u},{links.serving[u]},{mg:.6g}\n")
 
+    _log_stages(cfg, group)
     return [lane.record(group.counted) for lane in lanes]
+
+
+def _log_stages(cfg, group):
+    """At debug level, one line: the group's seconds per stage and its
+    precoder-selection counters."""
+    if not log.isEnabledFor(logging.DEBUG):
+        return
+    stats = group.select_stats
+    decisions = max(stats["decisions"], 1)
+    log.debug(
+        "group v=%g seed=%d: %s; select: %d decisions, %.2f survivors "
+        "each, %d fallbacks, %.3g%% near ties (< %g), screen gap %.2g",
+        cfg.ue_velocity, cfg.seed,
+        ", ".join(f"{k} {v:.3f} s" for k, v in group.clock.seconds.items()),
+        stats["decisions"], stats["survivors"] / decisions,
+        stats["fallbacks"], 100.0 * stats["near ties"] / decisions, _TIE_GAP,
+        stats["screen gap"])
 
 
 def run_simulation(cfg, trace_dir=None):

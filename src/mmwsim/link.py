@@ -72,16 +72,16 @@ def stack_codebook(codebook, n_tx):
     return padded, ranks
 
 
-def mmse_sinr_from_covariance(effective, covariance, out=None):
+def mmse_sinr_from_covariance(effective, covariance):
     """Per-layer MMSE SINR given the total covariance (signal included).
 
     ``effective``: (..., n_rx, n_layers) precoded channel columns, power
     applied. ``covariance``: (..., n_rx, n_rx) = noise + interference + own
     signal. Uses u = a^H R^-1 a, sinr = u / (1 - u); zero columns give 0.
-    ``out``, complex128 of ``effective``'s shape, may take the products
-    (R^-1 a)^* a, even in ``covariance``'s memory; its layout orders sums.
+    Every step is per matrix or elementwise, so a matrix's result does not
+    depend on the others in the stack.
     """
-    prod = np.matmul(np.linalg.inv(covariance), effective, out=out)
+    prod = np.matmul(np.linalg.inv(covariance), effective)
     # b^* a has the real part of a^* b, bit for bit. Both factors are cast
     # to complex128 and neither is overwritten: otherwise numpy multiplies
     # a lone element without its vector loop's fused multiply-add, and a
@@ -91,6 +91,42 @@ def mmse_sinr_from_covariance(effective, covariance, out=None):
     u = prod.sum(axis=-2).real
     u = np.clip(u, 0.0, 1.0 - 1e-15)
     return u / (1.0 - u)
+
+
+def mmse_batch_last(effective, covariance, out=None):
+    """Per-layer MMSE u = a^H R^-1 a (sinr = u / (1 - u)) with the batch
+    axes last, by an elementwise Cholesky factorisation R = L L^H.
+
+    ``effective``: (n_rx, n_layers, *batch) precoded columns;
+    ``covariance``: (n_rx, n_rx, *batch) complex128 total covariance, of
+    which only the lower triangle is read, and which L's lower triangle
+    overwrites. u = ||L^-1 a||^2, by forward substitution into ``out``
+    (complex128, ``effective``'s shape; made if not given). Each step is
+    one ufunc over the contiguous batch, not a call per matrix, so the
+    bits differ from the per-matrix inverse's in the last places. Returns
+    u, (n_layers, *batch) float64.
+    """
+    n_rx = covariance.shape[0]
+    low = covariance
+    scale = []                          # 1 / L[j, j]
+    for j in range(n_rx):
+        d = low[j, j].real.copy()
+        for k in range(j):
+            d -= low[j, k].real ** 2 + low[j, k].imag ** 2
+        scale.append(1.0 / np.sqrt(d))
+        for i in range(j + 1, n_rx):
+            for k in range(j):
+                low[i, j] -= low[i, k] * np.conjugate(low[j, k])
+            low[i, j] *= scale[j]
+    y = np.empty(effective.shape, np.complex128) if out is None else out
+    np.copyto(y, effective)
+    u = np.zeros(y.shape[1:])
+    for i in range(n_rx):
+        for k in range(i):
+            y[i] -= low[i, k] * y[k]
+        y[i] *= scale[i]
+        u += y[i].real ** 2 + y[i].imag ** 2
+    return u
 
 
 def sinr_to_rate(sinr, rb_bandwidth, tti, efficiency=0.6, se_cap=7.4):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import mmwsim.engine as engine
 from mmwsim import preset, run_sweep
 
 TREND_VELOCITIES = (0.0, 120.0)
@@ -14,10 +15,12 @@ TREND_SEEDS = (1, 2, 3, 4, 5)
 class TrendSweep:
     """Seed-mean access to the {0, 120} kmph x pol x scheduler sweep."""
 
-    def __init__(self, table, failures, elapsed_s):
+    def __init__(self, table, failures, elapsed_s, select_stats):
         self.table = table
         self.failures = failures
         self.elapsed_s = elapsed_s
+        # each group's precoder-selection counters
+        self.select_stats = select_stats
 
     def records(self, scheduler, polarization, velocity):
         return [r for r in self.table.records
@@ -34,11 +37,21 @@ class TrendSweep:
 
 @pytest.fixture(scope="session")
 def trend_sweep():
-    start = time.monotonic()
-    table, failures = run_sweep(preset("small"),
-                                velocities=TREND_VELOCITIES,
-                                polarizations=("LPOL", "XPOL"),
-                                schedulers=("RR", "PF"),
-                                seeds=TREND_SEEDS,
-                                parallelism=1)
-    return TrendSweep(table, failures, time.monotonic() - start)
+    select_stats = []
+    log_stages = engine._log_stages
+
+    def keep_stats(cfg, group):
+        select_stats.append(dict(group.select_stats))
+        log_stages(cfg, group)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_log_stages", keep_stats)
+        start = time.monotonic()
+        table, failures = run_sweep(preset("small"),
+                                    velocities=TREND_VELOCITIES,
+                                    polarizations=("LPOL", "XPOL"),
+                                    schedulers=("RR", "PF"),
+                                    seeds=TREND_SEEDS,
+                                    parallelism=1)
+        elapsed_s = time.monotonic() - start
+    return TrendSweep(table, failures, elapsed_s, select_stats)

@@ -74,6 +74,16 @@ def test_usage_errors_exit_one(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["verbose", "10", "warn ing"])
+def test_an_unknown_log_level_exits_one(level, monkeypatch, capsys):
+    monkeypatch.setenv("MMWSIM_LOG", level)
+    assert run_cli(*TINY) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("simulate: MMWSIM_LOG: unknown level")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_axis_flags_imply_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(*TINY, "--sweep-velocities", "0,120",

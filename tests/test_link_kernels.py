@@ -180,3 +180,107 @@ def test_select_in_chunks_matches_one_pass(monkeypatch):
     (n_whole, whole), (n_small, small) = p_own
     assert (n_whole, n_small) == (2, 14)
     assert np.array_equal(whole.view(np.uint8), small.view(np.uint8))
+
+
+def scores_oracle(eff, base, sn_scale):
+    """Every (ue, entry) pair's exact selection score in one evaluation, as
+    the engine scored every pair before it screened them: per-matrix own
+    covariances, and complex128 covariances over (entry, ue, rb) memory
+    order."""
+    n_ues, n_cand = eff.shape[:2]
+    own = eff @ np.conjugate(eff).swapaxes(-1, -2)
+    cov = np.empty((n_cand, n_ues) + own.shape[2:], np.complex128) \
+        .transpose(1, 0, 2, 3, 4)
+    np.multiply(own, sn_scale, out=cov)
+    cov += base[:, None]
+    sinr = mmse_sinr_from_covariance(eff, cov)
+    return np.log2(1.0 + sinr).sum(axis=(2, 3))
+
+
+def _bootstrap_choice(group, lane):
+    """The precoders the CSI bootstrap picks for ``lane``, by the oracles
+    over the whole network."""
+    bank, links = group.bank, group.links
+    h = bank.current(slice(None)) \
+        * bank.coupling(lane.pol, slice(None))[:, None, None]
+    psched = np.broadcast_to(group.iso, (group.n_cells, group.cfg.n_rb)
+                             + group.iso.shape)
+    r_int = interference_oracle(links, h, psched)
+    return group.cand[select_oracle(group, h[::links.n_keep], r_int,
+                                    lane.sn_scale)]
+
+
+def test_exact_scores_of_a_subset_equal_the_whole_evaluation():
+    cfg = preset("small").replace(ue_velocity=120.0, n_tti=3, seed=6)
+    group, (lane,) = _link_layer(cfg, ("XPOL",))
+    group.bootstrap([lane])
+    block = group.blocks[1]
+    n = block.ues.stop - block.ues.start
+    h = group.bank.current(block.links, group.work)
+    port = group.bank.coupling(lane.pol, block.links)[:, None, None]
+    n_keep = group.links.n_keep
+    h_serv = np.multiply(h[::n_keep], port[::n_keep], out=group.h_serv[:n])
+    group.interference(lane, h, port, block)
+    eff, _ = group._candidates(h_serv[:, group.select_rb])
+    base = group._with_noise(lane.r_int[:n, group.select_rb], lane.sn_scale)
+    want = scores_oracle(eff, base, lane.sn_scale)
+
+    whole = np.full(want.shape, -np.inf)
+    group._score(whole, np.ones(want.shape, bool), eff, base, lane.sn_scale)
+    assert np.array_equal(whole.view(np.uint64), want.view(np.uint64))
+    rng = np.random.default_rng(0)
+    for share in (0.05, 0.3):
+        pairs = rng.random(want.shape) < share
+        pairs[3, 7] = True
+        part = np.full(want.shape, -np.inf)
+        group._score(part, pairs, eff, base, lane.sn_scale)
+        assert np.array_equal(part[pairs].view(np.uint64),
+                              want[pairs].view(np.uint64))
+        assert np.all(part[~pairs] == -np.inf)
+
+
+def test_a_band_that_keeps_every_entry_picks_the_same_precoders(
+        monkeypatch):
+    cfg = preset("small").replace(ue_velocity=120.0, n_tti=3, seed=2)
+    p_own = []
+    for band in (engine._SCREEN_BAND, 1e9):
+        monkeypatch.setattr(engine, "_SCREEN_BAND", band)
+        group, lanes = _link_layer(cfg, ("LPOL", "XPOL"))
+        group.bootstrap(lanes)
+        stats = group.select_stats
+        p_own.append([lane.p_own.view(np.uint8) for lane in lanes])
+    # every entry survived the wide band, and a few per UE the default one
+    assert stats["survivors"] == stats["decisions"] * len(group.cand)
+    assert stats["fallbacks"] == 0
+    for want, got in zip(*p_own):
+        assert np.array_equal(got, want)
+
+
+def test_a_screen_that_misses_falls_back_to_every_entry(monkeypatch):
+    cfg = preset("small").replace(ue_velocity=120.0, n_tti=3, seed=4)
+    real_screen = engine._Group._screen
+
+    def screen(group, *args):
+        # the first UE of each block screens its worst entry above its best
+        # by twice the band, so the entries near its best drop out
+        s = real_screen(group, *args)
+        best = s[0].max()
+        s[0, s[0].argmin()] = best \
+            + 2 * engine._SCREEN_BAND * max(abs(best), 1.0)
+        return s
+
+    monkeypatch.setattr(engine._Group, "_screen", screen)
+    group, (lane,) = _link_layer(cfg, ("XPOL",))
+    group.bootstrap([lane])
+    assert group.select_stats["fallbacks"] == len(group.blocks)
+    assert np.array_equal(lane.p_own, _bootstrap_choice(group, lane))
+
+
+def test_the_trend_sweep_selects_without_fallbacks(trend_sweep):
+    # one (velocity, seed) group each, every entry it drops being far
+    # outside the band
+    assert len(trend_sweep.select_stats) == 10
+    for stats in trend_sweep.select_stats:
+        assert stats["decisions"] > 0
+        assert stats["fallbacks"] == 0
+        assert stats["screen gap"] < engine._SCREEN_BAND / 100
