@@ -102,9 +102,9 @@ def mmse_batch_last(effective, covariance, out=None):
     which only the lower triangle is read, and which L's lower triangle
     overwrites. u = ||L^-1 a||^2, by forward substitution into ``out``
     (complex128, ``effective``'s shape; made if not given). Each step is
-    one ufunc over the contiguous batch, not a call per matrix, so the
-    bits differ from the per-matrix inverse's in the last places. Returns
-    u, (n_layers, *batch) float64.
+    one ufunc over the contiguous batch, not a call per matrix, and its
+    bits differ from those of ``mmse_sinr_from_covariance``'s inverse.
+    Returns u, (n_layers, *batch) float64.
     """
     n_rx = covariance.shape[0]
     low = covariance

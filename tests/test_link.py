@@ -10,7 +10,8 @@ from mmwsim import (LinkAbstractionError, ScenarioConfig, build_codebook,
                     noise_power_w, sinr_to_rate)
 from mmwsim.config import TTI_DURATION
 from mmwsim.engine import _Group, _Linkset, _ue_blocks
-from mmwsim.link import mmse_sinr_from_covariance, stack_codebook
+from mmwsim.link import mmse_batch_last, mmse_sinr_from_covariance, \
+    stack_codebook
 
 
 def test_noise_power_oracle():
@@ -91,6 +92,33 @@ def test_mmse_sinr_zero_columns_score_zero():
     cov = np.eye(2, dtype=complex) * 2.0
     sinr = mmse_sinr_from_covariance(eff, cov)
     assert sinr[1] == 0.0
+
+
+@pytest.mark.parametrize("n_rx,n_layers", [(1, 1), (2, 2), (4, 4), (4, 2)])
+def test_batch_last_mmse_matches_the_per_matrix_inverse(n_rx, n_layers):
+    # random Hermitian covariances with the columns' own signal included,
+    # conditioned up to about 1e6; the factorisation re-associates the
+    # arithmetic, so u agrees to a tolerance set by complex128 and the
+    # condition number, not bit for bit
+    rng = np.random.default_rng(n_rx * 10 + n_layers)
+    batch = (3, 7)
+    eff = rng.standard_normal((n_rx, n_layers) + batch) \
+        + 1j * rng.standard_normal((n_rx, n_layers) + batch)
+    eff *= 10.0 ** rng.uniform(-3.0, 3.0, batch)
+    eff[:, -1, 0] = 0.0                  # a zero column scores zero
+    noise = rng.standard_normal((n_rx, n_rx + 1) + batch) \
+        + 1j * rng.standard_normal((n_rx, n_rx + 1) + batch)
+    cov = np.einsum("ik...,jk...->ij...", eff, eff.conj()) \
+        + np.einsum("ik...,jk...->ij...", noise, noise.conj())
+    per_matrix = np.moveaxis(cov, (0, 1), (-2, -1))
+    sinr = mmse_sinr_from_covariance(np.moveaxis(eff, (0, 1), (-2, -1)),
+                                     per_matrix)
+    want = np.moveaxis(sinr / (1.0 + sinr), -1, 0)
+    low = np.tril(np.ones((n_rx, n_rx), bool))[:, :, None, None]
+    u = mmse_batch_last(eff, np.where(low, cov, np.nan))
+    assert u.shape == want.shape
+    assert np.all(u[-1, 0] == 0.0)
+    assert u == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def _group(n_keep=1, **changes):
