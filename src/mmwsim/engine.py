@@ -508,9 +508,10 @@ class _Group:
     def _work(self):
         """Flat complex64 buffers, of even sizes, with room for any block's
         bank buffers (see ``_ChannelBank.buffers``), precoded links ``b``,
-        their conjugates ``bh`` and products ``g``, or its candidates in
-        selection, followed in ``b`` by the screen's complex128 whitened
-        columns, while its complex128 covariances take a view of ``bh``."""
+        their conjugates ``bh`` and products ``g``, or its selection arrays:
+        the candidates' products in ``b``, followed by the screen's
+        whitened columns, and complex128 views of ``g`` for the products'
+        own covariances and of ``bh`` for the screen's covariances."""
         cfg = self.cfg
         n_links = max(b.links.stop - b.links.start for b in self.blocks)
         n_sel = self.block_ues * len(self.cand) * len(self.select_rb) \
