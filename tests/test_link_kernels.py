@@ -249,7 +249,7 @@ def test_a_band_that_keeps_every_entry_picks_the_same_precoders(
         group.bootstrap(lanes)
         stats = group.select_stats
         p_own.append([lane.p_own.view(np.uint8) for lane in lanes])
-    # every entry survived the wide band, and a few per UE the default one
+    # every entry survived the wide band
     assert stats["survivors"] == stats["decisions"] * len(group.cand)
     assert stats["fallbacks"] == 0
     for want, got in zip(*p_own):
@@ -277,8 +277,8 @@ def test_a_screen_that_misses_falls_back_to_every_entry(monkeypatch):
 
 
 def test_the_trend_sweep_selects_without_fallbacks(trend_sweep):
-    # one (velocity, seed) group each, every entry it drops being far
-    # outside the band
+    # ten (velocity, seed) groups: none falls back, and the survivors'
+    # screened scores stay within a hundredth of the band of their exact ones
     assert len(trend_sweep.select_stats) == 10
     for stats in trend_sweep.select_stats:
         assert stats["decisions"] > 0
