@@ -36,8 +36,8 @@ from .scheduler import (SchedulerError, schedule_pf, schedule_rr,
                         update_average_throughput)
 from .kpi import (AllZeroThroughputError, KpiError, KpiRecord,
                   average_ue_throughput, jain_fairness, spectral_efficiency)
-from .engine import (RESULT_COLUMNS, EngineError, ResultsTable, emit_csv,
-                     run_simulation, run_sweep)
+from .engine import EngineError, run_simulation
+from .sweep import RESULT_COLUMNS, ResultsTable, emit_csv, run_sweep
 
 __all__ = [
     "__version__",

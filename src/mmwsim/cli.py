@@ -21,8 +21,8 @@ from .channel import _cpu_count
 from .config import DEFAULT_SWEEP_SEEDS, DEFAULT_SWEEP_VELOCITIES, \
     POLARIZATIONS, SCHEDULERS, ScenarioError, _parse_value, load_scenario, \
     preset
-from .engine import EngineError, ResultsTable, _sweep_metadata, emit_csv, \
-    run_simulation, run_sweep
+from .engine import EngineError, run_simulation
+from .sweep import ResultsTable, _sweep_metadata, emit_csv, run_sweep
 
 
 def _int_list(text):

@@ -41,7 +41,7 @@ def trend_sweep():
     log_stages = engine._log_stages
 
     def keep_stats(cfg, group):
-        select_stats.append(dict(group.select_stats))
+        select_stats.append(dict(group.link.select_stats))
         log_stages(cfg, group)
 
     with pytest.MonkeyPatch.context() as patch:

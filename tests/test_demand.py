@@ -11,6 +11,7 @@ import pytest
 
 import mmwsim.channel as channel
 import mmwsim.engine as engine
+import mmwsim.link as link
 from mmwsim import preset
 from mmwsim.link import build_codebook
 
@@ -33,7 +34,7 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
     # 21 UEs in blocks of 4: five full blocks and an uneven last one
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
     real_schedule, real_account = engine._Lane.schedule, engine._Lane.account
-    real_interference = engine._Group.interference
+    real_interference = link._LinkLayer.interference
     dense, tti, r_int, rates, checked = [True], {}, {}, {}, []
 
     def schedule(lane, t, group):
@@ -42,10 +43,10 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
         if dense[0]:
             lane.pairs = None
 
-    def interference(group, lane, h, port, block, psched=None):
+    def interference(layer, lane, h, port, block, psched=None):
         """Each block's covariances at the lane's pairs equal the dense
         block's; nothing may read an unmeasured pair."""
-        real_interference(group, lane, h, port, block, psched)
+        real_interference(layer, lane, h, port, block, psched)
         lo, hi = block.ues.start, block.ues.stop
         key = lane.cfg.scheduler, tti.get(lane.cfg.scheduler), lo
         if dense[0]:
@@ -79,7 +80,7 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
         real_account(lane)
 
     monkeypatch.setattr(engine._Lane, "schedule", schedule)
-    monkeypatch.setattr(engine._Group, "interference", interference)
+    monkeypatch.setattr(link._LinkLayer, "interference", interference)
     monkeypatch.setattr(engine._Lane, "account", account)
     cfgs = [cfg.replace(scheduler=s) for s in ("RR", "PF")]
     want = engine._run_lanes(cfgs)
@@ -152,19 +153,19 @@ def test_a_frozen_bank_keeps_no_sinusoids_and_never_moves():
 
 def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
     calls = []
-    real_candidates, real_select = engine._Group._candidates, \
-        engine._Group.select
+    real_candidates, real_select = link._LinkLayer._candidates, \
+        link._LinkLayer.select
 
-    def candidates(group, h_sel):
+    def candidates(layer, h_sel):
         calls.append("products")
-        return real_candidates(group, h_sel)
+        return real_candidates(layer, h_sel)
 
-    def select(group, lanes, block, h_serv):
+    def select(layer, lanes, block, h_serv):
         calls.append(len(lanes))
-        return real_select(group, lanes, block, h_serv)
+        return real_select(layer, lanes, block, h_serv)
 
-    monkeypatch.setattr(engine._Group, "_candidates", candidates)
-    monkeypatch.setattr(engine._Group, "select", select)
+    monkeypatch.setattr(link._LinkLayer, "_candidates", candidates)
+    monkeypatch.setattr(link._LinkLayer, "select", select)
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 36 * 9 * 50 * 16 * 8)
     # 42 UEs in blocks of 36 and 6; CSI TTIs: the bootstrap, then after TTIs
     # 1 and 3 but not after the last one, 5

@@ -18,6 +18,8 @@ import pytest
 
 import mmwsim.channel
 import mmwsim.engine
+import mmwsim.link
+import mmwsim.sweep
 from mmwsim import (EngineError, KpiRecord, ResultsTable, emit_csv,
                     expand_sweep, preset, run_simulation, run_sweep,
                     RESULT_COLUMNS)
@@ -126,7 +128,7 @@ def test_bootstrap_errors_are_labelled(monkeypatch):
     def boom(self, *args):
         raise FloatingPointError("overflow in rate computation")
 
-    monkeypatch.setattr(mmwsim.engine._Group, "rates", boom)
+    monkeypatch.setattr(mmwsim.link._LinkLayer, "rates", boom)
     with pytest.raises(EngineError, match="tti 0 .csi bootstrap."):
         run_simulation(cfg)
 
@@ -150,7 +152,7 @@ def test_run_sweep_grid_and_metadata():
 def test_run_sweep_rejects_a_parallelism_that_is_no_int_of_one_or_more(
         parallelism, monkeypatch):
     ran = []
-    monkeypatch.setattr(mmwsim.engine, "_run_group", ran.append)
+    monkeypatch.setattr(mmwsim.sweep, "_run_group", ran.append)
     with pytest.raises(ValueError, match=re.escape(repr(parallelism))):
         run_sweep(tiny_config(n_tti=1), velocities=[0.0, 60.0, 120.0, 30.0],
                   schedulers=["RR"], polarizations=["LPOL"], seeds=[1],

@@ -5,6 +5,7 @@ bit."""
 import pytest
 
 import mmwsim.engine as engine
+import mmwsim.sweep as sweep
 from mmwsim import expand_sweep, preset, run_simulation, run_sweep
 from mmwsim.channel import _ChannelBank
 from test_golden import GOLDEN, _config, _kpis
@@ -60,7 +61,7 @@ def test_groups_split_by_polarization_until_every_worker_has_work():
     points = expand_sweep(preset("small"), seeds=[1], **AXES)
 
     def shape(n_workers):
-        groups = engine._sweep_groups(points, n_workers)
+        groups = sweep._sweep_groups(points, n_workers)
         assert sorted(i for g in groups for i in g) == list(range(8))
         for g in groups:
             assert len({(points[i].ue_velocity, points[i].seed)

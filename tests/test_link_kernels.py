@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mmwsim.engine as engine
+import mmwsim.link as link
 from mmwsim import preset
 from mmwsim.channel import freq_mixing_kernel, mix_taps
 from mmwsim.config import TTI_DURATION
@@ -36,26 +37,26 @@ def interference_oracle(links, h, psched):
     return total - g[starts]
 
 
-def rates_oracle(group, h_serv, r_int, p_own, sn_scale):
+def rates_oracle(layer, h_serv, r_int, p_own, sn_scale):
     eff = h_serv @ p_own[:, None]
     own = eff @ eff.conj().swapaxes(-1, -2)
-    cov = group._with_noise(r_int + own, sn_scale)
+    cov = layer._with_noise(r_int + own, sn_scale)
     sinr = mmse_sinr_from_covariance(eff, cov)
-    cfg = group.cfg
+    cfg = layer.cfg
     return sinr_to_rate(sinr, cfg.rb_bandwidth, TTI_DURATION,
                         cfg.shannon_efficiency,
                         cfg.spectral_efficiency_cap).sum(axis=-1)
 
 
-def select_oracle(group, h_serv, r_int, sn_scale):
-    h_sel = h_serv[:, group.select_rb]
-    eff = h_sel[:, None] @ group.cand[None, :, None]
+def select_oracle(layer, h_serv, r_int, sn_scale):
+    h_sel = h_serv[:, layer.select_rb]
+    eff = h_sel[:, None] @ layer.cand[None, :, None]
     own = eff @ eff.conj().swapaxes(-1, -2)
-    base = group._with_noise(r_int[:, group.select_rb], sn_scale)
+    base = layer._with_noise(r_int[:, layer.select_rb], sn_scale)
     sinr = mmse_sinr_from_covariance(eff, base[:, None] + sn_scale * own)
     score = np.log2(1.0 + sinr).sum(axis=(2, 3))
     best = score.max(axis=1, keepdims=True)
-    return np.argmax(score >= best - engine._SELECT_MARGIN, axis=1)
+    return np.argmax(score >= best - link._SELECT_MARGIN, axis=1)
 
 
 @pytest.mark.parametrize("n_rb", [1, 7, 50])
@@ -89,7 +90,7 @@ def test_segment_sums_match_reduceat_bit_for_bit():
         flat[rng.integers(0, flat.size, 20)] = complex(-0.0, -0.0)
         flat[rng.integers(0, flat.size, 20)] = 0.0
         want = np.add.reduceat(g, np.arange(0, len(g), n_keep), axis=0)
-        got = engine._segment_sums(g, n_keep)
+        got = link._segment_sums(g, n_keep)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
             n_keep
@@ -123,7 +124,7 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
         == [4, 4, 4, 4, 4, 1]
 
     rng = np.random.default_rng(n_tx * 10 + n_rx)
-    cand = group.cand
+    cand = group.link.cand
     for lane in lanes:
         lane.p_own[:] = cand[rng.integers(0, len(cand),
                                           links.serving.shape[0])]
@@ -135,15 +136,15 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
     # the pass rates every block of every lane: record the block's serving
     # channel, covariances and bits as it does
     seen = []
-    real_rates = engine._Group.rates
+    real_rates = link._LinkLayer.rates
 
-    def rates(group, lane, block, h_serv):
-        real_rates(group, lane, block, h_serv)
+    def rates(layer, lane, block, h_serv):
+        real_rates(layer, lane, block, h_serv)
         n = block.ues.stop - block.ues.start
         seen.append((h_serv.copy(), lane.r_int[:n].copy(),
                      lane.csi_rates[block.ues].copy()))
 
-    monkeypatch.setattr(engine._Group, "rates", rates)
+    monkeypatch.setattr(link._LinkLayer, "rates", rates)
     for tti in range(2):
         if tti:
             bank.advance()
@@ -160,10 +161,10 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
             assert np.array_equal(got[0], h_serv)
             assert np.array_equal(got[1], r_int)
             assert np.array_equal(got[2], rates_oracle(
-                group, h_serv, r_int, p_own[i], lane.sn_scale))
+                group.link, h_serv, r_int, p_own[i], lane.sn_scale))
             assert np.array_equal(
                 lane.p_own,
-                cand[select_oracle(group, h_serv, r_int, lane.sn_scale)])
+                cand[select_oracle(group.link, h_serv, r_int, lane.sn_scale)])
 
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
@@ -206,8 +207,8 @@ def _bootstrap_choice(group, lane):
     psched = np.broadcast_to(group.iso, (group.n_cells, group.cfg.n_rb)
                              + group.iso.shape)
     r_int = interference_oracle(links, h, psched)
-    return group.cand[select_oracle(group, h[::links.n_keep], r_int,
-                                    lane.sn_scale)]
+    return group.link.cand[select_oracle(group.link, h[::links.n_keep],
+                                         r_int, lane.sn_scale)]
 
 
 def test_exact_scores_of_a_subset_equal_the_whole_evaluation():
@@ -220,20 +221,21 @@ def test_exact_scores_of_a_subset_equal_the_whole_evaluation():
     port = group.bank.coupling(lane.pol, block.links)[:, None, None]
     n_keep = group.links.n_keep
     h_serv = np.multiply(h[::n_keep], port[::n_keep], out=group.h_serv[:n])
-    group.interference(lane, h, port, block)
-    eff, _ = group._candidates(h_serv[:, group.select_rb])
-    base = group._with_noise(lane.r_int[:n, group.select_rb], lane.sn_scale)
+    layer = group.link
+    layer.interference(lane, h, port, block)
+    eff, _ = layer._candidates(h_serv[:, layer.select_rb])
+    base = layer._with_noise(lane.r_int[:n, layer.select_rb], lane.sn_scale)
     want = scores_oracle(eff, base, lane.sn_scale)
 
     whole = np.full(want.shape, -np.inf)
-    group._score(whole, np.ones(want.shape, bool), eff, base, lane.sn_scale)
+    layer._score(whole, np.ones(want.shape, bool), eff, base, lane.sn_scale)
     assert np.array_equal(whole.view(np.uint64), want.view(np.uint64))
     rng = np.random.default_rng(0)
     for share in (0.05, 0.3):
         pairs = rng.random(want.shape) < share
         pairs[3, 7] = True
         part = np.full(want.shape, -np.inf)
-        group._score(part, pairs, eff, base, lane.sn_scale)
+        layer._score(part, pairs, eff, base, lane.sn_scale)
         assert np.array_equal(part[pairs].view(np.uint64),
                               want[pairs].view(np.uint64))
         assert np.all(part[~pairs] == -np.inf)
@@ -243,14 +245,14 @@ def test_a_band_that_keeps_every_entry_picks_the_same_precoders(
         monkeypatch):
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=3, seed=2)
     p_own = []
-    for band in (engine._SCREEN_BAND, 1e9):
-        monkeypatch.setattr(engine, "_SCREEN_BAND", band)
+    for band in (link._SCREEN_BAND, 1e9):
+        monkeypatch.setattr(link, "_SCREEN_BAND", band)
         group, lanes = _link_layer(cfg, ("LPOL", "XPOL"))
         group.bootstrap(lanes)
-        stats = group.select_stats
+        stats = group.link.select_stats
         p_own.append([lane.p_own.view(np.uint8) for lane in lanes])
     # every entry survived the wide band
-    assert stats["survivors"] == stats["decisions"] * len(group.cand)
+    assert stats["survivors"] == stats["decisions"] * len(group.link.cand)
     assert stats["fallbacks"] == 0
     for want, got in zip(*p_own):
         assert np.array_equal(got, want)
@@ -258,21 +260,21 @@ def test_a_band_that_keeps_every_entry_picks_the_same_precoders(
 
 def test_a_screen_that_misses_falls_back_to_every_entry(monkeypatch):
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=3, seed=4)
-    real_screen = engine._Group._screen
+    real_screen = link._LinkLayer._screen
 
-    def screen(group, *args):
+    def screen(layer, *args):
         # the first UE of each block screens its worst entry above its best
         # by twice the band, so the entries near its best drop out
-        s = real_screen(group, *args)
+        s = real_screen(layer, *args)
         best = s[0].max()
         s[0, s[0].argmin()] = best \
-            + 2 * engine._SCREEN_BAND * max(abs(best), 1.0)
+            + 2 * link._SCREEN_BAND * max(abs(best), 1.0)
         return s
 
-    monkeypatch.setattr(engine._Group, "_screen", screen)
+    monkeypatch.setattr(link._LinkLayer, "_screen", screen)
     group, (lane,) = _link_layer(cfg, ("XPOL",))
     group.bootstrap([lane])
-    assert group.select_stats["fallbacks"] == len(group.blocks)
+    assert group.link.select_stats["fallbacks"] == len(group.blocks)
     assert np.array_equal(lane.p_own, _bootstrap_choice(group, lane))
 
 
@@ -283,4 +285,4 @@ def test_the_trend_sweep_selects_without_fallbacks(trend_sweep):
     for stats in trend_sweep.select_stats:
         assert stats["decisions"] > 0
         assert stats["fallbacks"] == 0
-        assert stats["screen gap"] < engine._SCREEN_BAND / 100
+        assert stats["screen gap"] < link._SCREEN_BAND / 100

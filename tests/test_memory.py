@@ -21,8 +21,8 @@ _PEAK_BUDGETS = 6
 def _cov_bytes(group):
     """Bytes of one UE's complex128 candidate covariances in ``select``."""
     cfg = group.cfg
-    return len(group.cand) * len(group.select_rb) * cfg.n_rx * cfg.n_rx \
-        * np.dtype(np.complex128).itemsize
+    return len(group.link.cand) * len(group.link.select_rb) * cfg.n_rx \
+        * cfg.n_rx * np.dtype(np.complex128).itemsize
 
 
 def _traced_peak(call, *args):
@@ -83,7 +83,7 @@ def test_no_group_or_lane_array_spans_the_network():
     # is per UE, per cell or per block
     matrix = max(cfg.n_rx, cfg.n_tx) ** 2 * np.dtype(np.complex64).itemsize
     network = len(group.xy) * cfg.n_rb * matrix
-    for owner in (group, *lanes):
+    for owner in (group, group.link, *lanes):
         for name, value in vars(owner).items():
             values = value.values() if isinstance(value, dict) else [value]
             for a in values:
@@ -123,7 +123,8 @@ def test_a_blocks_buffers_come_to_about_four_budgets():
     # ports; the channel, precoded links, their conjugates and products
     # take about a budget each, the tap sums and specular terms the rest
     group = engine._Group(preset("small").replace(ues_per_sector=30))
-    work = sum(a.nbytes for a in group.work.values())
+    work = sum(a.nbytes for buffers in (group.work, group.link.work)
+               for a in buffers.values())
     assert work <= 4.5 * 2 ** 20
     assert work <= 4.5 * engine._BLOCK_BYTES
 
