@@ -196,8 +196,11 @@ def depolarization_coherence(f_d, depol_coherence_time):
 
 
 def _cpu_count():
-    """The number of CPUs this process may run on, read at every call."""
-    return len(os.sched_getaffinity(0))
+    """The number of CPUs this process may run on, read at every call, or
+    the machine's where the OS cannot tell (macOS has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _link_parts(n_links):

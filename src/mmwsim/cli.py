@@ -6,8 +6,8 @@ and writes the results table as CSV (plus a JSON metadata sidecar).
 
 Exit codes: 0 success, 1 configuration/usage error or an output path that
 cannot be written (checked before anything runs, so no result is lost), 2
-sweep finished with failed points or was stopped by a crashed worker
-process. Set MMWSIM_LOG=info for progress logging, or debug to add each
+sweep finished with failed points, among them any point left unfinished
+by a worker process that died. Set MMWSIM_LOG=info for progress logging, or debug to add each
 sweep group's seconds per stage and precoder-selection counters; an
 unknown level is a configuration error.
 """
@@ -188,9 +188,6 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
-    except EngineError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
 
     emit_csv(table, out)
     print(f"sweep: {len(table.records)} points ok, {len(failures)} failed; "

@@ -253,7 +253,7 @@ class _Group:
             raise EngineError("no UEs attached to the collected cells")
 
         f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
-        self.clock.start()
+        self.clock.lap("setup")
         self.bank = _ChannelBank(cfg, links, f_d)
         self.clock.lap("bank build")
 
@@ -481,11 +481,11 @@ def _run_lanes(cfgs, trace_dir=None):
                 clock.lap("advance")
                 for lane in lanes:
                     lane.schedule(t, group)
-                clock.lap("schedule and account")
+                clock.lap("schedule")
                 group.measure(lanes, select=_selects(cfg, t), gains=gains)
                 for lane in lanes:
                     lane.account()
-                clock.lap("schedule and account")
+                clock.lap("account")
             except EngineError:
                 raise
             except Exception as exc:

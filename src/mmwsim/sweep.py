@@ -59,10 +59,12 @@ def _run_group(cfgs):
                      "them one by one", len(cfgs), type(exc).__name__, exc)
             return [outcome for cfg in cfgs for outcome in _run_group([cfg])]
         (cfg,) = cfgs
-        label = (f"scheduler={cfg.scheduler} "
-                 f"polarization={cfg.ue_polarization} "
-                 f"velocity={cfg.ue_velocity:g} seed={cfg.seed}")
-        return [("error", f"{label}: {type(exc).__name__}: {exc}")]
+        return [("error", f"{_label(cfg)}: {type(exc).__name__}: {exc}")]
+
+
+def _label(cfg):
+    return (f"scheduler={cfg.scheduler} polarization={cfg.ue_polarization} "
+            f"velocity={cfg.ue_velocity:g} seed={cfg.seed}")
 
 
 def _sweep_groups(points, n_workers):
@@ -96,9 +98,10 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
     whatever the grouping or ``parallelism``. Workers take whole groups,
     split only when there are fewer groups than workers. Failed points are
     returned and listed under ``failures`` in the table's metadata. A worker
-    process that dies mid-group breaks the pool, and the sweep stops with
-    an ``EngineError``. An exception that interrupts the wait for the
-    workers, such as ``KeyboardInterrupt``, ends them before it propagates.
+    process that dies breaks the pool: the groups that finished keep their
+    records, and every point left unfinished fails as ``<point>: worker
+    process died``. An exception that interrupts the wait for the workers,
+    such as ``KeyboardInterrupt``, ends them before it propagates.
     ``parallelism``, the most worker processes to use, must be an int of at
     least 1; anything else, a bool included, raises ``ValueError``.
     """
@@ -116,17 +119,23 @@ def run_sweep(base, velocities=None, polarizations=None, schedulers=None,
         # imported here: only a parallel sweep needs the process pool, and
         # importing it adds about twenty modules to every import of mmwsim
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
         pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"))
         try:
-            results = list(pool.map(_run_group, tasks))
-        except BrokenProcessPool as exc:
-            raise engine.EngineError(
-                f"sweep aborted, worker pool broken: "
-                f"{type(exc).__name__}: {exc}") from exc
+            futures = {pool.submit(_run_group, task): n
+                       for n, task in enumerate(tasks)}
+            results = [None] * len(tasks)
+            for done, future in enumerate(as_completed(futures), 1):
+                n = futures[future]
+                try:
+                    results[n] = future.result()
+                except BrokenProcessPool:
+                    results[n] = [("error", f"{_label(c)}: worker process died")
+                                  for c in tasks[n]]
+                log.info("sweep: %d of %d groups done", done, len(tasks))
         except BaseException:
             # the wait was interrupted (a signal handler raised, or
             # Ctrl-C): end this pool's workers, which may never return,

@@ -1,6 +1,7 @@
 """Pathloss, LOS probability, Doppler and the sum-of-sinusoids fading bank."""
 
 import math
+import os
 import sys
 import threading
 
@@ -9,7 +10,7 @@ import pytest
 
 import mmwsim.channel as channel
 from mmwsim import (ChannelModelError, ScenarioConfig, doppler_frequency,
-                    los_probability, pathloss_uma, preset)
+                    los_probability, pathloss_uma, preset, run_simulation)
 from mmwsim.channel import (N_SINUSOIDS, _PHASOR_CHUNK, _ChannelBank,
                             depolarization_coherence, freq_mixing_kernel,
                             sinusoids)
@@ -292,6 +293,16 @@ def test_link_parts_are_whole_chunks_covering_every_link(monkeypatch):
     # seven chunks in four parts
     assert channel._link_parts(200) == [slice(0, 32), slice(32, 96),
                                         slice(96, 160), slice(160, 200)]
+
+
+def test_a_run_without_cpu_affinity_counts_the_machines_cpus(monkeypatch):
+    # as on macOS, whose os module has no sched_getaffinity
+    cfg = preset("small").replace(n_site_rings=1, ues_per_sector=1, n_tti=2,
+                                  ue_velocity=120.0)
+    want = run_simulation(cfg)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert channel._cpu_count() == os.cpu_count()
+    assert run_simulation(cfg) == want
 
 
 def test_bank_threads_end_with_the_call(monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import faulthandler
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -131,6 +132,26 @@ def test_bootstrap_errors_are_labelled(monkeypatch):
     monkeypatch.setattr(mmwsim.link._LinkLayer, "rates", boom)
     with pytest.raises(EngineError, match="tti 0 .csi bootstrap."):
         run_simulation(cfg)
+
+
+def test_a_group_books_every_stage_of_a_run(monkeypatch):
+    # one lane at 120 kmph that updates its precoders after TTIs 0 and 1
+    cfg = preset("small").replace(ue_velocity=120.0, n_tti=3,
+                                  csi_period_tti=1)
+    seconds = []
+    log_stages = mmwsim.engine._log_stages
+
+    def keep_seconds(cfg, group):
+        seconds.append(dict(group.clock.seconds))
+        log_stages(cfg, group)
+
+    monkeypatch.setattr(mmwsim.engine, "_log_stages", keep_seconds)
+    run_simulation(cfg)
+    (stages,) = seconds
+    assert set(stages) == {
+        "setup", "bank build", "channel", "interference", "rates",
+        "select screen", "select exact", "advance", "schedule", "account"}
+    assert all(s > 0.0 for s in stages.values()), stages
 
 
 def test_run_sweep_grid_and_metadata():
@@ -265,21 +286,52 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
-def test_crashed_worker_stops_the_sweep(monkeypatch, alarm):
+class _OnGroupDone(logging.Handler):
+    """Sets ``event`` when this process logs that a sweep group is done."""
+
+    def __init__(self, event):
+        super().__init__()
+        self.event, self.pid = event, os.getpid()
+
+    def emit(self, record):
+        if os.getpid() == self.pid and "groups done" in record.getMessage():
+            self.event.set()
+
+
+def test_a_dead_worker_fails_its_points_and_keeps_the_finished_groups(
+        monkeypatch, alarm):
     cfg = tiny_config(n_tti=2)
+    kwargs = dict(velocities=[0.0], schedulers=["RR"], polarizations=["LPOL"])
     real = mmwsim.engine._run_lanes
+    reported = multiprocessing.get_context("fork").Event()
 
     def crash_on_seed_2(cfgs, trace_dir=None):
         if any(c.seed == 2 for c in cfgs):
-            os._exit(3)   # the worker dies without reporting back
+            # the worker dies without reporting back, once the sweep holds
+            # the other group's records
+            reported.wait(60)
+            os._exit(3)
         return real(cfgs, trace_dir)
 
     # forked workers inherit the patched engine
     monkeypatch.setattr(mmwsim.engine, "_run_lanes", crash_on_seed_2)
-    alarm(60)
-    with pytest.raises(EngineError, match="BrokenProcessPool"):
-        run_sweep(cfg, velocities=[0.0], schedulers=["RR"],
-                  polarizations=["LPOL"], seeds=[1, 2], parallelism=2)
+    logger = logging.getLogger("mmwsim")
+    monkeypatch.setattr(logger, "handlers", [_OnGroupDone(reported)])
+    monkeypatch.setattr(logger, "propagate", False)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    alarm(120)
+    try:
+        table, failures = run_sweep(cfg, seeds=[1, 2], parallelism=2,
+                                    **kwargs)
+    finally:
+        logger.setLevel(level)
+    assert reported.is_set()
+    assert failures == ["scheduler=RR polarization=LPOL velocity=0 seed=2: "
+                        "worker process died"]
+    assert table.metadata["failures"] == failures
+    assert table.records == [run_simulation(p)
+                             for p in expand_sweep(cfg, seeds=[1], **kwargs)]
 
 
 def test_an_interrupted_sweep_ends_its_own_workers(monkeypatch):
