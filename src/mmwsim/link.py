@@ -17,11 +17,10 @@ reference are tied to these exact floating-point operations, including
 the OpenBLAS kernels that run them. So speed comes from issuing the same
 operations more cheaply: stacking the matrices that share a right-hand
 factor into one gemm (each row of a gemm gets the same bits whatever the
-row count), keeping every gemm small enough that OpenBLAS runs it on
-the calling thread, and replaying ``np.add.reduceat``'s additions in its
-own order over whole arrays (``_segment_sums``). ``b @ b^H`` per matrix
-and ``np.linalg.inv`` are kept wherever their results reach a rate or a
-pick, because their stacked or re-associated forms change bits.
+row count) and keeping every gemm small enough that OpenBLAS runs it on
+the calling thread. ``b @ b^H`` per matrix and ``np.linalg.inv`` are
+kept wherever their results reach a rate or a pick, because their
+stacked or re-associated forms change bits.
 
 Precoder selection is the one stage whose arithmetic is free: only the
 chosen entry's index leaves it. So it screens every entry with the
@@ -207,61 +206,6 @@ def _stacked_matmul(a, p, out=None):
     return rows.reshape(rows.shape[:-2] + a.shape[-3:-1] + p.shape[-1:])
 
 
-def _fold(v, items):
-    """The items ``v[:, i]`` for ``i`` in ``items`` (one at least), added
-    left to right into a new array."""
-    first, *rest = items
-    if not rest:
-        return v[:, first].copy()
-    total = v[:, first] + v[:, rest[0]]
-    for i in rest[1:]:
-        total += v[:, i]
-    return total
-
-
-def _pairwise_sum(v, lo, m):
-    """The sum over axis 1 of the complex items ``v[:, lo:lo + m]`` (m >= 1),
-    as a new array, added in the order of numpy's ``pairwise_sum``: left to
-    right below 4 items; up to 64 items, four accumulators stepped by 4,
-    combined as (r0 + r1) + (r2 + r3), then the remainder left to right;
-    above that, the two halves numpy splits the items into, each summed
-    this way."""
-    if m < 4:
-        return _fold(v, range(lo, lo + m))
-    if m <= 64:
-        end = lo + m - m % 4
-        total = _fold(v, range(lo, end, 4))
-        total += _fold(v, range(lo + 1, end, 4))
-        pair = _fold(v, range(lo + 2, end, 4))
-        pair += _fold(v, range(lo + 3, end, 4))
-        total += pair
-        for i in range(end, lo + m):
-            total += v[:, i]
-        return total
-    half = (m - m % 8) // 2
-    total = _pairwise_sum(v, lo, half)
-    total += _pairwise_sum(v, lo + half, m - half)
-    return total
-
-
-def _segment_sums(g, n):
-    """``np.add.reduceat(g, np.arange(0, len(g), n), axis=0)`` to the last
-    bit, for a ``len(g)`` that is a multiple of ``n``.
-
-    reduceat sums each segment element by element: the segment's first
-    item plus the pairwise sum of the rest, one small inner loop per
-    element of the trailing axes. The same additions, in the same order,
-    on strided views of every segment at once take a few whole-array adds
-    (a + b and b + a are the same float, so sums are added in place).
-    """
-    v = g.reshape((-1, n) + g.shape[1:])
-    if n == 1:
-        return v[:, 0].copy()
-    total = _pairwise_sum(v, 1, n - 1)
-    total += v[:, 0]
-    return total
-
-
 class _LinkLayer:
     """The link kernels of a group and their buffers, built once.
 
@@ -349,8 +293,11 @@ class _LinkLayer:
         bh = np.conjugate(b, out=_front(self.work["bh"], b.shape))
         g = np.matmul(b, bh.swapaxes(-1, -2), out=_front(
             self.work["g"], b.shape[:-1] + b.shape[-2:-1]))
-        total = _segment_sums(g, self.links.n_keep)
-        return np.subtract(total, g[::self.links.n_keep],
+        n_keep = self.links.n_keep
+        # reduceat sums each segment pairwise; a strided .sum(axis=1)
+        # would add its items left to right, which changes bits
+        total = np.add.reduceat(g, np.arange(0, len(g), n_keep), axis=0)
+        return np.subtract(total, g[::n_keep],
                            out=total if out is None else out)
 
     def _with_noise(self, cov, sn_scale):

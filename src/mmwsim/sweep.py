@@ -179,7 +179,7 @@ def _sweep_metadata(base, points, failures=()):
     }
 
 
-def emit_csv(table, path, metadata_path=None):
+def emit_csv(table, path):
     """Write the results table as CSV plus a deterministic JSON sidecar.
 
     The CSV holds only the header and data rows. Run metadata (package
@@ -190,8 +190,7 @@ def emit_csv(table, path, metadata_path=None):
         fh.write(",".join(RESULT_COLUMNS) + "\n")
         for row in table.rows():
             fh.write(",".join(row) + "\n")
-    if metadata_path is None:
-        metadata_path = os.path.splitext(path)[0] + ".meta.json"
-    with open(metadata_path, "w", encoding="utf-8") as fh:
+    with open(os.path.splitext(path)[0] + ".meta.json", "w",
+              encoding="utf-8") as fh:
         json.dump(table.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -424,9 +424,10 @@ def test_emit_csv_contract(tmp_path):
 
     # re-emitting the same table is byte-identical
     again = tmp_path / "again.csv"
-    emit_csv(table, again, metadata_path=tmp_path / "m.json")
+    emit_csv(table, again)
     assert again.read_bytes() == data
-    assert (tmp_path / "m.json").exists()
+    assert (tmp_path / "again.meta.json").read_bytes() \
+        == meta_path.read_bytes()
 
 
 def test_emit_csv_empty_table_is_header_only(tmp_path):

@@ -77,25 +77,6 @@ def test_mix_taps_matches_tensordot(n_rb, n_rx, n_tx, n_links):
                           mix_taps_oracle(kernel, taps64))
 
 
-def test_segment_sums_match_reduceat_bit_for_bit():
-    # every branch of numpy's pairwise sum: under 4 items, blocks of 4 up
-    # to 64, and split halves above; signed zeros included
-    rng = np.random.default_rng(11)
-    for n_keep in range(1, 131):
-        shape = (5 * n_keep, 3, 2, 2)
-        mag = 10.0 ** rng.uniform(-8.0, 2.0, shape)
-        g = (mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))) \
-            .astype(np.complex64)
-        flat = g.reshape(-1)
-        flat[rng.integers(0, flat.size, 20)] = complex(-0.0, -0.0)
-        flat[rng.integers(0, flat.size, 20)] = 0.0
-        want = np.add.reduceat(g, np.arange(0, len(g), n_keep), axis=0)
-        got = link._segment_sums(g, n_keep)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
-            n_keep
-
-
 def _link_layer(cfg, polarizations):
     """The engine's shared group for ``cfg`` and one lane per polarization,
     built as a run builds them."""
