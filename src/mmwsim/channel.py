@@ -13,10 +13,10 @@ kernel. LOS links add a rank-one Rician specular term.
 draws every link's sinusoids, array phases and specular term from the
 link's keyed fading stream (:mod:`mmwsim.streams`), rotates them TTI by
 TTI, and, when a slice of links is read, sums and mixes them into its
-channel or into its receive-port coupling. At f_d = 0 the bank is static:
+channel or into its receive-port coupling. At f_d = 0 the bank is frozen:
 it still takes every draw, which fixes the stream layout, but makes no
-rotations, keeps only its sinusoids' sums, never advances, and mixes each
-link slice only once.
+rotations and never advances. Each of its sequences keeps one phasor, the
+sum of its sinusoids, which every read sums again like a moving bank's.
 
 The bank builds its sinusoids over contiguous link ranges, one per CPU
 this process may run on, on a thread pool made and shut down in the
@@ -158,6 +158,9 @@ def mix_taps(taps, kernel, out=None):
     """
     n_taps, n_rb = kernel.shape
     kern = kernel.astype(taps.dtype)
+    # the kernel's far tails are float32 subnormals: they slow the gemm
+    # several times over, and flushing them to 0 moves no pinned bit
+    kern[abs(kern) < np.finfo(kern.dtype).tiny] = 0
     rows = np.moveaxis(taps, 1, -1)
     lead = rows.shape[:-1]
     rows = rows.reshape(-1, n_taps)
@@ -242,9 +245,9 @@ class _ChannelBank:
     depolarization phase wander. The bank keeps only what the recurrence
     carries: the sinusoids ``state``, rotated in place by ``step``, the
     specular phasors and per-link constants; a slice's taps, specular
-    term and port coupling are built when it is read. A static bank
-    (f_d = 0) keeps each sequence's ``sums`` and each link slice's channel
-    instead: its ``state``, ``step`` and ``rice_step`` are None.
+    term and port coupling are built when it is read. A frozen bank
+    (f_d = 0) keeps each sequence's sinusoids already summed, one phasor on
+    the last axis of ``state``: its ``step`` and ``rice_step`` are None.
 
     Only the receive-port coupling depends on the receiver polarization:
     ``current`` returns the channel before it, and ``coupling`` gives it
@@ -265,9 +268,10 @@ class _ChannelBank:
         self.rice_state = np.empty(n_links, dtype=np.complex64)
         # at f_d = 0 every rotation would be exactly 1: none are made, and
         # each chunk's phasors are summed as they are built
-        self.state = self.step = self.rice_step = self.sums = None
+        self.step = self.rice_step = None
         if f_d == 0:
-            self.sums = np.empty((n_links, seq_shape[0]), dtype=np.complex64)
+            self.state = np.empty((n_links, seq_shape[0], 1),
+                                  dtype=np.complex64)
             scratch_types = (np.complex128, np.complex64)
         else:
             self.state = np.empty((n_links,) + seq_shape, dtype=np.complex64)
@@ -302,7 +306,7 @@ class _ChannelBank:
                     phasors = unit_phasor(phase, bufs[0])
                     phasors /= math.sqrt(N_SINUSOIDS)
                     bufs[1][...] = phasors
-                    bufs[1].sum(axis=-1, out=self.sums[chunk])
+                    bufs[1].sum(axis=-1, out=self.state[chunk, :, 0])
                 else:
                     self.state[chunk], self.step[chunk] = sinusoids(
                         f_d, theta.reshape((-1,) + seq_shape), phase, bufs)
@@ -330,26 +334,17 @@ class _ChannelBank:
         self.alpha_dep = depolarization_coherence(
             f_d, cfg.depol_coherence_time)
         self.port_parity = np.arange(self.n_tx) % 2
-        # a static bank keeps its channel as one array per link slice
-        self._static = {}
 
     def coherent_fraction_sq(self, pol):
         """Coherent power fraction at the receiver's slant (1 for LPOL)."""
         rho = math.radians(POL_SLANT_DEG[pol])
         return math.cos(rho) ** 2 + math.sin(rho) ** 2 * self.alpha_dep ** 2
 
-    def _sums(self, links, seqs, out=None):
-        """The sums of the sequences ``seqs`` of ``links``: a static bank's
-        ``sums``, or the sinusoids summed now, into ``out`` if given."""
-        if self.state is None:
-            return self.sums[links, seqs]
-        return self.state[links, seqs].sum(axis=-1, out=out)
-
     def coupling(self, pol, links):
         """The present TTI's receive-port coupling of a ``pol`` receiver on
         the link slice ``links``, (n, n_tx) complex64, from each link's
         leakage and wander sequences."""
-        leak, wander = self._sums(links, slice(-2, None)).T
+        leak, wander = self.state[links, -2:].sum(axis=-1).T
         leak = leak / np.maximum(np.abs(leak), 1e-30)
         depol = self.alpha_dep * (wander / np.maximum(np.abs(wander), 1e-30))
         coup = port_coupling_series(
@@ -370,32 +365,26 @@ class _ChannelBank:
         """The present TTI's channel on the link slice ``links`` before the
         receive-port coupling, (n, n_rb, n_rx, n_tx) with the RB axis
         innermost in memory: a ``pol`` receiver sees ``h * coupling(pol,
-        links)[:, None, None]``. It is built in the front of the flat
-        ``buffers`` (made if not given); a static bank mixes a slice into a
-        new array once, and returns it, read-only, on every later call."""
-        key = links.indices(self.n_links)
-        if key in self._static:
-            return self._static[key]
-        n = len(range(*key))
+        links)[:, None, None]``. It is built, for a frozen bank as for a
+        moving one, in the front of the flat ``buffers`` (made if not
+        given), which the next call overwrites."""
+        n = len(range(*links.indices(self.n_links)))
         buffers = buffers or self.buffers(n)
-        taps = self._sums(links, slice(self.n_scatter),
-                          _front(buffers["taps"], (n, self.n_scatter)))
+        taps = self.state[links, :self.n_scatter].sum(
+            axis=-1, out=_front(buffers["taps"], (n, self.n_scatter)))
         h = mix_taps(taps.reshape(n, self.n_taps, self.n_rx, self.n_tx),
-                     self.kernel, None if self.state is None else buffers["h"])
+                     self.kernel, buffers["h"])
         spec = _front(buffers["spec"], (n, self.n_rx, self.n_tx))
         rice = self.w_spec[links] * self.rice_state[links]
         np.multiply(rice[:, None, None] * self.a_rx[links, :, None],
                     self.a_tx[links, None, :], out=spec)
         np.multiply(self.w_scat[links, None, None, None], h, out=h)
         h += spec[:, None, :, :]
-        if self.state is None:
-            h.flags.writeable = False
-            self._static[key] = h
         return h
 
     def advance(self):
         """Rotate every sinusoid and specular phasor by its per-TTI step, in
-        place; a static bank (f_d = 0) does nothing."""
+        place; a frozen bank (f_d = 0) does nothing."""
         if self.step is None:
             return
         self.state *= self.step

@@ -99,16 +99,15 @@ def _apply_overrides(cfg, overrides):
     return cfg.replace(**changes) if changes else cfg
 
 
-def _print_record(record, out=None):
-    out = sys.stdout if out is None else out
-    out.write(f"scheduler={record.scheduler} "
-              f"polarization={record.polarization} "
-              f"velocity_kmph={record.velocity_kmph:g} "
-              f"seed={record.seed} n_ues={record.n_ues}\n")
-    out.write(f"avg_ue_throughput_mbps={record.avg_ue_throughput_mbps:.6g}\n")
-    out.write("spectral_efficiency_bps_hz="
-              f"{record.spectral_efficiency_bps_hz:.6g}\n")
-    out.write(f"fairness_index={record.fairness_index:.6g}\n")
+def _print_record(record):
+    print(f"scheduler={record.scheduler} "
+          f"polarization={record.polarization} "
+          f"velocity_kmph={record.velocity_kmph:g} "
+          f"seed={record.seed} n_ues={record.n_ues}")
+    print(f"avg_ue_throughput_mbps={record.avg_ue_throughput_mbps:.6g}")
+    print("spectral_efficiency_bps_hz="
+          f"{record.spectral_efficiency_bps_hz:.6g}")
+    print(f"fairness_index={record.fairness_index:.6g}")
 
 
 def _check_writable(*paths):

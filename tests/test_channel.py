@@ -228,28 +228,26 @@ def test_a_slice_couples_as_the_whole_bank_does(f_d):
                         (pol, n, lo, tti)
 
 
-def test_a_static_banks_block_is_read_only():
+def test_a_block_is_rebuilt_in_the_callers_buffer():
     block = slice(4, 9)
     # a moving block is rebuilt every TTI in the caller's buffer
     moving = _bank(3113.19, n_links=12, n_rb=3, n_rx=2, n_tx=4)
     buffers = moving.buffers(5)
     h = moving.current(block, buffers)
     assert h.flags.writeable and np.shares_memory(h, buffers["h"])
-    # a static block is the array every later TTI reads: a write raises
-    # instead of corrupting them
-    static = _bank(0.0, n_links=12, n_rb=3, n_rx=2, n_tx=4)
-    h = static.current(block, buffers)
-    want = h.copy()
-    assert not h.flags.writeable
-    with pytest.raises(ValueError):
-        h *= 2
-    static.advance()
-    assert static.current(block, buffers) is h
-    assert h.tobytes() == want.tobytes()
+    # so is a frozen one, which a write to the buffer leaves as it was
+    frozen = _bank(0.0, n_links=12, n_rb=3, n_rx=2, n_tx=4)
+    h = frozen.current(block, buffers)
+    assert h.flags.writeable and np.shares_memory(h, buffers["h"])
+    want = h.tobytes()
+    h *= 2
+    frozen.advance()
+    h = frozen.current(block, buffers)
+    assert np.shares_memory(h, buffers["h"])
+    assert h.tobytes() == want
 
 
-_BANK_ARRAYS = ("state", "step", "a_rx", "a_tx", "rice_state", "rice_step",
-                "sums")
+_BANK_ARRAYS = ("state", "step", "a_rx", "a_tx", "rice_state", "rice_step")
 
 
 # one part only (5, 32), and up to three parts ending on a short chunk

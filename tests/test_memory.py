@@ -171,6 +171,23 @@ def test_a_moving_bank_keeps_only_its_sinusoids_and_a_few_values_a_link():
         + bank.step.nbytes + 96 * bank.n_links
 
 
+def test_a_frozen_bank_keeps_less_than_its_links_channel():
+    # a 0 kmph bank rebuilds each block's channel when it is read: after a
+    # group has read every block, all it holds, dict values included, is
+    # smaller than the channel of its links
+    cfg = preset("small").replace(ue_velocity=0.0, n_tti=2)
+    group, lanes = _lanes(cfg, ["RR"])
+    group.measure(lanes)
+    bank = group.bank
+    channel = bank.n_links * cfg.n_rb * cfg.n_rx * cfg.n_tx
+    held = 0
+    for value in vars(bank).values():
+        for a in value.values() if isinstance(value, dict) else [value]:
+            if isinstance(a, np.ndarray):
+                held += a.size
+    assert held < channel
+
+
 def test_a_buffered_channel_equals_a_fresh_one_bit_for_bit():
     cfg = preset("small").replace(ue_velocity=120.0, n_tti=2)
     group = engine._Group(cfg)
