@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import combined_gain
-from .channel import SERIAL_GEMM_MNK, _ChannelBank, doppler_frequency, \
-    los_probability, pathloss_uma
+from .channel import _ChannelBank, doppler_frequency, los_probability, \
+    pathloss_uma
 from .config import TTI_DURATION
 from .deployment import SECTORS_PER_SITE, build_hex_layout, drop_ues, \
     dump_layout_csv
@@ -268,10 +268,10 @@ class _Group:
                     * np.eye(cfg.n_tx, max_rank)).astype(np.complex64)
 
         n_sel, n_rx, n_tx = len(select_rb), cfg.n_rx, cfg.n_tx
+        # the selection term keeps every candidate gemm within SERIAL_GEMM_MNK
         step = max(1, min(
             _BLOCK_BYTES // (links.n_keep * cfg.n_rb * n_rx * n_tx * 8),
-            _BLOCK_BYTES // (len(cand) * n_sel * n_rx * n_rx * 16),
-            SERIAL_GEMM_MNK // (n_sel * n_rx * n_tx * max_rank)))
+            _BLOCK_BYTES // (len(cand) * n_sel * n_rx * n_rx * 16)))
         self.blocks = _ue_blocks(links, step)
         self.block_ues = min(step, n_ues)
         n_links = max(b.links.stop - b.links.start for b in self.blocks)
@@ -295,15 +295,13 @@ class _Group:
         serving links are coupled into ``h_serv``. Then the link layer
         writes, lane by lane, the block's covariances into ``r_int`` and its
         rates into ``csi_rates``, and with ``select`` picks each lane's
-        ``p_own`` rows from products made once per polarization. The
-        bootstrap precodes isotropically and rates the precoders it picks; a
-        TTI rates those it granted with, then picks. ``gains`` (n_ues,), if
-        given, takes each UE's mean serving gain at ``lanes[0].pol``.
+        ``p_own`` rows from products made once per polarization. A TTI rates
+        the precoders it granted with, then picks; the bootstrap picks, then
+        rates its picks in the lanes that measure every pair. ``gains``
+        (n_ues,), if given, takes each UE's mean serving gain at
+        ``lanes[0].pol``.
         """
         by_pol = _by_pol(lanes)
-        # equal-power identity precoding everywhere
-        psched = np.broadcast_to(self.iso, (self.n_cells, self.cfg.n_rb)
-                                 + self.iso.shape) if bootstrap else None
         n_keep = self.links.n_keep
         link = self.link
         lap = self.clock.lap
@@ -319,7 +317,7 @@ class _Group:
                     gains[block.ues] = [np.mean(abs(x) ** 2) for x in h_serv]
                 lap("channel")
                 for lane in same:
-                    link.interference(lane, h, port, block, psched)
+                    link.interference(lane, h, port, block)
                     lap("interference")
                     if not bootstrap:
                         link.rates(lane, block, h_serv)
@@ -327,20 +325,20 @@ class _Group:
                 if select:
                     link.select(same, block, h_serv)
                 for lane in same if bootstrap else ():
-                    link.rates(lane, block, h_serv)
-                    lap("rates")
+                    if lane.pairs is None:
+                        link.rates(lane, block, h_serv)
+                        lap("rates")
 
     def bootstrap(self, lanes):
-        """The CSI bootstrap: each lane's first precoders and CSI rates. It
-        precodes isotropically, whatever the scheduler, so the first lane
-        of each polarization measures, and the others take copies."""
-        by_pol = _by_pol(lanes)
-        self.measure([same[0] for same in by_pol.values()], select=True,
-                     bootstrap=True)
-        for first, *rest in by_pol.values():
-            for lane in rest:
-                lane.p_own[:] = first.p_own
-                lane.csi_rates[:] = first.csi_rates
+        """The CSI bootstrap: each lane's first precoders, and the CSI
+        rates of those that measure every pair. Every cell, empty or not,
+        precodes isotropically, and each lane measures its own demand."""
+        for lane in lanes:
+            lane.pairs = lane.demand(-1, self)
+            lane.psched[:] = self.iso
+        self.measure(lanes, select=True, bootstrap=True)
+        for lane in lanes:
+            lane.psched.fill(0)
 
 
 class _Lane:
@@ -359,7 +357,7 @@ class _Lane:
         # filled by the CSI bootstrap, then rewritten in place block by block
         self.p_own = np.empty((n_ues, cfg.n_tx, max_rank),
                               dtype=np.complex64)
-        self.csi_rates = np.empty((n_ues, cfg.n_rb))
+        self.csi_rates = np.full((n_ues, cfg.n_rb), np.nan)
         # the (ue, rb) pairs measured this TTI, or None for all of them
         self.pairs = None
         # empty cells stay silent: only the active cells' rows are written
@@ -390,7 +388,8 @@ class _Lane:
 
     def demand(self, t, group):
         """The (ue, rb) pairs, sorted by UE, whose covariance is read after
-        this TTI's grants, or None when every pair is.
+        TTI ``t``'s grants, or None when every pair is; t = -1 is the
+        bootstrap, which has no grants and always selects.
 
         Accounting reads the grants, a precoder update after this TTI reads
         every UE's ``select_rb`` rows, and proportional fair's next
@@ -400,7 +399,8 @@ class _Lane:
         if cfg.scheduler == "PF" and t < cfg.n_tti - 1:
             return None
         read = np.zeros((len(self.avg), cfg.n_rb), dtype=bool)
-        read[self.rb_to_ue, np.arange(cfg.n_rb)] = True
+        if t >= 0:
+            read[self.rb_to_ue, np.arange(cfg.n_rb)] = True
         if _selects(cfg, t):
             read[:, group.link.select_rb] = True
         return np.nonzero(read)

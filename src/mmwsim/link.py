@@ -247,19 +247,18 @@ class _LinkLayer:
         return {k: np.empty(m + m % 2, np.complex64)
                 for k, m in sizes.items()}
 
-    def interference(self, lane, h, port, block, psched=None):
+    def interference(self, lane, h, port, block):
         """Write ``lane``'s per-(ue, rb) interference covariances of one UE
         block, own-cell signal excluded, into the front of its ``r_int``:
         every entry, or its ``pairs`` only, leaving the others as they are.
 
         ``h * port`` is the block's per-link channel, with ``port`` the
-        receive-port coupling (n, 1, 1, n_tx), and ``psched`` (the lane's
-        own unless given) maps (cell, rb) to the scaled precoder in use.
-        The links of one cell are coupled and precoded as one stacked
-        product per RB; a pair's links one matrix at a time, at its RB,
-        which gives the rows of the stacked product to the last bit.
+        receive-port coupling (n, 1, 1, n_tx), and the lane's ``psched``
+        maps (cell, rb) to the scaled precoder in use. The links of one
+        cell are coupled and precoded as one stacked product per RB; a
+        pair's links one matrix at a time, at its RB, which gives the rows
+        of the stacked product to the last bit.
         """
-        psched = lane.psched if psched is None else psched
         r_int = lane.r_int[:block.ues.stop - block.ues.start]
         b = self.work["b"]
         if lane.pairs is None:
@@ -268,7 +267,7 @@ class _LinkLayer:
                 h_c = h[idx]
                 h_c *= port[idx]
                 b[idx] = _stacked_matmul(h_c.swapaxes(0, 1),
-                                         psched[c]).swapaxes(0, 1)
+                                         lane.psched[c]).swapaxes(0, 1)
             self._covariance(b, r_int)
             return
         ue, rb = lane.pairs
@@ -279,7 +278,7 @@ class _LinkLayer:
         h_p = h[link, rb[:, None]]
         h_p *= port[link, 0]
         cell = self.links.cell[block.links][link]
-        b = np.matmul(h_p, psched[cell, rb[:, None]], out=_front(
+        b = np.matmul(h_p, lane.psched[cell, rb[:, None]], out=_front(
             b, h_p.shape[:-1] + (self.max_rank,)))
         r_int[ue - block.ues.start, rb] = self._covariance(
             b.reshape((-1,) + b.shape[2:]))

@@ -32,25 +32,27 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
                    len(build_codebook(n_tx)) * 5 * n_rx * n_rx * 16)
     # 21 UEs in blocks of 4: five full blocks and an uneven last one
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * ue_bytes + 1)
-    real_schedule, real_account = engine._Lane.schedule, engine._Lane.account
+    real_demand, real_account = engine._Lane.demand, engine._Lane.account
     real_interference = link._LinkLayer.interference
     dense, tti, r_int, rates, checked = [True], {}, {}, {}, []
+    measured = set()
 
-    def schedule(lane, t, group):
+    def demand(lane, t, group):
+        """The dense run measures every pair, the bootstrap's too; both
+        runs key a TTI's records by ``t``, the bootstrap's by -1."""
         tti[lane.cfg.scheduler] = t
-        real_schedule(lane, t, group)
-        if dense[0]:
-            lane.pairs = None
+        return None if dense[0] else real_demand(lane, t, group)
 
-    def interference(layer, lane, h, port, block, psched=None):
+    def interference(layer, lane, h, port, block):
         """Each block's covariances at the lane's pairs equal the dense
         block's; nothing may read an unmeasured pair."""
-        real_interference(layer, lane, h, port, block, psched)
+        real_interference(layer, lane, h, port, block)
         lo, hi = block.ues.start, block.ues.stop
-        key = lane.cfg.scheduler, tti.get(lane.cfg.scheduler), lo
+        key = lane.cfg.scheduler, tti[lane.cfg.scheduler], lo
         if dense[0]:
             r_int[key] = lane.r_int[:hi - lo].copy()
         elif lane.pairs is not None:
+            measured.add(key[:2])
             ue, rb = lane.pairs
             read = np.zeros((hi - lo, cfg.n_rb), dtype=bool)
             inside = (ue >= lo) & (ue < hi)
@@ -78,7 +80,7 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
             checked.append(key)
         real_account(lane)
 
-    monkeypatch.setattr(engine._Lane, "schedule", schedule)
+    monkeypatch.setattr(engine._Lane, "demand", demand)
     monkeypatch.setattr(link._LinkLayer, "interference", interference)
     monkeypatch.setattr(engine._Lane, "account", account)
     cfgs = [cfg.replace(scheduler=s) for s in ("RR", "PF")]
@@ -88,6 +90,8 @@ def test_pair_path_matches_the_dense_tables_bit_for_bit(n_rx, n_tx, velocity,
     # round robin takes the pair path every TTI (with the select rows after
     # TTI 1), proportional fair on its last TTI only
     assert checked == [("RR", 0), ("RR", 1), ("RR", 2), ("RR", 3), ("PF", 3)]
+    # and round robin's bootstrap measures its select rows only
+    assert measured == {("RR", -1)} | set(checked)
 
 
 def test_demand_is_dense_only_where_a_full_table_is_read(monkeypatch):
@@ -106,12 +110,15 @@ def test_demand_is_dense_only_where_a_full_table_is_read(monkeypatch):
     engine._run_lanes([cfg.replace(scheduler=s) for s in ("RR", "PF")])
     grants = 3 * cfg.n_rb           # three cells with UEs
     # select rows after TTIs 1 and 3 add the 5 sampled RBs of every UE, of
-    # which each UE already holds its granted ones
+    # which each UE already holds its granted ones; the bootstrap (t = -1)
+    # has no grants and reads the select rows only
     rr = {t: n for s, t, n in seen if s == "RR"}
     pf = {t: n for s, t, n in seen if s == "PF"}
+    assert rr[-1] == 6 * 5
     assert rr[0] == rr[2] == rr[4] == rr[5] == grants
     assert grants < rr[1] < grants + 6 * 5 and rr[3] == rr[1]
-    assert pf == {0: None, 1: None, 2: None, 3: None, 4: None, 5: grants}
+    assert pf == {-1: None, 0: None, 1: None, 2: None, 3: None, 4: None,
+                  5: grants}
 
 
 def test_a_frozen_bank_keeps_no_sinusoids_and_never_moves():
@@ -153,27 +160,28 @@ def test_lanes_of_one_polarization_share_the_select_products(monkeypatch):
                                   ue_velocity=120.0)
     engine._run_lanes([cfg.replace(scheduler=s, ue_polarization=p)
                        for p in ("LPOL", "XPOL") for s in ("RR", "PF")])
-    # in each block, the bootstrap selects once per polarization, for its
-    # shared CSI; then each polarization's two lanes select on one set of
-    # products
-    assert calls == [1, "products"] * 2 * 2 + [2, "products"] * 2 * 2 * 2
+    # in each block, each polarization's two lanes select on one set of
+    # products, at the bootstrap as after TTIs 1 and 3
+    assert calls == [2, "products"] * 3 * 2 * 2
 
 
-def test_lanes_keep_their_own_arrays_after_the_bootstrap():
+def test_the_bootstrap_measures_each_lane_at_its_own_demand():
     cfg = preset("small").replace(ues_per_sector=2, n_tti=3,
                                   ue_velocity=120.0)
     group = engine._Group(cfg)
-    lanes = [engine._Lane(cfg.replace(scheduler=s), group)
-             for s in ("RR", "PF")]
+    rr, pf = lanes = [engine._Lane(cfg.replace(scheduler=s), group)
+                      for s in ("RR", "PF")]
     group.bootstrap(lanes)
-    first, other = lanes
-    assert np.array_equal(_bits(other.p_own), _bits(first.p_own))
-    assert np.array_equal(_bits(other.csi_rates), _bits(first.csi_rates))
-    kept = other.p_own.copy(), other.csi_rates.copy()
-    group.bank.advance()
-    first.schedule(0, group)
-    group.measure([first], select=True)
-    assert not np.array_equal(first.p_own, kept[0])
-    assert not np.array_equal(first.csi_rates, kept[1], equal_nan=True)
-    assert np.array_equal(_bits(other.p_own), _bits(kept[0]))
-    assert np.array_equal(_bits(other.csi_rates), _bits(kept[1]))
+    # round robin's first schedule reads no rate: it measures the select
+    # rows only and rates nothing, while proportional fair rates every pair
+    n_ues, n_sel = len(group.xy), len(group.link.select_rb)
+    ue, rb = rr.pairs
+    assert np.array_equal(ue, np.repeat(np.arange(n_ues), n_sel))
+    assert np.array_equal(rb, np.tile(group.link.select_rb, n_ues))
+    assert np.isnan(rr.csi_rates).all()
+    assert pf.pairs is None and np.isfinite(pf.csi_rates).all()
+    # both pick the same precoders, and each lane's precoder map, isotropic
+    # during the bootstrap, is silent again after it
+    assert np.array_equal(_bits(rr.p_own), _bits(pf.p_own))
+    for lane in lanes:
+        assert not lane.psched.any()

@@ -127,9 +127,9 @@ def test_bootstrap_errors_are_labelled(monkeypatch):
     cfg = tiny_config(n_tti=1)
 
     def boom(self, *args):
-        raise FloatingPointError("overflow in rate computation")
+        raise FloatingPointError("overflow in covariance computation")
 
-    monkeypatch.setattr(mmwsim.link._LinkLayer, "rates", boom)
+    monkeypatch.setattr(mmwsim.link._LinkLayer, "interference", boom)
     with pytest.raises(EngineError, match="tti 0 .csi bootstrap."):
         run_simulation(cfg)
 

@@ -91,11 +91,10 @@ def _errors(velocity):
         sinrs.append(real_sinr(effective, covariance))
         return sinrs[-1]
 
-    def checked_interference(self, lane, h, port, block, psched=None):
+    def checked_interference(self, lane, h, port, block):
         want = ref["r_int"] = _reference_r_int(
-            self.links, h, port, block,
-            lane.psched if psched is None else psched)
-        interference(self, lane, h, port, block, psched)
+            self.links, h, port, block, lane.psched)
+        interference(self, lane, h, port, block)
         got = lane.r_int[:len(want)]
         if lane.pairs is not None:
             ue, rb = lane.pairs

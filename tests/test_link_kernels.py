@@ -14,7 +14,7 @@ import pytest
 import mmwsim.engine as engine
 import mmwsim.link as link
 from mmwsim import preset
-from mmwsim.channel import freq_mixing_kernel, mix_taps
+from mmwsim.channel import SERIAL_GEMM_MNK, freq_mixing_kernel, mix_taps
 from mmwsim.config import TTI_DURATION
 from mmwsim.link import build_codebook, mmse_sinr_from_covariance, \
     sinr_to_rate
@@ -150,18 +150,29 @@ def test_streamed_link_layer_matches_per_matrix_oracles(n_tx, n_rx,
 
 def test_select_in_chunks_matches_one_pass(monkeypatch):
     cfg = preset("small").replace(ues_per_sector=2, ue_velocity=60.0)
-    # 42 UEs in blocks of 36 and 6
-    monkeypatch.setattr(engine, "_BLOCK_BYTES", 36 * 9 * 50 * 16 * 8)
     p_own = []
-    for gemm_mnk in (engine.SERIAL_GEMM_MNK, 3 * 5 * 4 * 4 * 4):
-        # three UEs per block: 5 sampled RBs x 4 rx rows, each 4 tx x rank 4
-        monkeypatch.setattr(engine, "SERIAL_GEMM_MNK", gemm_mnk)
+    # 42 UEs in blocks of 36 and 6, then in blocks of three
+    for n_ues in (36, 3):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", n_ues * 9 * 50 * 16 * 8)
         group, lanes = _link_layer(cfg, ("LPOL",))
         group.bootstrap(lanes)
         p_own.append((len(group.blocks), lanes[0].p_own))
     (n_whole, whole), (n_small, small) = p_own
     assert (n_whole, n_small) == (2, 14)
     assert np.array_equal(whole.view(np.uint8), small.view(np.uint8))
+
+
+@pytest.mark.parametrize("n_tx", [1, 2, 4])
+def test_block_budget_keeps_selection_gemms_serial(n_tx):
+    # a block's UEs are capped by the selection budget, _BLOCK_BYTES //
+    # (n_cand * n_sel * n_rx * n_rx * 16), and each of its candidate gemms
+    # is (n_sel * n_ues * n_rx) x n_tx x max_rank: the budget keeps every
+    # gemm within SERIAL_GEMM_MNK, on the calling thread, for any n_sel
+    padded, _ = link.stack_codebook(build_codebook(n_tx), n_tx)
+    n_cand, max_rank = len(padded), padded.shape[2]
+    for n_rx in range(1, 9):
+        assert engine._BLOCK_BYTES * n_tx * max_rank \
+            <= 16 * SERIAL_GEMM_MNK * n_cand * n_rx
 
 
 def scores_oracle(eff, base, sn_scale):
