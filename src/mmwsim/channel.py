@@ -24,6 +24,18 @@ build. The work is elementwise numpy, which releases the GIL, and every
 link draws from its own keyed stream, so each link gets the same bits
 whatever the split. A slice's sums are per-row reductions and its
 coupling is elementwise, so a slice gets the rows the whole bank gives.
+
+``sinusoids`` gives the bank's complex64 phasors libm's bits at a third of
+its cost. A value y is a table's exp(1j*k/512) at the knot nearest x turned
+by the exact b = x - k/512, |b| <= 2^-10, with cos b = 1 - b^2/2 + b^4/24
+and sin b = b - b^3/6: with libm and the table within 2^-53 of the truth,
+y is within 2^-51 of it and 2^-50 of libm's chain. A step's omega, from
+such a cos(theta) and beyond ``_SPAN`` an exact fmod by 2 pi, moves by under
+W 2^-49.5, W = 2 pi f_d TTI_DURATION >= |omega|: a step is within (1 + W)
+2^-49 of libm's. The guard eps, 2^-44 for phasors and (1 + W) 2^-44 for
+steps, is 32 times these: where y - eps and y + eps round to one float32,
+so does libm's value between them. The others, about 0.01% of the phasors
+and 0.05% of the steps at 120 kmph, take libm.
 """
 
 import math
@@ -45,9 +57,13 @@ SERIAL_GEMM_MNK = 65536
 
 # sinusoids summed per fading sequence
 N_SINUSOIDS = 12
-# the channel bank turns stream draws into phasors this many links at a
-# time: about a megabyte of angles per pass at paper scale
+# the bank's threads take whole chunks of this many links and build their
+# phasors half a chunk at a time, in 2.7 MB of scratch at paper scale
 _PHASOR_CHUNK = 32
+# ``sinusoids``' tables of exp(1j*k/_KNOTS) reach max(2 pi, W) for steps of
+# up to W <= _SPAN rad; its guard widens by _GUARD per radian of W
+_KNOTS, _SPAN, _GUARD = 512, 256.0, 2.0 ** -44
+_ROUND = 1.5 * 2.0 ** 52    # x + _ROUND rounds |x| < 2^51 to an integer
 
 
 class ChannelModelError(ValueError):
@@ -103,15 +119,10 @@ def pathloss_uma(d2d, fc, h_bs, h_ut, los):
     return out if out.ndim else float(out)
 
 
-def unit_phasor(x, out=None):
-    """exp(1j * x) for real ``x``, as complex128, into ``out`` if given.
-
-    Written as cos and sin into the real and imaginary parts, which gives
-    the same bits as ``np.exp(1j * x)`` without the complex cast of ``x``
-    and the complex exponential.
-    """
-    if out is None:
-        out = np.empty(np.shape(x), dtype=np.complex128)
+def unit_phasor(x):
+    """exp(1j * x) for real ``x``, as complex128: libm's cos and sin, the
+    bits of ``np.exp(1j * x)`` without its complex cast and exponential."""
+    out = np.empty(np.shape(x), dtype=np.complex128)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
@@ -129,21 +140,65 @@ def freq_mixing_kernel(n_rb, coherence_bandwidth_rb):
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-def sinusoids(f_d, theta, phase, out=(None, None, None)):
-    """Complex128 initial phasors and per-TTI rotations of sum-of-sinusoids
-    sequences from the Doppler angles ``theta`` and phases ``phase`` (equal
-    shapes, ``N_SINUSOIDS`` sinusoids on the last axis).
+def phasor_tables(f_d):
+    """``sinusoids``' two tables and largest |omega| at Doppler ``f_d``."""
+    span = 2 * math.pi * abs(f_d) * TTI_DURATION
+    k = int(max(span if span <= _SPAN else 0, 2 * math.pi) * _KNOTS) + 2
+    unit = unit_phasor(np.arange(-k, k + 1) / _KNOTS)
+    return unit / math.sqrt(N_SINUSOIDS), unit, span
 
-    ``out`` may give C-contiguous buffers of that shape for the initial
-    phasors (complex128), the Doppler phase steps (float64) and the
-    rotations (complex128); missing ones are allocated."""
-    state0, omega, step = out
-    state0 = unit_phasor(phase, state0)
-    state0 /= math.sqrt(N_SINUSOIDS)
-    omega = np.cos(theta, out=omega)
-    omega *= 2.0 * math.pi * f_d
+
+def sinusoids(f_d, theta, phase, state, step, tables, work):
+    """Write exp(1j*phase)/sqrt(N_SINUSOIDS) into the complex64 ``state``
+    and, unless ``step`` is None, the rotations exp(1j*omega), omega = 2 pi
+    f_d TTI_DURATION cos(theta), into ``step``, with libm's bits (see the
+    module docstring); return how many values libm gave. All are (n, m)
+    arrays; ``tables`` is ``phasor_tables(f_d)``, ``work`` five buffers of
+    n or more rows of m float64, float64, complex128, complex128, float64."""
+    scaled, unit, span = tables
+    i = _table_phasors(phase, scaled, work, state, _GUARD)
+    state[i] = unit_phasor(phase[i]) / math.sqrt(N_SINUSOIDS)
+    if step is None:
+        return len(i[0])
+    turn = 2 * math.pi * f_d
+    omega = work[4][:len(theta)]
+    np.multiply(_table_phasors(theta, unit, work).real, turn, out=omega)
     omega *= TTI_DURATION
-    return state0, unit_phasor(omega, step)
+    if span > _SPAN:            # beyond the tables: fmod is exact
+        np.fmod(omega, 2 * math.pi, out=omega)
+    j = _table_phasors(omega, unit, work, step, _GUARD * (1 + span))
+    step[j] = unit_phasor(np.cos(theta[j]) * turn * TTI_DURATION)
+    return len(i[0]) + len(j[0])
+
+
+def _table_phasors(x, table, work, out=None, eps=0.0):
+    """exp(1j*x) from ``table``, centred on x = 0, in ``work[2]``, or rounded
+    into ``out``, returning the indices within ``eps`` of a float32 tie."""
+    t, b, z, g = (buf[:len(x)] for buf in work[:4])
+    np.multiply(x, _KNOTS, out=t)
+    t += _ROUND                 # _ROUND + k, for k the knot nearest x
+    np.subtract(t, _ROUND, out=b)
+    b *= -1 / _KNOTS
+    b += x
+    k = t.view(np.int64)
+    k -= np.float64(_ROUND).view(np.int64) - len(table) // 2
+    np.multiply(b, b, out=z.real)
+    np.multiply(z.real, -1 / 6, out=z.imag)
+    z.imag += 1
+    z.imag *= b                 # sin b
+    np.multiply(z.real, -1 / 24, out=b)
+    b += 0.5
+    z.real *= b
+    np.subtract(1, z.real, out=z.real)      # cos b
+    z *= np.take(table, k, out=g, mode="clip")
+    if out is None:
+        return z
+    y, lo, hi = z.view(np.float64), out.view(np.float32), k.view(np.float32)
+    near = b.reshape(-1).view(np.bool_)[:y.size].reshape(y.shape)
+    np.subtract(y, eps, out=lo, casting="same_kind")
+    np.add(y, eps, out=hi, casting="same_kind")
+    np.not_equal(lo, hi, out=near)
+    return np.divmod(np.unique(np.flatnonzero(near) >> 1), z.shape[1])
 
 
 def mix_taps(taps, kernel, out=None):
@@ -272,12 +327,10 @@ class _ChannelBank:
         if f_d == 0:
             self.state = np.empty((n_links, seq_shape[0], 1),
                                   dtype=np.complex64)
-            scratch_types = (np.complex128, np.complex64)
         else:
             self.state = np.empty((n_links,) + seq_shape, dtype=np.complex64)
             self.step = np.empty_like(self.state)
             self.rice_step = np.empty(n_links, dtype=np.complex64)
-            scratch_types = (np.complex128, np.float64, np.complex128)
 
         # Each link's stream holds, in order: the Doppler angles of every
         # sinusoid, then their phases, the rx and tx array phases, the
@@ -287,12 +340,15 @@ class _ChannelBank:
         # one random() call per link, scaled by 2 pi, gives every angle.
         n_ang = math.prod(seq_shape)
         edges = np.cumsum([n_ang, n_ang, self.n_rx, self.n_tx, 1])
+        tables = phasor_tables(f_d)
+        fallbacks = []
+        rows = _PHASOR_CHUNK // 2
 
-        def build(part, angles, scratch):
+        def build(part, angles, work):
             streams = keyed_streams(cfg.seed, FADING_STREAM,
                                     links.cell[part], links.ue[part])
-            for lo in range(part.start, part.stop, _PHASOR_CHUNK):
-                chunk = slice(lo, min(lo + _PHASOR_CHUNK, part.stop))
+            for lo in range(part.start, part.stop, rows):
+                chunk = slice(lo, min(lo + rows, part.stop))
                 n = chunk.stop - lo
                 ang = angles[:n]
                 for row in ang:
@@ -300,16 +356,16 @@ class _ChannelBank:
                 ang *= 2 * math.pi
                 theta, phase, rx, tx, rice, rice_doppler = np.split(
                     ang, edges, axis=1)
-                phase = phase.reshape((-1,) + seq_shape)
-                bufs = [buf[:n] for buf in scratch]
                 if self.step is None:
-                    phasors = unit_phasor(phase, bufs[0])
-                    phasors /= math.sqrt(N_SINUSOIDS)
-                    bufs[1][...] = phasors
-                    bufs[1].sum(axis=-1, out=self.state[chunk, :, 0])
+                    sums = work[4][:n].view(np.complex64)  # free without steps
+                    fallbacks.append(sinusoids(
+                        f_d, None, phase, sums, None, tables, work))
+                    sums.reshape((n,) + seq_shape).sum(
+                        axis=-1, out=self.state[chunk, :, 0])
                 else:
-                    self.state[chunk], self.step[chunk] = sinusoids(
-                        f_d, theta.reshape((-1,) + seq_shape), phase, bufs)
+                    fallbacks.append(sinusoids(
+                        f_d, theta, phase, self.state[chunk].reshape(n, -1),
+                        self.step[chunk].reshape(n, -1), tables, work))
                     self.rice_step[chunk] = unit_phasor(
                         2 * math.pi * f_d * np.cos(rice_doppler[:, 0])
                         * TTI_DURATION)
@@ -317,11 +373,13 @@ class _ChannelBank:
                 self.a_tx[chunk] = unit_phasor(tx)
                 self.rice_state[chunk] = unit_phasor(rice[:, 0])
 
-        chunk_shape = (_PHASOR_CHUNK,) + seq_shape
         _in_parts(build, [
-            (part, np.empty((_PHASOR_CHUNK, edges[-1] + 1)),
-             [np.empty(chunk_shape, dtype=t) for t in scratch_types])
+            (part, np.empty((rows, edges[-1] + 1)),
+             [np.empty((rows, n_ang), t)
+              for t in (float, float, complex, complex, float)])
             for part in _link_parts(n_links)])
+        # how many phasors libm built, of how many
+        self.fallbacks = sum(fallbacks), n_links * n_ang * (2 - (f_d == 0))
 
         k = 10.0 ** (cfg.rician_k_db / 10.0)
         c_scat = np.where(links.los, math.sqrt(1.0 / (k + 1.0)), 1.0)

@@ -515,11 +515,13 @@ def _log_stages(cfg, group):
         return
     stats = group.link.select_stats
     decisions = max(stats["decisions"], 1)
+    libm, built = group.bank.fallbacks
     log.debug(
-        "group v=%g seed=%d: %s; select: %d decisions, %.2f survivors "
-        "each, %d fallbacks, %.3g%% near ties (< %g), screen gap %.2g",
-        cfg.ue_velocity, cfg.seed,
+        "group v=%g seed=%d: %s; bank: %d libm phasors (%.3g%%); select: %d "
+        "decisions, %.2f survivors each, %d fallbacks, %.3g%% near ties "
+        "(< %g), screen gap %.2g", cfg.ue_velocity, cfg.seed,
         ", ".join(f"{k} {v:.3f} s" for k, v in group.clock.seconds.items()),
+        libm, 100.0 * libm / built,
         stats["decisions"], stats["survivors"] / decisions,
         stats["fallbacks"], 100.0 * stats["near ties"] / decisions, _TIE_GAP,
         stats["screen gap"])

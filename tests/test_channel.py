@@ -13,7 +13,7 @@ from mmwsim import (ChannelModelError, ScenarioConfig, doppler_frequency,
                     los_probability, pathloss_uma, preset, run_simulation)
 from mmwsim.channel import (N_SINUSOIDS, _PHASOR_CHUNK, _ChannelBank,
                             depolarization_coherence, freq_mixing_kernel,
-                            sinusoids)
+                            phasor_tables, sinusoids)
 from mmwsim.engine import _build_linkset, _Linkset
 
 
@@ -104,13 +104,21 @@ def _angles(seed, n_seq):
     return rng.uniform(0.0, 2.0 * math.pi, (2, n_seq, 12))
 
 
+def _sinusoids(f_d, theta, phase):
+    state, step = np.empty((2,) + theta.shape, np.complex64)
+    work = [np.empty(theta.shape, t)
+            for t in (float, float, complex, complex, float)]
+    sinusoids(f_d, theta, phase, state, step, phasor_tables(f_d), work)
+    return state, step
+
+
 def test_sinusoid_bank_phasors_and_frozen_zero_doppler():
-    state0, step = sinusoids(100.0, *_angles(2, 8))
+    state0, step = _sinusoids(100.0, *_angles(2, 8))
     assert state0.shape == step.shape == (8, N_SINUSOIDS)
     assert np.allclose(np.abs(state0), 1.0 / math.sqrt(N_SINUSOIDS))
     assert np.allclose(np.abs(step), 1.0)
 
-    _, step0 = sinusoids(0.0, *_angles(2, 8))
+    _, step0 = _sinusoids(0.0, *_angles(2, 8))
     assert np.all(step0 == 1.0)
 
 

@@ -154,6 +154,17 @@ def test_a_group_books_every_stage_of_a_run(monkeypatch):
     assert all(s > 0.0 for s in stages.values()), stages
 
 
+def test_the_stage_log_counts_the_phasors_libm_built(caplog):
+    cfg = tiny_config(ue_velocity=120.0, n_tti=1)
+    with caplog.at_level(logging.DEBUG, logger="mmwsim"):
+        run_simulation(cfg)
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("group ")]
+    libm, share = re.search(r"bank: (\d+) libm phasors \((\S+)%\)",
+                            line).groups()
+    assert 0 < int(libm) and 0 < float(share) < 1
+
+
 def test_run_sweep_grid_and_metadata():
     cfg = tiny_config(n_tti=2)
     table, failures = run_sweep(cfg, velocities=[0.0, 120.0],

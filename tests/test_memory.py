@@ -8,9 +8,11 @@ partitions the work without changing a bit."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import mmwsim.channel as channel
 import mmwsim.engine as engine
-from mmwsim import preset
+from mmwsim import doppler_frequency, preset
 
 # a TTI's transients above the group's block buffers, mostly a block's
 # inverses in precoder selection and its rate temporaries: 2.8 MiB
@@ -201,3 +203,20 @@ def test_a_buffered_channel_equals_a_fresh_one_bit_for_bit():
         fresh = group.bank.current(block.links)
         assert np.array_equal(np.ascontiguousarray(h).view(np.uint8),
                               np.ascontiguousarray(fresh).view(np.uint8))
+
+
+# what the libm build of the `small` bank in two parts peaked at above the
+# bank's own arrays, in MiB: the tables and their guard may not add to it
+@pytest.mark.parametrize("velocity,libm_mib", [(120.0, 8.11), (0.0, 5.83)])
+def test_a_bank_build_needs_no_more_scratch_than_the_libm_build(
+        monkeypatch, velocity, libm_mib):
+    monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+    cfg = preset("small").replace(ue_velocity=velocity)
+    links = engine._Group(cfg).links
+    f_d = doppler_frequency(cfg.ue_velocity, cfg.carrier_frequency)
+    banks = []
+    peak = _traced_peak(
+        lambda: banks.append(channel._ChannelBank(cfg, links, f_d)))
+    own = sum(a.nbytes for a in vars(banks[0]).values()
+              if isinstance(a, np.ndarray))
+    assert peak - own < (libm_mib + 0.25) * 2 ** 20
